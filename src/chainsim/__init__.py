@@ -43,9 +43,6 @@ from .core import (
     UnitV,
     Value,
     amount_add,
-    amount_sub,
-    env_total_balance,
-    env_update,
     list_t,
     make_param,
     pair_t,
@@ -55,7 +52,7 @@ from .core import (
     value_typecheck,
 )
 from .executor import ExecError, ExecOutcome, execute_operation, pending_balance, view_storage
-from .features import FeatureSet, check_allowed, narrow_restrictions
+from .features import FeatureSet, narrow_restrictions
 from .harness import (
     DemonicProfile,
     FuzzReport,

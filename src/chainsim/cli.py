@@ -46,10 +46,6 @@ def _parse_features(raw: str) -> FeatureSet:
     return FeatureSet.from_names(names)
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario(path)
-
-
 def _print_run(outcome, scenario: Scenario, step: bool) -> None:
     if step:
         for idx, tree in enumerate(outcome.trees):
@@ -68,7 +64,7 @@ def _print_run(outcome, scenario: Scenario, step: bool) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = _load(args.file)
+        scenario = load_scenario(args.file)
     except OSError as err:
         _err(str(err))
         return EXIT_USAGE
@@ -112,7 +108,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _err(str(err))
         return EXIT_USAGE
     try:
-        scenario = _load(args.file)
+        scenario = load_scenario(args.file)
     except OSError as err:
         _err(str(err))
         return EXIT_USAGE

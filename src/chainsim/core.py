@@ -9,7 +9,7 @@ old environment".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from .features import FeatureSet
@@ -40,10 +40,6 @@ def check_amount(n: int) -> int:
 
 def amount_add(a: int, b: int) -> int:
     return check_amount(check_amount(a) + check_amount(b))
-
-
-def amount_sub(a: int, b: int) -> int:
-    return check_amount(check_amount(a) - check_amount(b))
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +333,6 @@ class Environment:
         return total
 
 
-def env_update(env: Environment, addr: str, contract: Contract) -> Environment:
-    return env.updated(addr, contract)
-
-
-def env_total_balance(env: Environment) -> int:
-    return env.total_balance()
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -481,3 +469,105 @@ class CallContext:
     features: "FeatureSet"
     view: Callable[[str], Value] = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
     pending_balance: Callable[[str], int] = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
+
+
+# ---------------------------------------------------------------------------
+# Operation rendering
+# ---------------------------------------------------------------------------
+
+
+def split_param(param: Value) -> Optional[tuple[str, tuple[Value, ...]]]:
+    """Inverse of make_param: (entrypoint, args), or None if `param` is not an
+    (entrypoint name, args) pair. Only a top-level unit means no arguments, so
+    a trailing unit argument survives and make_param(name, *args) == param."""
+    if not (isinstance(param, PairV) and isinstance(param.left, StringV)):
+        return None
+    args: list[Value] = []
+    rest = param.right
+    while isinstance(rest, PairV):
+        args.append(rest.left)
+        rest = rest.right
+    if args or not isinstance(rest, UnitV):
+        args.append(rest)
+    return param.left.s, tuple(args)
+
+
+def _render_args(args: tuple[Value, ...]) -> str:
+    return ", ".join(render_value(v) for v in args)
+
+
+def _wrapper_parts(op: Operation) -> tuple[str, Optional[list[str]]]:
+    """A wrapper's keyword plus, for a restriction, its addresses sorted."""
+    if isinstance(op, AtomicBundle):
+        return "atomic", None
+    if isinstance(op, ContextBundle):
+        return "context", None
+    if isinstance(op, Restricted):
+        if op.allow is not None:
+            return "allow", sorted(op.allow)
+        return "block", sorted(op.block or ())
+    raise TypeError(f"unknown operation: {op!r}")
+
+
+def render_op(op: Operation, indent: int = 0) -> str:
+    """Render an operation in scenario syntax, wrapper members one per line
+    below their wrapper. A ("default", unit) transfer prints bare."""
+    pad = "  " * indent
+    if isinstance(op, Transfer):
+        call = split_param(op.param)
+        if call is None:
+            raise ValueError(f"not an entrypoint call: {render_value(op.param)}")
+        line = f"{pad}transfer {op.amount} to @{op.dest}"
+        if call != ("default", ()):
+            line += f" call {call[0]}({_render_args(call[1])})"
+        return line
+    if isinstance(op, CreateContract):
+        return (
+            f"{pad}create @{op.addr} code {op.code_key} config {render_value(op.config)}"
+            f" storage {render_value(op.storage)} balance {op.amount}"
+        )
+    if isinstance(op, EndInteractions):
+        return f"{pad}end_interactions"
+    head, addrs = _wrapper_parts(op)
+    if addrs is not None:
+        head += f" [{' '.join('@' + a for a in addrs)}]"
+    members = [render_op(o, indent + 1) for o in op.ops]
+    return "\n".join([f"{pad}{head} {{", *members, f"{pad}}}"])
+
+
+def render_op_brief(op: Operation) -> str:
+    """One-line rendering used in queue states: `dest.entrypoint(args)`."""
+    if isinstance(op, Transfer):
+        call = split_param(op.param)
+        if call is None:
+            return f"{op.dest}!{render_value(op.param)}"
+        return f"{op.dest}.{call[0]}({_render_args(call[1])})"
+    if isinstance(op, CreateContract):
+        return f"create {op.addr}"
+    if isinstance(op, EndInteractions):
+        return "end_interactions"
+    head, addrs = _wrapper_parts(op)
+    if addrs is not None:
+        head += f"[{', '.join('@' + a for a in addrs)}]"
+    return head + "{" + ", ".join(render_op_brief(o) for o in op.ops) + "}"
+
+
+def render_stack(frames: Sequence[Sequence[PendingOp]]) -> str:
+    """A pending-queue state as printed by --step: frames of (sender, op)."""
+    rendered = []
+    for frame in frames:
+        pending = ", ".join(f"({p.ectx.sender}, {render_op_brief(p.op)})" for p in frame)
+        rendered.append(f"[{pending}]")
+    return "[" + ", ".join(rendered) + "]"
+
+
+def describe_op(op: Operation) -> tuple[str, Optional[str], Optional[int], Optional[str]]:
+    """Trace-node fields of an executable operation: kind, dest, amount and
+    the rendered parameter (a created contract's storage)."""
+    if isinstance(op, Transfer):
+        return "transfer", op.dest, op.amount, render_value(op.param)
+    if isinstance(op, CreateContract):
+        return "create", op.addr, op.amount, render_value(op.storage)
+    if isinstance(op, EndInteractions):
+        return "end_interactions", None, None, None
+    raise TypeError(f"not an executable operation: {op!r}")

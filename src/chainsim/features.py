@@ -33,10 +33,6 @@ class FeatureSet:
     end_interactions: bool = False
 
     @classmethod
-    def none(cls) -> "FeatureSet":
-        return cls()
-
-    @classmethod
     def all_on(cls) -> "FeatureSet":
         return cls(**{name: True for name in FEATURE_NAMES})
 
@@ -83,11 +79,3 @@ def end_mode_permits(mode_owner: Optional[str], sender: str, dest: str) -> bool:
     if mode_owner is None:
         return True
     return sender == mode_owner and dest == mode_owner
-
-
-def check_allowed(
-    r: RestrictionState, dest: str, mode_owner: Optional[str], sender: str
-) -> bool:
-    """May `sender` invoke `dest` under restriction state `r` and (optional)
-    end-of-interactions mode owned by `mode_owner`?"""
-    return restrictions_permit(r, dest) and end_mode_permits(mode_owner, sender, dest)

@@ -21,17 +21,11 @@ from .core import (
     UNIT_VALUE,
     AddressV,
     CreateContract,
-    EndInteractions,
     Environment,
     NatV,
     Operation,
     PairV,
-    Restricted,
-    AtomicBundle,
-    ContextBundle,
-    StringV,
     Transfer,
-    UnitV,
     Value,
     make_param,
     pair_t,
@@ -40,17 +34,11 @@ from .core import (
 from .executor import execute_operation
 from .registry import ContractDef, ContractFail
 from .scenario import (
-    CallSpec,
     ContractDecl,
-    CreateSpec,
-    EndInteractionsSpec,
     FeaturesDecl,
     FuelDecl,
-    OpSpec,
     Scenario,
     StrategyDecl,
-    TransactionSpec,
-    TransferSpec,
     print_scenario,
 )
 from .scheduler import (
@@ -369,25 +357,6 @@ def _shrink(
     return SignedTransaction(tx.author, tuple(ops))
 
 
-def _op_to_spec(op: Operation) -> OpSpec:
-    if isinstance(op, Transfer):
-        param = op.param
-        call = None
-        if isinstance(param, PairV) and isinstance(param.left, StringV):
-            name = param.left.s
-            args = () if isinstance(param.right, UnitV) else (param.right,)
-            if not (name == "default" and not args):
-                call = CallSpec(name, args)
-        return TransferSpec(op.amount, op.dest, call)
-    if isinstance(op, CreateContract):
-        return CreateSpec(op.addr, op.code_key, op.config, op.storage, op.amount)
-    if isinstance(op, EndInteractions):
-        return EndInteractionsSpec()
-    if isinstance(op, (AtomicBundle, ContextBundle, Restricted)):
-        raise ValueError("wrapper ops are not produced by the generator")
-    raise TypeError(f"unknown operation: {op!r}")
-
-
 def reproduction_scenario(
     env0: Environment, tx: SignedTransaction, sched_cfg: SchedulerConfig
 ) -> str:
@@ -404,8 +373,7 @@ def reproduction_scenario(
         decls.append(FeaturesDecl(enabled))
     if sched_cfg.fuel != DEFAULT_FUEL:
         decls.append(FuelDecl(sched_cfg.fuel))
-    spec = TransactionSpec(tx.author, tuple(_op_to_spec(op) for op in tx.ops))
-    scenario = Scenario("reproduction", tuple(decls), (spec,), ())
+    scenario = Scenario("reproduction", tuple(decls), (tx,), ())
     return print_scenario(scenario)
 
 

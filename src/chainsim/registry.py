@@ -85,10 +85,6 @@ def resolve(code_key: str) -> ContractDef:
         raise RegistryError(f"unknown code key: {code_key!r}") from None
 
 
-def registered_keys() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
 def instantiate(
     code_key: str,
     config: Value,
@@ -96,7 +92,7 @@ def instantiate(
     balance: int,
     contextual: bool = False,
 ) -> Contract:
-    """Build a Contract ready for env_update or CreateContract installation."""
+    """Build a Contract ready for Environment.updated or CreateContract installation."""
     defn = resolve(code_key)
     if not value_typecheck(config, defn.config_type):
         raise RegistryError(

@@ -17,11 +17,13 @@ from .core import (
     AtomicBundle,
     BoolV,
     ContextBundle,
+    Contract,
     CreateContract,
     EndInteractions,
     Environment,
     IntV,
     ListV,
+    MAX_MUTEZ,
     MutezV,
     NatV,
     Operation,
@@ -31,7 +33,9 @@ from .core import (
     Transfer,
     UNIT_VALUE,
     Value,
+    check_address,
     make_param,
+    render_op,
     render_value,
 )
 from .executor import execute_operation
@@ -102,61 +106,6 @@ Decl = Union[AccountDecl, ContractDecl, StrategyDecl, FeaturesDecl, FuelDecl]
 
 
 @dataclass(frozen=True)
-class CallSpec:
-    entrypoint: str
-    args: tuple[Value, ...] = ()
-
-
-@dataclass(frozen=True)
-class TransferSpec:
-    amount: int
-    dest: str
-    call: Optional[CallSpec] = None
-
-
-@dataclass(frozen=True)
-class CreateSpec:
-    addr: str
-    code_key: str
-    config: Value
-    storage: Value
-    balance: int
-
-
-@dataclass(frozen=True)
-class AtomicSpec:
-    ops: tuple["OpSpec", ...]
-
-
-@dataclass(frozen=True)
-class ContextSpec:
-    ops: tuple["OpSpec", ...]
-
-
-@dataclass(frozen=True)
-class RestrictSpec:
-    mode: str  # "allow" | "block"
-    addrs: tuple[str, ...]
-    ops: tuple["OpSpec", ...]
-
-
-@dataclass(frozen=True)
-class EndInteractionsSpec:
-    pass
-
-
-OpSpec = Union[
-    TransferSpec, CreateSpec, AtomicSpec, ContextSpec, RestrictSpec, EndInteractionsSpec
-]
-
-
-@dataclass(frozen=True)
-class TransactionSpec:
-    author: str
-    ops: tuple[OpSpec, ...]
-
-
-@dataclass(frozen=True)
 class ExpectBalance:
     addr: str
     relation: str  # "=" | "<" | ">"
@@ -186,7 +135,7 @@ Expectation = Union[ExpectBalance, ExpectStorage, ExpectOutcome, ExpectTotal]
 class Scenario:
     name: str
     decls: tuple[Decl, ...]
-    transactions: tuple[TransactionSpec, ...]
+    transactions: tuple[SignedTransaction, ...]
     expectations: tuple[Expectation, ...]
 
 
@@ -320,11 +269,17 @@ def tokenize(text: str) -> list[Token]:
 
 _DECL_KEYWORDS = ("account", "contract", "strategy", "features", "fuel")
 
+# Deepest bracket nesting accepted: `{` of transaction and wrapper blocks,
+# `(pair` and `[`. Deeper input is a parse error at the opening bracket
+# rather than a RecursionError in the recursive-descent parser.
+MAX_NESTING = 100
+
 
 class _Stream:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -357,13 +312,26 @@ class _Stream:
             self.fail(f"'{ch}'")
         return self.advance()
 
+    def open(self, ch: str) -> None:
+        tok = self.expect_punct(ch)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"at most {MAX_NESTING} nested brackets", tok)
+
+    def close(self, ch: str) -> None:
+        self.expect_punct(ch)
+        self.depth -= 1
+
     def at_ident(self, *words: str) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.text in words
 
 
 def _parse_nat(ts: _Stream, what: str) -> int:
+    """A NAT the grammar names (amount, balance, total, fuel): at most 2^64-1."""
     tok = ts.expect_kind("nat", what)
+    if int(tok.text) > MAX_MUTEZ:
+        ts.fail(f"{what} of at most {MAX_MUTEZ}", tok)
     return int(tok.text)
 
 
@@ -401,21 +369,21 @@ def _parse_value(ts: _Stream) -> Value:
             return MutezV(_parse_nat(ts, "a mutez amount"))
         ts.fail("a value")
     if tok.kind == "punct" and tok.text == "(":
-        ts.advance()
+        ts.open("(")
         ts.expect_ident("pair")
         left = _parse_value(ts)
         right = _parse_value(ts)
-        ts.expect_punct(")")
+        ts.close(")")
         return PairV(left, right)
     if tok.kind == "punct" and tok.text == "[":
-        ts.advance()
+        ts.open("[")
         items: list[Value] = []
         if not (ts.peek().kind == "punct" and ts.peek().text == "]"):
             items.append(_parse_value(ts))
             while ts.peek().kind == "punct" and ts.peek().text == ",":
                 ts.advance()
                 items.append(_parse_value(ts))
-        ts.expect_punct("]")
+        ts.close("]")
         try:
             return ListV(tuple(items))
         except ValueError:
@@ -426,7 +394,7 @@ def _parse_value(ts: _Stream) -> Value:
     raise AssertionError("unreachable")
 
 
-def _parse_op(ts: _Stream) -> OpSpec:
+def _parse_op(ts: _Stream) -> Operation:
     tok = ts.peek()
     if tok.kind != "ident":
         ts.fail("an operation")
@@ -435,7 +403,7 @@ def _parse_op(ts: _Stream) -> OpSpec:
         amount = _parse_nat(ts, "an amount (nat)")
         ts.expect_ident("to")
         dest = _parse_address(ts)
-        call: Optional[CallSpec] = None
+        param = make_param("default")
         if ts.at_ident("call"):
             ts.advance()
             name = ts.expect_kind("ident", "an entrypoint name").text
@@ -447,8 +415,8 @@ def _parse_op(ts: _Stream) -> OpSpec:
                     ts.advance()
                     args.append(_parse_value(ts))
             ts.expect_punct(")")
-            call = CallSpec(name, tuple(args))
-        return TransferSpec(amount, dest, call)
+            param = make_param(name, *args)
+        return Transfer(dest, amount, param)
     if tok.text == "create":
         ts.advance()
         addr = _parse_address(ts)
@@ -460,11 +428,11 @@ def _parse_op(ts: _Stream) -> OpSpec:
         storage = _parse_value(ts)
         ts.expect_ident("balance")
         balance = _parse_nat(ts, "a balance (nat)")
-        return CreateSpec(addr, code_key, config, storage, balance)
+        return CreateContract(addr, balance, storage, code_key, config)
     if tok.text in ("atomic", "context"):
         ts.advance()
         ops = _parse_block(ts)
-        return AtomicSpec(ops) if tok.text == "atomic" else ContextSpec(ops)
+        return AtomicBundle(ops) if tok.text == "atomic" else ContextBundle(ops)
     if tok.text in ("allow", "block"):
         ts.advance()
         ts.expect_punct("[")
@@ -473,22 +441,24 @@ def _parse_op(ts: _Stream) -> OpSpec:
             addrs.append(_parse_address(ts))
         ts.expect_punct("]")
         ops = _parse_block(ts)
-        return RestrictSpec(tok.text, tuple(addrs), ops)
+        if tok.text == "allow":
+            return Restricted(ops, allow=frozenset(addrs))
+        return Restricted(ops, block=frozenset(addrs))
     if tok.text == "end_interactions":
         ts.advance()
-        return EndInteractionsSpec()
+        return EndInteractions()
     ts.fail("an operation")
     raise AssertionError("unreachable")
 
 
-def _parse_block(ts: _Stream) -> tuple[OpSpec, ...]:
-    ts.expect_punct("{")
-    ops: list[OpSpec] = []
+def _parse_block(ts: _Stream) -> tuple[Operation, ...]:
+    ts.open("{")
+    ops: list[Operation] = []
     while not (ts.peek().kind == "punct" and ts.peek().text == "}"):
         if ts.peek().kind == "eof":
             ts.fail("an operation or '}'")
         ops.append(_parse_op(ts))
-    ts.expect_punct("}")
+    ts.close("}")
     return tuple(ops)
 
 
@@ -549,13 +519,12 @@ def parse_scenario(text: str) -> Scenario:
             seen_fuel = True
             decls.append(FuelDecl(_parse_nat(ts, "a fuel bound (nat)")))
 
-    transactions: list[TransactionSpec] = []
+    transactions: list[SignedTransaction] = []
     while ts.at_ident("transaction"):
         ts.advance()
         ts.expect_ident("from")
         author = _parse_address(ts)
-        ops = _parse_block(ts)
-        transactions.append(TransactionSpec(author, ops))
+        transactions.append(SignedTransaction(author, _parse_block(ts)))
 
     expectations: list[Expectation] = []
     while ts.at_ident("expect"):
@@ -598,42 +567,8 @@ def parse_scenario(text: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _print_op(op: OpSpec, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(op, TransferSpec):
-        line = f"{pad}transfer {op.amount} to @{op.dest}"
-        if op.call is not None:
-            args = ", ".join(render_value(v) for v in op.call.args)
-            line += f" call {op.call.entrypoint}({args})"
-        return [line]
-    if isinstance(op, CreateSpec):
-        return [
-            f"{pad}create @{op.addr} code {op.code_key} config {render_value(op.config)}"
-            f" storage {render_value(op.storage)} balance {op.balance}"
-        ]
-    if isinstance(op, (AtomicSpec, ContextSpec)):
-        word = "atomic" if isinstance(op, AtomicSpec) else "context"
-        lines = [f"{pad}{word} {{"]
-        for inner in op.ops:
-            lines.extend(_print_op(inner, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(op, RestrictSpec):
-        addrs = " ".join(f"@{a}" for a in op.addrs)
-        lines = [f"{pad}{op.mode} [{addrs}] {{"]
-        for inner in op.ops:
-            lines.extend(_print_op(inner, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(op, EndInteractionsSpec):
-        return [f"{pad}end_interactions"]
-    raise TypeError(f"unknown op spec: {op!r}")
-
-
 def print_scenario(s: Scenario) -> str:
-    from .core import _escape
-
-    lines = [f'scenario "{_escape(s.name)}"']
+    lines = [f"scenario {render_value(StringV(s.name))}"]
     for decl in s.decls:
         if isinstance(decl, AccountDecl):
             lines.append(f"account @{decl.addr} balance {decl.balance}")
@@ -656,8 +591,7 @@ def print_scenario(s: Scenario) -> str:
             raise TypeError(f"unknown decl: {decl!r}")
     for tx in s.transactions:
         lines.append(f"transaction from @{tx.author} {{")
-        for op in tx.ops:
-            lines.extend(_print_op(op, 1))
+        lines.extend(render_op(op, 1) for op in tx.ops)
         lines.append("}")
     for e in s.expectations:
         lines.append("expect " + describe_expectation(e))
@@ -681,42 +615,25 @@ def describe_expectation(e: Expectation) -> str:
 # ---------------------------------------------------------------------------
 
 
-def compile_op(spec: OpSpec) -> Operation:
-    if isinstance(spec, TransferSpec):
-        if spec.call is None:
-            param = make_param("default")
-        else:
-            param = make_param(spec.call.entrypoint, *spec.call.args)
-        return Transfer(spec.dest, spec.amount, param)
-    if isinstance(spec, CreateSpec):
-        return CreateContract(spec.addr, spec.balance, spec.storage, spec.code_key, spec.config)
-    if isinstance(spec, AtomicSpec):
-        return AtomicBundle(tuple(compile_op(o) for o in spec.ops))
-    if isinstance(spec, ContextSpec):
-        return ContextBundle(tuple(compile_op(o) for o in spec.ops))
-    if isinstance(spec, RestrictSpec):
-        ops = tuple(compile_op(o) for o in spec.ops)
-        if spec.mode == "allow":
-            return Restricted(ops, allow=frozenset(spec.addrs))
-        return Restricted(ops, block=frozenset(spec.addrs))
-    if isinstance(spec, EndInteractionsSpec):
-        return EndInteractions()
-    raise TypeError(f"unknown op spec: {spec!r}")
+def compile_op(op: Operation) -> Operation:
+    """Identity: scenarios hold core operations already. Kept because the
+    benchmark's set-up (perfbench/workloads.py) still calls it."""
+    return op
 
 
-def _op_addr_refs(spec: OpSpec):
+def _op_addr_refs(op: Operation):
     """(referenced addresses, created addresses) in surface order."""
-    if isinstance(spec, TransferSpec):
-        yield ("ref", spec.dest)
-    elif isinstance(spec, CreateSpec):
-        yield ("create", spec.addr)
-    elif isinstance(spec, (AtomicSpec, ContextSpec)):
-        for inner in spec.ops:
+    if isinstance(op, Transfer):
+        yield ("ref", op.dest)
+    elif isinstance(op, CreateContract):
+        yield ("create", op.addr)
+    elif isinstance(op, (AtomicBundle, ContextBundle)):
+        for inner in op.ops:
             yield from _op_addr_refs(inner)
-    elif isinstance(spec, RestrictSpec):
-        for addr in spec.addrs:
+    elif isinstance(op, Restricted):
+        for addr in sorted((op.allow or frozenset()) | (op.block or frozenset())):
             yield ("ref", addr)
-        for inner in spec.ops:
+        for inner in op.ops:
             yield from _op_addr_refs(inner)
 
 
@@ -747,12 +664,16 @@ def validate_scenario(s: Scenario) -> None:
 
 
 def build_environment(s: Scenario) -> Environment:
-    env = Environment()
+    """The declared accounts and contracts, gathered in one dict and wrapped
+    once: Environment.updated would copy the whole dict per declaration."""
+    accounts: dict[str, Contract] = {}
     for decl in s.decls:
-        if isinstance(decl, AccountDecl):
-            env = env.updated(decl.addr, registry.implicit_account(decl.balance))
-        elif isinstance(decl, ContractDecl):
-            try:
+        if not isinstance(decl, (AccountDecl, ContractDecl)):
+            continue
+        try:
+            if isinstance(decl, AccountDecl):
+                contract = registry.implicit_account(decl.balance)
+            else:
                 contract = registry.instantiate(
                     decl.code_key,
                     decl.config,
@@ -760,10 +681,10 @@ def build_environment(s: Scenario) -> Environment:
                     decl.balance,
                     contextual=decl.contextual,
                 )
-            except (registry.RegistryError, ValueError) as err:
-                raise SetupError(f"@{decl.addr}: {err}") from None
-            env = env.updated(decl.addr, contract)
-    return env
+        except (registry.RegistryError, ValueError) as err:
+            raise SetupError(f"@{decl.addr}: {err}") from None
+        accounts[check_address(decl.addr)] = contract
+    return Environment(accounts)
 
 
 def scenario_config(
@@ -867,11 +788,7 @@ def run_scenario(
     validate_scenario(s)
     env_before = build_environment(s)
     cfg = scenario_config(s, strategy, features, fuel, record_queue_states)
-    txs = [
-        SignedTransaction(tx.author, tuple(compile_op(op) for op in tx.ops))
-        for tx in s.transactions
-    ]
-    env_after, ts, trees = run_block(env_before, txs, cfg, 0, execute)
+    env_after, ts, trees = run_block(env_before, s.transactions, cfg, 0, execute)
     results = tuple(_evaluate(e, env_after, tuple(trees)) for e in s.expectations)
     return ScenarioOutcome(
         scenario=s,

@@ -23,14 +23,13 @@ from .core import (
     Environment,
     ExecutionContext,
     Operation,
-    PairV,
     PendingOp,
     Restricted,
-    StringV,
     Transfer,
-    UnitV,
     Value,
-    render_value,
+    WRAPPER_OPS,
+    describe_op,
+    render_stack,
 )
 from .executor import (
     ExecError,
@@ -156,9 +155,7 @@ def _flatten_pending(stack: Stack) -> tuple[PendingOp, ...]:
 
 def _head_is_wrapper(stack: Stack) -> bool:
     stack = _normalize(stack)
-    return bool(stack) and isinstance(
-        stack[0][0].op, (AtomicBundle, ContextBundle, Restricted)
-    )
+    return bool(stack) and isinstance(stack[0][0].op, WRAPPER_OPS)
 
 
 def _fail(state: SchedulerState, node: TraceNode, kind: str, detail: str) -> SchedulerState:
@@ -197,7 +194,7 @@ def step(state: SchedulerState) -> SchedulerState:
     features = state.cfg.features
     node_id = len(state.nodes)
 
-    if isinstance(p.op, (AtomicBundle, ContextBundle, Restricted)):
+    if isinstance(p.op, WRAPPER_OPS):
         kind = {
             AtomicBundle: "atomic",
             ContextBundle: "context",
@@ -246,7 +243,7 @@ def step(state: SchedulerState) -> SchedulerState:
 
     # Executable operation.
     ectx = replace(p.ectx, end_interactions_owner=state.end_owner, level=state.ts)
-    op_kind, dest, amount, param = _describe_op(p.op)
+    op_kind, dest, amount, param = describe_op(p.op)
     base = TraceNode(
         id=node_id,
         parent=p.parent,
@@ -319,66 +316,6 @@ def step(state: SchedulerState) -> SchedulerState:
         end_owner=end_owner,
         nodes=state.nodes + (node,),
     )
-
-
-def _describe_op(op: Operation) -> tuple[str, Optional[str], Optional[int], Optional[str]]:
-    if isinstance(op, Transfer):
-        return "transfer", op.dest, op.amount, render_value(op.param)
-    if isinstance(op, CreateContract):
-        return "create", op.addr, op.amount, render_value(op.storage)
-    if isinstance(op, EndInteractions):
-        return "end_interactions", None, None, None
-    raise TypeError(f"not an executable operation: {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# Queue-state rendering (the trace style used by --step and golden tests)
-# ---------------------------------------------------------------------------
-
-
-def _render_call(op: Transfer) -> str:
-    param = op.param
-    if isinstance(param, PairV) and isinstance(param.left, StringV):
-        name = param.left.s
-        args = _flatten_args(param.right)
-        return f"{op.dest}.{name}({', '.join(args)})"
-    return f"{op.dest}!{render_value(param)}"
-
-
-def _flatten_args(args: Value) -> list[str]:
-    if isinstance(args, UnitV):
-        return []
-    if isinstance(args, PairV):
-        return [render_value(args.left)] + _flatten_args(args.right)
-    return [render_value(args)]
-
-
-def _render_op_brief(op: Operation) -> str:
-    if isinstance(op, Transfer):
-        return _render_call(op)
-    if isinstance(op, CreateContract):
-        return f"create {op.addr}"
-    if isinstance(op, EndInteractions):
-        return "end_interactions"
-    if isinstance(op, AtomicBundle):
-        return "atomic{" + ", ".join(_render_op_brief(o) for o in op.ops) + "}"
-    if isinstance(op, ContextBundle):
-        return "context{" + ", ".join(_render_op_brief(o) for o in op.ops) + "}"
-    if isinstance(op, Restricted):
-        mode = "allow" if op.allow is not None else "block"
-        members = op.allow if op.allow is not None else (op.block or frozenset())
-        addrs = ", ".join(f"@{a}" for a in sorted(members))
-        return f"{mode}[{addrs}]{{" + ", ".join(_render_op_brief(o) for o in op.ops) + "}"
-    raise TypeError(f"unknown operation: {op!r}")
-
-
-def render_pending(p: PendingOp) -> str:
-    return f"({p.ectx.sender}, {_render_op_brief(p.op)})"
-
-
-def render_stack(stack: Stack) -> str:
-    frames = ["[" + ", ".join(render_pending(p) for p in frame) + "]" for frame in stack]
-    return "[" + ", ".join(frames) + "]"
 
 
 # ---------------------------------------------------------------------------

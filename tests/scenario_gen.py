@@ -1,4 +1,4 @@
-"""Seeded random scenario ASTs for round-trip testing.
+"""Seeded random scenarios (core operations included) for round-trip testing.
 
 Values stay within the textually expressible subset (signed literals only for
 negative ints), so parse(print(ast)) must reproduce the AST exactly.
@@ -9,37 +9,37 @@ import string
 
 from chainsim.core import (
     AddressV,
+    AtomicBundle,
     BoolV,
+    ContextBundle,
+    CreateContract,
+    EndInteractions,
     IntV,
     ListV,
     MutezV,
     NatV,
     PairV,
+    Restricted,
     StringV,
+    Transfer,
     UNIT_VALUE,
     Value,
+    make_param,
 )
 from chainsim.features import FEATURE_NAMES
 from chainsim.scenario import (
     AccountDecl,
-    AtomicSpec,
-    CallSpec,
-    ContextSpec,
     ContractDecl,
-    CreateSpec,
-    EndInteractionsSpec,
     FeaturesDecl,
     FuelDecl,
-    RestrictSpec,
     Scenario,
     StrategyDecl,
     ExpectBalance,
     ExpectOutcome,
     ExpectStorage,
     ExpectTotal,
-    TransactionSpec,
-    TransferSpec,
 )
+from chainsim.scheduler import SignedTransaction
 
 _SAFE_CHARS = string.ascii_letters + string.digits + " _-.!?:/\\\"\n\t"
 
@@ -89,29 +89,30 @@ def random_op(rng: random.Random, addrs: list, depth: int = 0):
         kinds += ["atomic", "context", "restrict"]
     kind = rng.choice(kinds)
     if kind == "transfer":
-        call = None
+        param = make_param("default")
         if rng.random() < 0.6:
             args = tuple(random_value(rng) for _ in range(rng.randrange(0, 3)))
-            call = CallSpec(rng.choice(["ping", "run", "f_1"]), args)
-        return TransferSpec(rng.randrange(0, 50), rng.choice(addrs), call)
+            param = make_param(rng.choice(["ping", "run", "f_1"]), *args)
+        amount = rng.randrange(0, 50)
+        return Transfer(rng.choice(addrs), amount, param)
     if kind == "create":
-        return CreateSpec(
-            random_addr(rng),
-            rng.choice(["receiver", "bank", "forwarder"]),
-            random_value(rng),
-            random_value(rng),
-            rng.randrange(0, 50),
+        return CreateContract(
+            addr=random_addr(rng),
+            code_key=rng.choice(["receiver", "bank", "forwarder"]),
+            config=random_value(rng),
+            storage=random_value(rng),
+            amount=rng.randrange(0, 50),
         )
     if kind == "end":
-        return EndInteractionsSpec()
+        return EndInteractions()
     inner = tuple(random_op(rng, addrs, depth + 1) for _ in range(rng.randrange(0, 3)))
     if kind == "atomic":
-        return AtomicSpec(inner)
+        return AtomicBundle(inner)
     if kind == "context":
-        return ContextSpec(inner)
+        return ContextBundle(inner)
     mode = rng.choice(["allow", "block"])
-    listed = tuple(rng.choice(addrs) for _ in range(rng.randrange(0, 3)))
-    return RestrictSpec(mode, listed, inner)
+    listed = frozenset(rng.choice(addrs) for _ in range(rng.randrange(0, 3)))
+    return Restricted(inner, **{mode: listed})
 
 
 def random_scenario(rng: random.Random) -> Scenario:
@@ -140,7 +141,7 @@ def random_scenario(rng: random.Random) -> Scenario:
         decls.append(FuelDecl(rng.randrange(1, 10_000)))
 
     txs = tuple(
-        TransactionSpec(
+        SignedTransaction(
             rng.choice(addrs),
             tuple(random_op(rng, addrs) for _ in range(rng.randrange(0, 4))),
         )

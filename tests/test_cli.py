@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from chainsim.scenario import MAX_NESTING
 from conftest import GOLDEN_DIR, scenario_path
 
 
@@ -128,3 +131,80 @@ class TestFuzz:
         b = run_cli("fuzz", "--seed", "3", "--iterations", "40")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+
+def _position(proc, path) -> tuple[int, int]:
+    """(line, col) of the parse error the CLI reported for `path`."""
+    prefix = f"error: {path}:"
+    assert proc.stderr.startswith(prefix), proc.stderr
+    line, col = proc.stderr[len(prefix):].split(":")[:2]
+    return int(line), int(col)
+
+
+def _nth(text: str, needle: str, n: int) -> tuple[int, int]:
+    """1-based (line, col) of the n-th occurrence of `needle` in `text`."""
+    at = -1
+    for _ in range(n):
+        at = text.index(needle, at + 1)
+    before = text[:at]
+    return before.count("\n") + 1, at - before.rfind("\n")
+
+
+TOO_BIG = str(2**64)  # one past the largest mutez amount
+
+OUT_OF_RANGE = [
+    f'scenario "x"\naccount @a balance 1\ntransaction from @a {{ transfer {TOO_BIG} to @a }}',
+    f'scenario "x"\naccount @a balance {TOO_BIG}',
+    f'scenario "x"\ncontract @c code receiver config unit storage unit balance {TOO_BIG}',
+    f'scenario "x"\naccount @a balance 1\ntransaction from @a {{\n'
+    f"  create @k code receiver config unit storage unit balance {TOO_BIG}\n}}",
+    f'scenario "x"\naccount @a balance 1\nexpect storage @a = mutez {TOO_BIG}',
+]
+
+
+def _deep(kind: str, levels: int) -> str:
+    """A scenario nesting `levels` brackets inside its one transaction block:
+    atomic wrappers around a transfer, or pairs in a call argument (which a
+    receiver rejects, so that transaction reverts)."""
+    head = 'scenario "deep"\naccount @a balance 1\nfeatures bundles\ntransaction from @a {'
+    if kind == "ops":
+        body = " atomic {" * levels + " transfer 1 to @a" + " }" * levels
+        return f"{head}{body} }}\nexpect commit\n"
+    body = " transfer 1 to @a call f(" + "(pair " * levels + "1" + " 2)" * levels + ")"
+    return f"{head}{body} }}\nexpect revert\n"
+
+
+class TestParseBounds:
+    @pytest.mark.parametrize("text", OUT_OF_RANGE)
+    def test_out_of_range_literal_is_positioned_parse_error(self, tmp_path, text):
+        path = tmp_path / "big.msc"
+        path.write_text(text)
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert _position(proc, path) == _nth(text, TOO_BIG, 1)
+        assert "at most 18446744073709551615" in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["ops", "value"])
+    def test_nesting_at_the_bound_runs(self, tmp_path, kind):
+        # The transaction block is the first level.
+        path = tmp_path / "deep.msc"
+        path.write_text(_deep(kind, MAX_NESTING - 1))
+        trace = tmp_path / "trace.json"
+        proc = run_cli("run", str(path), "--step", "--trace", str(trace))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(trace.read_text())[0]["nodes"]
+
+    @pytest.mark.parametrize("kind", ["ops", "value"])
+    @pytest.mark.parametrize("levels", [MAX_NESTING, 3000])
+    def test_nesting_past_the_bound_is_parse_error(self, tmp_path, kind, levels):
+        path = tmp_path / "deep.msc"
+        text = _deep(kind, levels)
+        path.write_text(text)
+        proc = run_cli("run", str(path), "--step")
+        assert proc.returncode == 2
+        opening = "{" if kind == "ops" else "(pair"
+        # With the transaction's own `{`, the first bracket past the bound.
+        nth = MAX_NESTING + 1 if kind == "ops" else MAX_NESTING
+        assert _position(proc, path) == _nth(text, opening, nth)
+        assert f"at most {MAX_NESTING} nested brackets" in proc.stderr
+

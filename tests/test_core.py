@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,14 +24,14 @@ from chainsim.core import (
     StringV,
     Transfer,
     amount_add,
-    amount_sub,
-    env_total_balance,
-    env_update,
+    check_amount,
     list_t,
     make_param,
     nest_values,
     pair_t,
+    render_op_brief,
     render_value,
+    split_param,
     union_t,
     value_type,
     value_typecheck,
@@ -104,9 +106,9 @@ def test_value_constructors_enforce_invariants():
 class TestAmounts:
     def test_checked_bounds(self):
         assert amount_add(2, 3) == 5
-        assert amount_sub(5, 5) == 0
+        assert check_amount(5 - 5) == 0
         with pytest.raises(AmountError):
-            amount_sub(3, 5)
+            check_amount(3 - 5)
         with pytest.raises(AmountError):
             amount_add(MAX_MUTEZ, 1)
 
@@ -120,14 +122,14 @@ class TestAmounts:
         except AmountError:
             assert a + b > MAX_MUTEZ
             return
-        assert amount_sub(total, b) == a
+        assert check_amount(total - b) == a
 
 
 class TestEnvironment:
     def test_update_then_lookup(self):
         env = Environment()
         acct = registry.implicit_account(7)
-        env2 = env_update(env, "a", acct)
+        env2 = env.updated("a", acct)
         assert env2.get("a") is acct
 
     def test_frame_law(self):
@@ -147,15 +149,15 @@ class TestEnvironment:
         env = env.updated("vault", registry.implicit_account(15))
         env = env.updated("bad", registry.implicit_account(0))
         env = env.updated("alice", registry.implicit_account(100))
-        assert env_total_balance(env) == 115
-        assert env_total_balance(Environment()) == 0
+        assert env.total_balance() == 115
+        assert Environment().total_balance() == 0
 
     def test_total_balance_overflow(self):
         env = Environment()
         env = env.updated("a", registry.implicit_account(MAX_MUTEZ))
         env = env.updated("b", registry.implicit_account(1))
         with pytest.raises(AmountError):
-            env_total_balance(env)
+            env.total_balance()
 
     def test_absent_vs_present(self):
         env = Environment().updated("a", registry.implicit_account(0))
@@ -226,6 +228,27 @@ class TestRendering:
     )
     def test_literals(self, value, expected):
         assert render_value(value) == expected
+
+    def test_brief_call_keeps_trailing_unit_argument(self):
+        one = Transfer("x", 0, make_param("f", NatV(1)))
+        with_unit = Transfer("x", 0, make_param("f", NatV(1), UNIT_VALUE))
+        assert render_op_brief(one) == "x.f(1)"
+        assert render_op_brief(with_unit) == "x.f(1, unit)"
+        assert render_op_brief(Transfer("x", 0, make_param("default"))) == "x.default()"
+
+
+def test_split_param_inverts_make_param():
+    from scenario_gen import random_value
+
+    rng = random.Random(21)
+    for _ in range(300):
+        args = tuple(random_value(rng) for _ in range(rng.randrange(0, 4)))
+        param = make_param("f", *args)
+        name, split = split_param(param)
+        assert name == "f" and make_param(name, *split) == param
+        if args and not isinstance(args[-1], PairV) and args != (UNIT_VALUE,):
+            assert split == args
+    assert split_param(NatV(1)) is None
 
 
 def test_make_param_nesting():

@@ -7,7 +7,7 @@ from chainsim.core import RestrictionState
 from chainsim.features import (
     FEATURE_NAMES,
     FeatureSet,
-    check_allowed,
+    end_mode_permits,
     narrow_restrictions,
     restrictions_permit,
 )
@@ -49,19 +49,23 @@ class TestNarrow:
 
 
 class TestCheckAllowed:
+    """A call is allowed when both the restriction state and the
+    end-of-interactions mode permit it, as the executor checks."""
+
     def test_allow_member(self):
         r = RestrictionState(allow=frozenset({"vault"}))
-        assert check_allowed(r, "vault", None, "anyone")
+        assert restrictions_permit(r, "vault")
+        assert end_mode_permits(None, "anyone", "vault")
 
     def test_blocked(self):
         r = RestrictionState(block=frozenset({"bad"}))
-        assert not check_allowed(r, "bad", None, "anyone")
+        assert not restrictions_permit(r, "bad")
 
     def test_end_mode_owner_only(self):
         r = RestrictionState()
-        assert check_allowed(r, "v", "v", "v")
-        assert not check_allowed(r, "w", "v", "v")
-        assert not check_allowed(r, "v", "v", "w")
+        assert restrictions_permit(r, "v") and end_mode_permits("v", "v", "v")
+        assert restrictions_permit(r, "w") and not end_mode_permits("v", "v", "w")
+        assert not end_mode_permits("v", "w", "v")
 
 
 _UNIVERSE = tuple(f"a{i}" for i in range(8))

@@ -3,7 +3,12 @@ import json
 import pytest
 
 from chainsim.core import (
+    AtomicBundle,
     CallContext,
+    ContextBundle,
+    EndInteractions,
+    NatV,
+    Restricted,
     Transfer,
     UNIT_VALUE,
     make_param,
@@ -53,6 +58,37 @@ class TestGenTransaction:
             tx = gen_transaction(seed, cfg)
             text = reproduction_scenario(env, tx, sched)
             validate_scenario(parse_scenario(text))
+
+    def test_two_argument_call_prints_as_two_arguments(self, universe):
+        env, _ = universe
+        rob = Transfer("bad", 0, make_param("rob", NatV(2), NatV(5)))
+        text = reproduction_scenario(env, SignedTransaction("alice", (rob,)), SchedulerConfig())
+        assert "  transfer 0 to @bad call rob(2, 5)\n" in text
+        assert parse_scenario(text).transactions[0].ops == (rob,)
+
+    def test_wrappers_print_and_parse_back(self, universe):
+        env, _ = universe
+        pay = Transfer("bob", 1, make_param("default"))
+        tx = SignedTransaction(
+            "alice",
+            (
+                AtomicBundle((pay, Transfer("vault", 0, make_param("deposit")))),
+                ContextBundle((Restricted((pay,), allow=frozenset({"bob", "alice"})),)),
+                Restricted((EndInteractions(),), block=frozenset()),
+            ),
+        )
+        text = reproduction_scenario(env, tx, SchedulerConfig(features=FeatureSet.all_on()))
+        for line in (
+            "  atomic {",
+            "    transfer 1 to @bob",
+            "    transfer 0 to @vault call deposit()",
+            "  context {",
+            "    allow [@alice @bob] {",
+            "  block [] {",
+            "    end_interactions",
+        ):
+            assert line + "\n" in text
+        assert parse_scenario(text).transactions == (tx,)
 
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
@@ -162,14 +198,8 @@ class TestFuzz:
         scn = parse_scenario(violation.scenario)
         validate_scenario(scn)
         rebuilt = build_environment(scn)
-        from chainsim.scenario import compile_op
-
-        tx = SignedTransaction(
-            scn.transactions[0].author,
-            tuple(compile_op(op) for op in scn.transactions[0].ops),
-        )
         failures = check_transaction(
-            rebuilt, tx, SchedulerConfig(), (violation.invariant,), _skip_debit
+            rebuilt, scn.transactions[0], SchedulerConfig(), (violation.invariant,), _skip_debit
         )
         assert violation.invariant in failures
 

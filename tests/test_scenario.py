@@ -3,7 +3,18 @@ import random
 
 import pytest
 
-from chainsim.core import NatV, PairV, StringV, render_value
+from chainsim.core import (
+    MAX_MUTEZ,
+    UNIT_VALUE,
+    NatV,
+    PairV,
+    Restricted,
+    StringV,
+    Transfer,
+    make_param,
+    render_value,
+    split_param,
+)
 from chainsim.scenario import (
     AccountDecl,
     ContractDecl,
@@ -11,7 +22,7 @@ from chainsim.scenario import (
     ScenarioParseError,
     SetupError,
     StrategyDecl,
-    TransferSpec,
+    build_environment,
     parse_scenario,
     print_scenario,
     run_scenario,
@@ -31,10 +42,7 @@ class TestParse:
         assert len(s.transactions) == 1
         assert len(s.transactions[0].ops) == 1
         op = s.transactions[0].ops[0]
-        assert isinstance(op, TransferSpec)
-        assert op.amount == 0 and op.dest == "bad"
-        assert op.call.entrypoint == "rob"
-        assert op.call.args == (NatV(3), NatV(5))
+        assert op == Transfer("bad", 0, make_param("rob", NatV(3), NatV(5)))
         assert [type(d) for d in s.decls] == [
             AccountDecl,
             ContractDecl,
@@ -54,8 +62,8 @@ class TestParse:
             'scenario "x"\naccount @v balance 1\n'
             'transaction from @v { transfer 0 to @v call f((pair 1 2), "s") }'
         )
-        call = s.transactions[0].ops[0].call
-        assert call.args == (PairV(NatV(1), NatV(2)), StringV("s"))
+        param = s.transactions[0].ops[0].param
+        assert param == make_param("f", PairV(NatV(1), NatV(2)), StringV("s"))
 
 
 MALFORMED = [
@@ -152,6 +160,33 @@ class TestRoundTrip:
         for _ in range(150):
             s = random_scenario(rng)
             assert parse_scenario(print_scenario(s)) == s
+
+    def test_random_scenarios_cover_the_operation_grammar(self):
+        seen = set()
+
+        def walk(op):
+            seen.add(type(op).__name__)
+            if isinstance(op, Transfer):
+                name, args = split_param(op.param)
+                seen.add(("call" if name != "default" else "bare", len(args)))
+                if UNIT_VALUE in args:
+                    seen.add("unit argument")
+            if isinstance(op, Restricted):
+                mode = "allow" if op.allow is not None else "block"
+                seen.add(mode if op.allow or op.block else mode + " []")
+            for inner in getattr(op, "ops", ()):
+                walk(inner)
+
+        rng = random.Random(314159)  # the acceptance gate's seed
+        for _ in range(500):
+            for tx in random_scenario(rng).transactions:
+                for op in tx.ops:
+                    walk(op)
+        assert seen >= {
+            ("bare", 0), ("call", 0), ("call", 1), ("call", 2), "unit argument",
+            "allow", "block", "allow []", "block []", "AtomicBundle", "ContextBundle",
+            "Restricted", "EndInteractions", "CreateContract",
+        }
 
     def test_random_value_literals(self):
         rng = random.Random(77)
@@ -288,6 +323,14 @@ class TestNestedOps:
 
 
 class TestSetupErrors:
+    def test_environment_matches_declarations(self, vault_env):
+        assert build_environment(parse_scenario(VAULT)) == vault_env
+
+    def test_out_of_range_account_balance(self):
+        s = Scenario("x", (AccountDecl("a", MAX_MUTEZ + 1),), (), ())
+        with pytest.raises(SetupError, match="@a"):
+            build_environment(s)
+
     def test_unknown_code_key(self):
         text = 'scenario "x"\ncontract @v code warp config unit storage unit balance 0'
         with pytest.raises(SetupError, match="unknown code key"):
