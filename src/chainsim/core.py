@@ -9,7 +9,7 @@ old environment".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 if TYPE_CHECKING:
     from .features import FeatureSet
@@ -297,7 +297,11 @@ class Contract:
             )
 
     def with_balance(self, balance: int) -> "Contract":
-        return replace(self, balance=check_amount(balance))
+        # The storage is unchanged and was typechecked when `self` was built,
+        # so only the new amount needs a check.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, balance=check_amount(balance))
+        return clone
 
     def with_storage(self, storage: Value) -> "Contract":
         return replace(self, storage=storage)
@@ -382,7 +386,10 @@ class ContextBundle:
 class Restricted:
     """Narrows the invocable address universe for the wrapped operations.
 
-    At most one of allow/block may be non-empty per wrapper; nesting composes.
+    A wrapper is either an allow list (`block` is None) or a block list
+    (`allow` is None); nesting composes. Construction normalises to one of
+    the two: neither set means an empty block list, an allow list drops an
+    empty block set, and an allow list with a non-empty block set is an error.
     """
 
     ops: tuple["Operation", ...] = ()
@@ -391,12 +398,13 @@ class Restricted:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
+        block: Optional[frozenset[str]] = frozenset(self.block or ())
         if self.allow is not None:
+            if block:
+                raise ValueError("a restriction wrapper takes allow or block, not both")
             object.__setattr__(self, "allow", frozenset(self.allow))
-        if self.block is not None:
-            object.__setattr__(self, "block", frozenset(self.block))
-        if self.allow and self.block:
-            raise ValueError("a restriction wrapper takes allow or block, not both")
+            block = None
+        object.__setattr__(self, "block", block)
 
 
 @dataclass(frozen=True)
@@ -455,8 +463,10 @@ class CallContext:
     """Everything a contract body may observe about the chain.
 
     Bodies are deterministic functions of (CallContext, param, storage); the
-    view/pending_balance capabilities close over a fixed snapshot and are the
-    only way to read other contracts.
+    view/pending_balance capabilities are the only way to read other
+    contracts. They read the environment and the pending queue of this call,
+    and are valid only while it runs: the scheduler changes the queue once
+    the call has returned.
     """
 
     self_addr: str
@@ -552,7 +562,7 @@ def render_op_brief(op: Operation) -> str:
     return head + "{" + ", ".join(render_op_brief(o) for o in op.ops) + "}"
 
 
-def render_stack(frames: Sequence[Sequence[PendingOp]]) -> str:
+def render_stack(frames: Iterable[Iterable[PendingOp]]) -> str:
     """A pending-queue state as printed by --step: frames of (sender, op)."""
     rendered = []
     for frame in frames:

@@ -9,7 +9,7 @@ the scheduler reverts the whole transaction on any ExecError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from . import registry
 from .core import (
@@ -66,7 +66,10 @@ class ExecOutcome:
     env_after: Environment
 
 
-QueueSnapshot = Sequence[PendingOp]
+# The operations still queued behind the one executing, head frame first. The
+# scheduler passes a lazy view of its live queue: it may be iterated any number
+# of times, but only while the execute call it was passed to runs.
+QueueSnapshot = Iterable[PendingOp]
 
 
 def view_storage(env: Environment, addr: str, features: FeatureSet) -> Value:
@@ -97,7 +100,9 @@ def pending_balance(
 
     Pending incoming transfers are not added, so an observer sees the
     compromised balance of a sender but not the receiver's pending credit.
-    May be negative; returns a signed mutez count.
+    May be negative; returns a signed mutez count. `pending` is read when this
+    is called: a contract body's `pending_balance` capability sees the queue
+    of the call it was given to, and is valid only while that call runs.
     """
     if not features.pending_balance:
         raise ExecError(FEATURE_DISABLED, "pending_balance feature disabled")
@@ -116,7 +121,6 @@ def _call_context(
     features: FeatureSet,
     pending: QueueSnapshot,
 ) -> CallContext:
-    snapshot = tuple(pending)
     return CallContext(
         self_addr=dest,
         sender=ectx.sender,
@@ -127,7 +131,7 @@ def _call_context(
         config=credited.config,
         features=features,
         view=lambda a: view_storage(env, a, features),
-        pending_balance=lambda a: pending_balance(env, a, snapshot, features),
+        pending_balance=lambda a: pending_balance(env, a, pending, features),
     )
 
 
@@ -186,6 +190,8 @@ def _execute_transfer(
         emitted, new_storage = defn.body(cctx, op.param, credited.storage)
     except ContractFail as failure:
         raise ExecError(CONTRACT_FAILURE, failure.message) from None
+    except AmountError as err:
+        raise ExecError(OVERFLOW, f"@{op.dest} overflows: {err}") from None
     if not value_typecheck(new_storage, credited.storage_type):
         raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage")
 

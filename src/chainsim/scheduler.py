@@ -7,13 +7,19 @@ executable operations go to the executor, and their emissions are inserted
 per strategy (BFS appends to the current frame's tail, DFS prepends) or open
 a fresh frame for contextual calls. Any failure reverts the whole transaction
 while the timestamp still advances.
+
+One per-step function, `_step`, holds these semantics. It works in place on a
+private `_Run`; `run_transaction` drives it to the end, and `step` adapts it
+to the immutable, inspectable `SchedulerState`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence, Union
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import (
     AtomicBundle,
@@ -103,7 +109,9 @@ Outcome = Union[Commit, Revert]
 @dataclass(frozen=True)
 class SchedulerState:
     """One intermediate point of a running transaction. Immutable; step()
-    returns the successor state, so callers may inspect every transition."""
+    returns the successor state, so callers may inspect every transition.
+    `stack` lists frames head first; a failed state keeps the stack it
+    failed on."""
 
     cfg: SchedulerConfig
     env: Environment
@@ -118,52 +126,65 @@ class SchedulerState:
 
     @property
     def finished(self) -> bool:
-        return self.failure is not None or not _normalize(self.stack)
+        return self.failure is not None or not any(self.stack)
 
 
-def _normalize(stack: Stack) -> Stack:
-    while stack and not stack[0]:
-        stack = stack[1:]
-    return stack
+class _PendingView:
+    """Read-only view of the queue behind the operation being executed, head
+    frame first. It reads the live frames, so it is valid only while the
+    executor call it was handed to runs."""
+
+    __slots__ = ("_frames",)
+
+    def __init__(self, frames: list[deque[PendingOp]]) -> None:
+        self._frames = frames
+
+    def __iter__(self) -> Iterator[PendingOp]:
+        return chain.from_iterable(reversed(self._frames))
 
 
-def insert_emitted(
-    strategy: Strategy,
-    stack: Stack,
-    emitted: Sequence[PendingOp],
-    open_new_frame: bool,
-) -> Stack:
-    """Insert newly emitted operations: a fresh head frame for contextual
-    calls, else appended (BFS) or prepended (DFS) on the current head frame,
-    preserving the emission's internal order either way."""
-    emitted = tuple(emitted)
-    if open_new_frame:
-        return (emitted,) + stack
-    if not stack:
-        return (emitted,)
-    head = stack[0]
-    if strategy is Strategy.BFS:
-        head = head + emitted
-    else:
-        head = emitted + head
-    return (head,) + stack[1:]
+class _Run:
+    """The mutable state of one transaction while `_step` advances it.
 
+    Frames are deques with the head frame last in the list; nodes are a list.
+    A run is private to one run_transaction or step call.
+    """
 
-def _flatten_pending(stack: Stack) -> tuple[PendingOp, ...]:
-    return tuple(p for frame in stack for p in frame)
-
-
-def _head_is_wrapper(stack: Stack) -> bool:
-    stack = _normalize(stack)
-    return bool(stack) and isinstance(stack[0][0].op, WRAPPER_OPS)
-
-
-def _fail(state: SchedulerState, node: TraceNode, kind: str, detail: str) -> SchedulerState:
-    return replace(
-        state,
-        nodes=state.nodes + (node,),
-        failure=(kind, detail),
+    __slots__ = (
+        "cfg", "execute", "env", "frames", "pending", "fuel_left", "ts",
+        "end_owner", "nodes", "failure",
     )
+
+    def __init__(self, state: SchedulerState) -> None:
+        self.cfg = state.cfg
+        self.execute = state.execute
+        self.env = state.env
+        self.frames = [deque(frame) for frame in reversed(state.stack)]
+        self.pending = _PendingView(self.frames)
+        self.fuel_left = state.fuel_left
+        self.ts = state.ts
+        self.end_owner = state.end_owner
+        self.nodes = list(state.nodes)
+        self.failure = state.failure
+
+    def drop_empty_heads(self) -> bool:
+        """Pop drained head frames; True while work is left."""
+        frames = self.frames
+        while frames and not frames[-1]:
+            frames.pop()
+        return bool(frames)
+
+    def fail(self, node: TraceNode, kind: str, detail: str) -> None:
+        self.nodes.append(node)
+        self.failure = (kind, detail)
+
+
+# Wrapper type -> (trace kind, enabling feature, error kind when it is off).
+_WRAPPERS = {
+    AtomicBundle: ("atomic", "bundles", FEATURE_DISABLED),
+    ContextBundle: ("context", "contexts", FEATURE_DISABLED),
+    Restricted: ("restricted", "restrictions", RESTRICTION_VIOLATION),
+}
 
 
 def _op_deltas(op: Operation, sender: str) -> tuple[tuple[str, int], ...]:
@@ -177,121 +198,88 @@ def _op_deltas(op: Operation, sender: str) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((a, d) for a, d in moves.items() if d != 0))
 
 
-def step(state: SchedulerState) -> SchedulerState:
-    """Process the first pending operation of the head frame.
+def _step(run: _Run) -> None:
+    """Process the first pending operation of the head frame, in place.
 
-    Wrapper expansion consumes no fuel; executable operations consume one
-    unit each. Requires an unfinished state with work in the stack.
+    Requires a non-empty head frame (see `_Run.drop_empty_heads`). Wrapper
+    expansion consumes no fuel; executable operations consume one unit each.
+    The queue behind the operation changes only after the executor returns.
     """
-    if state.failure is not None:
-        raise ValueError("cannot step a failed state")
-    stack = _normalize(state.stack)
-    if not stack:
-        raise ValueError("cannot step an empty stack")
-    head = stack[0]
-    p = head[0]
-    rest: Stack = (head[1:],) + stack[1:]
-    features = state.cfg.features
-    node_id = len(state.nodes)
-
-    if isinstance(p.op, WRAPPER_OPS):
-        kind = {
-            AtomicBundle: "atomic",
-            ContextBundle: "context",
-            Restricted: "restricted",
-        }[type(p.op)]
-        base = TraceNode(
-            id=node_id, parent=p.parent, seq=node_id, sender=p.ectx.sender, kind=kind
+    frame = run.frames[-1]
+    p = frame.popleft()
+    op = p.op
+    node_id = len(run.nodes)
+    features = run.cfg.features
+    wrapper = _WRAPPERS.get(type(op))
+    if wrapper is not None:
+        kind, feature, error = wrapper
+        enabled = getattr(features, feature)
+        node = TraceNode(
+            node_id, p.parent, node_id, p.ectx.sender, kind,
+            status=STATUS_EXPANDED if enabled else STATUS_FAILED,
         )
-        if isinstance(p.op, AtomicBundle):
-            if not features.bundles:
-                return _fail(
-                    state,
-                    replace(base, status=STATUS_FAILED),
-                    FEATURE_DISABLED,
-                    "bundles feature disabled",
-                )
-            members = tuple(PendingOp(o, p.ectx, parent=node_id) for o in p.op.ops)
-            new_stack: Stack = (members + rest[0],) + rest[1:]
-        elif isinstance(p.op, ContextBundle):
-            if not features.contexts:
-                return _fail(
-                    state,
-                    replace(base, status=STATUS_FAILED),
-                    FEATURE_DISABLED,
-                    "contexts feature disabled",
-                )
-            members = tuple(PendingOp(o, p.ectx, parent=node_id) for o in p.op.ops)
-            new_stack = (members,) + rest
+        if not enabled:
+            return run.fail(node, error, f"{feature} feature disabled")
+        run.nodes.append(node)
+        ectx = p.ectx
+        if isinstance(op, Restricted):
+            ectx = ExecutionContext(
+                sender=ectx.sender,
+                source=ectx.source,
+                restrictions=narrow_restrictions(ectx.restrictions, op.allow, op.block),
+                end_interactions_owner=ectx.end_interactions_owner,
+                level=ectx.level,
+            )
+        members = [PendingOp(o, ectx, node_id) for o in op.ops]
+        if isinstance(op, ContextBundle):
+            run.frames.append(deque(members))
         else:
-            if not features.restrictions:
-                return _fail(
-                    state,
-                    replace(base, status=STATUS_FAILED),
-                    RESTRICTION_VIOLATION,
-                    "restrictions feature disabled",
-                )
-            narrowed = narrow_restrictions(p.ectx.restrictions, p.op.allow, p.op.block)
-            member_ctx = replace(p.ectx, restrictions=narrowed)
-            members = tuple(PendingOp(o, member_ctx, parent=node_id) for o in p.op.ops)
-            new_stack = (members + rest[0],) + rest[1:]
-        return replace(
-            state,
-            stack=new_stack,
-            nodes=state.nodes + (replace(base, status=STATUS_EXPANDED),),
-        )
+            frame.extendleft(reversed(members))
+        return
 
-    # Executable operation.
-    ectx = replace(p.ectx, end_interactions_owner=state.end_owner, level=state.ts)
-    op_kind, dest, amount, param = describe_op(p.op)
-    base = TraceNode(
-        id=node_id,
-        parent=p.parent,
-        seq=node_id,
-        sender=ectx.sender,
-        kind=op_kind,
-        dest=dest,
-        amount=amount,
-        param=param,
+    src = p.ectx
+    ectx = ExecutionContext(
+        sender=src.sender,
+        source=src.source,
+        restrictions=src.restrictions,
+        end_interactions_owner=run.end_owner,
+        level=run.ts,
     )
-    if state.fuel_left <= 0:
-        return _fail(
-            state,
-            replace(base, status=STATUS_FAILED),
-            FUEL_EXHAUSTED,
-            f"fuel cap of {state.cfg.fuel} operations hit",
+    op_kind, dest, amount, param = describe_op(op)
+
+    def failed(kind: str, detail: str) -> None:
+        node = TraceNode(
+            node_id, p.parent, node_id, ectx.sender, op_kind, dest, amount, param,
+            STATUS_FAILED,
         )
-    pending = _flatten_pending(_normalize(rest))
+        run.fail(node, kind, detail)
+
+    if run.fuel_left <= 0:
+        return failed(FUEL_EXHAUSTED, f"fuel cap of {run.cfg.fuel} operations hit")
     try:
-        outcome = state.execute(ectx, p.op, state.env, features, pending)
+        outcome = run.execute(ectx, op, run.env, features, run.pending)
     except ExecError as err:
-        return _fail(state, replace(base, status=STATUS_FAILED), err.kind, err.detail)
+        return failed(err.kind, err.detail)
 
     open_new_frame = False
-    if isinstance(p.op, Transfer):
-        callee = outcome.env_after.get(p.op.dest)
-        if callee is not None and callee.contextual:
+    commits: tuple[tuple[str, Value], ...] = ()
+    if isinstance(op, Transfer):
+        callee = outcome.env_after.get(op.dest)
+        assert callee is not None
+        if callee.contextual:
             if not features.contexts:
-                return _fail(
-                    state,
-                    replace(base, status=STATUS_FAILED),
-                    FEATURE_DISABLED,
-                    "contexts feature disabled (contextual callee)",
+                return failed(
+                    FEATURE_DISABLED, "contexts feature disabled (contextual callee)"
                 )
             open_new_frame = True
-
-    commits: tuple[tuple[str, Value], ...] = ()
-    if isinstance(p.op, Transfer):
-        updated = outcome.env_after.get(p.op.dest)
-        assert updated is not None
-        commits = ((p.op.dest, updated.storage),)
-    elif isinstance(p.op, CreateContract):
-        commits = ((p.op.addr, p.op.storage),)
-    node = replace(
-        base,
-        status=STATUS_EXECUTED,
-        deltas=_op_deltas(p.op, ectx.sender),
-        commits=commits,
+        commits = ((op.dest, callee.storage),)
+    elif isinstance(op, CreateContract):
+        commits = ((op.addr, op.storage),)
+    run.nodes.append(
+        TraceNode(
+            node_id, p.parent, node_id, ectx.sender, op_kind, dest, amount, param,
+            STATUS_EXECUTED, _op_deltas(op, ectx.sender), commits,
+        )
     )
     emitted_ctx = ExecutionContext(
         sender=outcome.emitter,
@@ -299,23 +287,22 @@ def step(state: SchedulerState) -> SchedulerState:
         restrictions=ectx.restrictions,
         level=ectx.level,
     )
-    emitted = tuple(PendingOp(o, emitted_ctx, parent=node_id) for o in outcome.emitted)
-    # A contextual call's frame comes instead of, not on top of, a frame the
-    # call just drained (callee flag wins: one frame, not two). Without a new
-    # frame the emptied head frame stays: it still owns the emissions.
-    insert_base = _normalize(rest) if open_new_frame else rest
-    new_stack = insert_emitted(state.cfg.strategy, insert_base, emitted, open_new_frame)
-    end_owner = state.end_owner
-    if isinstance(p.op, EndInteractions):
-        end_owner = ectx.sender
-    return replace(
-        state,
-        env=outcome.env_after,
-        stack=new_stack,
-        fuel_left=state.fuel_left - 1,
-        end_owner=end_owner,
-        nodes=state.nodes + (node,),
-    )
+    emitted = [PendingOp(o, emitted_ctx, node_id) for o in outcome.emitted]
+    if open_new_frame:
+        # A contextual call's frame comes instead of, not on top of, a frame
+        # the call just drained (callee flag wins: one frame, not two).
+        run.drop_empty_heads()
+        run.frames.append(deque(emitted))
+    elif run.cfg.strategy is Strategy.BFS:
+        # The head frame stays even if the call drained it: it owns the
+        # emissions.
+        frame.extend(emitted)
+    else:
+        frame.extendleft(reversed(emitted))
+    run.env = outcome.env_after
+    run.fuel_left -= 1
+    if isinstance(op, EndInteractions):
+        run.end_owner = ectx.sender
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +318,13 @@ def initial_state(
     execute: ExecuteFn = execute_operation,
 ) -> SchedulerState:
     """Seed a transaction: one frame of the submitted ops under root contexts
-    (sender = source = author). Drive it with step() or run_transaction()."""
+    (sender = source = author). An author not on chain fails the state at
+    once. Drive it with step() or run_transaction()."""
     root_ctx = ExecutionContext(sender=tx.author, source=tx.author, level=ts)
     frame = tuple(PendingOp(op, root_ctx, parent=None) for op in tx.ops)
+    failure = None
+    if tx.author not in env:
+        failure = (UNKNOWN_ADDRESS, f"author @{tx.author} is not on chain")
     return SchedulerState(
         cfg=cfg,
         env=env,
@@ -342,7 +333,37 @@ def initial_state(
         ts=ts,
         end_owner=None,
         nodes=(),
+        failure=failure,
         execute=execute,
+    )
+
+
+def step(state: SchedulerState) -> SchedulerState:
+    """Process the first pending operation of the head frame.
+
+    Wrapper expansion consumes no fuel; executable operations consume one
+    unit each. Requires an unfinished state with work in the stack.
+    """
+    if state.failure is not None:
+        raise ValueError("cannot step a failed state")
+    run = _Run(state)
+    if not run.drop_empty_heads():
+        raise ValueError("cannot step an empty stack")
+    _step(run)
+    stack = state.stack
+    if run.failure is None:
+        stack = tuple(tuple(frame) for frame in reversed(run.frames))
+    return SchedulerState(
+        cfg=state.cfg,
+        env=run.env,
+        stack=stack,
+        fuel_left=run.fuel_left,
+        ts=state.ts,
+        end_owner=run.end_owner,
+        nodes=tuple(run.nodes),
+        snapshots=state.snapshots,
+        failure=run.failure,
+        execute=state.execute,
     )
 
 
@@ -357,43 +378,34 @@ def run_transaction(
 
     On commit the returned environment is the final one; on revert it is the
     caller's job to keep using the original `env` (which this function never
-    mutates). The timestamp advances by one either way.
+    mutates). The timestamp advances by one either way. `execute` is called
+    as execute(ectx, op, env, features, pending); `pending` is a view of the
+    live queue, valid only during that call.
     """
-    state = initial_state(env, tx, cfg, ts, execute)
-    if tx.author not in env:
-        state = replace(
-            state, failure=(UNKNOWN_ADDRESS, f"author @{tx.author} is not on chain")
-        )
-    while state.failure is None:
-        stack = _normalize(state.stack)
-        if not stack:
-            break
-        if cfg.record_queue_states and not _head_is_wrapper(stack):
-            state = replace(state, snapshots=state.snapshots + (render_stack(stack),))
-        state = step(replace(state, stack=stack))
+    run = _Run(initial_state(env, tx, cfg, ts, execute))
+    record = cfg.record_queue_states
+    frames = run.frames
+    snapshots: list[str] = []
+    while run.failure is None and run.drop_empty_heads():
+        if record and not isinstance(frames[-1][0].op, WRAPPER_OPS):
+            snapshots.append(render_stack(reversed(frames)))
+        _step(run)
 
-    if state.failure is None and cfg.record_queue_states:
-        state = replace(state, snapshots=state.snapshots + (render_stack(()),))
-
-    if state.failure is None:
-        outcome: Outcome = Commit(state.env)
-        tree = TransactionTree(
-            nodes=state.nodes,
-            outcome="commit",
-            reason=None,
-            ts=ts,
-            queue_states=state.snapshots,
-        )
+    if run.failure is None:
+        if record:
+            snapshots.append(render_stack(()))
+        outcome: Outcome = Commit(run.env)
+        reason = None
     else:
-        kind, detail = state.failure
-        outcome = Revert(kind, detail)
-        tree = TransactionTree(
-            nodes=state.nodes,
-            outcome="revert",
-            reason=f"{kind}: {detail}",
-            ts=ts,
-            queue_states=state.snapshots,
-        )
+        outcome = Revert(*run.failure)
+        reason = outcome.reason
+    tree = TransactionTree(
+        nodes=tuple(run.nodes),
+        outcome="commit" if reason is None else "revert",
+        reason=reason,
+        ts=ts,
+        queue_states=tuple(snapshots),
+    )
     return outcome, ts + 1, tree
 
 

@@ -89,6 +89,20 @@ class TestRun:
         assert "FAIL" in proc.stdout
 
 
+    def test_forwarder_overflow_reverts(self, tmp_path):
+        path = tmp_path / "overflow.msc"
+        path.write_text(
+            'scenario "overflow"\n'
+            "account @u balance 5\n"
+            "contract @f code forwarder config unit storage 18446744073709551615 balance 0\n"
+            "transaction from @u {\n  transfer 1 to @f\n}\n"
+        )
+        proc = run_cli("run", str(path), "--step")
+        assert proc.returncode == 0, proc.stderr
+        assert "revert (overflow: @f overflows: amount out of range" in proc.stdout
+        assert "internal error" not in proc.stderr
+
+
 class TestCompare:
     def test_divergent_strategies(self):
         proc = run_cli("compare", str(scenario_path("vault_bfs_attack.msc")))

@@ -195,6 +195,17 @@ class TestContract:
         with pytest.raises(AmountError):
             registry.implicit_account(-1)
 
+    def test_with_balance_checks_only_the_amount(self):
+        contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
+        moved = contract.with_balance(MAX_MUTEZ)
+        assert moved.balance == MAX_MUTEZ
+        assert moved == Contract(**{**contract.__dict__, "balance": MAX_MUTEZ})
+        assert hash(moved) == hash(Contract(**{**contract.__dict__, "balance": MAX_MUTEZ}))
+        assert contract.balance == 3
+        for bad in (-1, MAX_MUTEZ + 1, True):
+            with pytest.raises(AmountError):
+                contract.with_balance(bad)
+
 
 class TestOperations:
     def test_restricted_rejects_both_sets(self):
@@ -203,6 +214,22 @@ class TestOperations:
         Restricted((), allow=frozenset({"a"}))
         Restricted((), block=frozenset({"b"}))
         Restricted((), allow=frozenset(), block=frozenset())
+
+    def test_restricted_has_one_encoding_per_meaning(self):
+        # neither set given: an empty block list
+        assert Restricted(()) == Restricted((), block=frozenset())
+        assert Restricted(()).allow is None
+        assert Restricted(()).block == frozenset()
+        # an allow list drops an empty or absent block set
+        for allow in (frozenset(), frozenset({"a"})):
+            wrapper = Restricted((), allow=allow, block=frozenset())
+            assert wrapper == Restricted((), allow=allow)
+            assert wrapper.allow == allow and wrapper.block is None
+        # an allow list, even empty, never silently drops a non-empty block set
+        with pytest.raises(ValueError):
+            Restricted((), allow=frozenset(), block=frozenset({"b"}))
+        with pytest.raises(ValueError):
+            Restricted((), allow=[], block=["b"])
 
     def test_transfer_validates_fields(self):
         with pytest.raises(ValueError):

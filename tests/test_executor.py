@@ -18,6 +18,7 @@ from chainsim.executor import (
     END_INTERACTIONS_VIOLATION,
     FEATURE_DISABLED,
     INSUFFICIENT_BALANCE,
+    OVERFLOW,
     RESTRICTION_VIOLATION,
     TYPE_MISMATCH,
     UNKNOWN_ADDRESS,
@@ -27,7 +28,8 @@ from chainsim.executor import (
     pending_balance,
     view_storage,
 )
-from chainsim.core import EndInteractions, RestrictionState
+from chainsim.core import MAX_MUTEZ, EndInteractions, RestrictionState
+from chainsim import registry
 from chainsim.features import FeatureSet
 
 FEATURES = FeatureSet()
@@ -148,6 +150,20 @@ class TestTransfer:
         out = execute_operation(_ectx("alice"), op, simple_env, FEATURES)
         assert out.env_after.get("fwd").storage == NatV(37)
         assert out.env_after.get("fwd").balance == 37
+
+    def test_body_amount_overflow_is_overflow_error(self, simple_env):
+        # the forwarder's accounted balance (storage) would pass 2^64-1
+        env = simple_env.updated(
+            "full", registry.instantiate("forwarder", UNIT_VALUE, NatV(MAX_MUTEZ), 0)
+        )
+        snapshot = copy.deepcopy(env)
+        op = Transfer("full", 1, make_param("default"))
+        err = _expect_error(OVERFLOW, execute_operation, _ectx("alice"), op, env, FEATURES)
+        assert "@full" in err.detail
+        # input environment untouched: no debit of alice, no credit of @full
+        assert env == snapshot
+        assert env.get("alice").balance == 100
+        assert env.get("full").balance == 0
 
 
 class TestCreate:

@@ -27,7 +27,7 @@ from chainsim.scenario import (
     print_scenario,
     run_scenario,
 )
-from chainsim.scheduler import Strategy
+from chainsim.scheduler import SignedTransaction, Strategy
 
 from conftest import SCENARIO_DIR, scenario_text
 from scenario_gen import random_scenario, random_value
@@ -187,6 +187,24 @@ class TestRoundTrip:
             "allow", "block", "allow []", "block []", "AtomicBundle", "ContextBundle",
             "Restricted", "EndInteractions", "CreateContract",
         }
+
+    @pytest.mark.parametrize(
+        "wrapper",
+        [
+            Restricted((Transfer("a", 1, make_param("default")),)),
+            Restricted((), allow=frozenset(), block=frozenset()),
+            Restricted((), allow=frozenset({"a"}), block=frozenset()),
+        ],
+        ids=["neither-set", "empty-allow-empty-block", "allow-empty-block"],
+    )
+    def test_former_restriction_encodings(self, wrapper):
+        s = Scenario(
+            "r",
+            (AccountDecl("u", 1), AccountDecl("a", 0)),
+            (SignedTransaction("u", (wrapper,)),),
+            (),
+        )
+        assert parse_scenario(print_scenario(s)) == s
 
     def test_random_value_literals(self):
         rng = random.Random(77)

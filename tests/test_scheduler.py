@@ -1,6 +1,10 @@
+import glob
+from dataclasses import replace
+
 import pytest
 
 from chainsim.core import (
+    WRAPPER_OPS,
     AddressV,
     AtomicBundle,
     ContextBundle,
@@ -22,10 +26,18 @@ from chainsim.executor import (
     FUEL_EXHAUSTED,
     RESTRICTION_VIOLATION,
     UNKNOWN_ADDRESS,
+    execute_operation,
     view_storage,
 )
 from chainsim.features import FeatureSet
-from chainsim import registry
+from chainsim import harness, registry
+from chainsim.scenario import build_environment, parse_scenario, scenario_config
+from chainsim.trace import (
+    STATUS_EXECUTED,
+    validate_conservation,
+    validate_no_double_spend,
+    validate_replay,
+)
 from chainsim.scheduler import (
     Commit,
     Revert,
@@ -33,40 +45,45 @@ from chainsim.scheduler import (
     SignedTransaction,
     Strategy,
     initial_state,
-    insert_emitted,
     run_block,
     run_transaction,
     step,
 )
+from conftest import SCENARIO_DIR
 
 BFS = SchedulerConfig(strategy=Strategy.BFS, record_queue_states=True)
 DFS = SchedulerConfig(strategy=Strategy.DFS, record_queue_states=True)
 
 
-def _p(name, dest="x", amount=0):
-    ectx = ExecutionContext(sender=name, source=name)
-    return PendingOp(Transfer(dest, amount, make_param("default")), ectx, None)
+def _first_step(strategy, contextual_payer=False):
+    """Step once from the initial state of `user: a.pay([r1, r2], 1); b`,
+    returning the successor plus the untouched second operation and the two
+    operations the payer emits."""
+    env = _context_env()
+    if contextual_payer:
+        env = env.updated("a", replace(env.get("a"), contextual=True))
+    cfg = SchedulerConfig(strategy=strategy, features=FeatureSet(contexts=True))
+    state = initial_state(env, _context_tx(wrap=False), cfg, 0)
+    to_b = state.stack[0][1]
+    emitted_ctx = ExecutionContext(sender="a", source="user", level=0)
+    r1, r2 = (
+        PendingOp(Transfer(r, 1, make_param("default")), emitted_ctx, 0) for r in ("r1", "r2")
+    )
+    return step(state), to_b, r1, r2
 
 
-class TestInsertEmitted:
+class TestStepInsertsEmitted:
     def test_bfs_appends(self):
-        o2, o3, b1, b2 = _p("o2"), _p("o3"), _p("b1"), _p("b2")
-        assert insert_emitted(Strategy.BFS, ((o2, o3),), (b1, b2), False) == (
-            (o2, o3, b1, b2),
-        )
+        state, to_b, r1, r2 = _first_step(Strategy.BFS)
+        assert state.stack == ((to_b, r1, r2),)
 
     def test_dfs_prepends_preserving_order(self):
-        o2, o3, b1, b2 = _p("o2"), _p("o3"), _p("b1"), _p("b2")
-        assert insert_emitted(Strategy.DFS, ((o2, o3),), (b1, b2), False) == (
-            (b1, b2, o2, o3),
-        )
+        state, to_b, r1, r2 = _first_step(Strategy.DFS)
+        assert state.stack == ((r1, r2, to_b),)
 
     def test_new_frame_pushes(self):
-        o2, a1, a2 = _p("o2"), _p("a1"), _p("a2")
-        assert insert_emitted(Strategy.BFS, ((o2,),), (a1, a2), True) == (
-            (a1, a2),
-            (o2,),
-        )
+        state, to_b, r1, r2 = _first_step(Strategy.BFS, contextual_payer=True)
+        assert state.stack == ((r1, r2), (to_b,))
 
 
 def _rob_tx(n=3, m=5):
@@ -449,3 +466,154 @@ def test_view_between_steps_sees_committed_storage():
     state = step(state)  # private settle zeroes the counter
     assert view_storage(state.env, "vault", views_on) == MutezV(0)
     assert state.finished
+
+
+# ---------------------------------------------------------------------------
+# The core loop behind run_transaction against the step() adapter
+# ---------------------------------------------------------------------------
+
+
+def _run_by_steps(env, tx, cfg, ts=0, execute=execute_operation):
+    """Drive `tx` with step() alone. Returns the final state and, for each
+    executable step, the frozen queue behind the operation about to run."""
+    state = initial_state(env, tx, cfg, ts, execute)
+    behind = []
+    while not state.finished:
+        queue = [p for frame in state.stack for p in frame]
+        if not isinstance(queue[0].op, WRAPPER_OPS):
+            behind.append(tuple(queue[1:]))
+        state = step(state)
+    return state, behind
+
+
+def _state_outcome(state):
+    if state.failure is None:
+        return Commit(state.env)
+    return Revert(*state.failure)
+
+
+def _recording_execute(records):
+    def execute(ectx, op, env, features, pending):
+        records.append(tuple(pending))
+        return execute_operation(ectx, op, env, features, pending)
+
+    return execute
+
+
+def _mixed_env():
+    payer = registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 10)
+    env = _context_env().updated("c", replace(payer, contextual=True))
+    return env.updated("fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5))
+
+
+def _mixed_tx():
+    def pay(payer, *dests):
+        return Transfer(
+            payer, 0, make_param("pay", ListV(tuple(AddressV(d) for d in dests)), NatV(1))
+        )
+
+    return SignedTransaction(
+        "user",
+        (
+            ContextBundle((pay("a", "r1", "r2"), Transfer("b", 1, make_param("default")))),
+            AtomicBundle(
+                (
+                    Transfer("b", 1, make_param("default")),
+                    Restricted(
+                        (Transfer("fwd", 0, make_param("invoke", AddressV("r1"), NatV(1))),),
+                        allow=frozenset({"fwd", "r1"}),
+                    ),
+                )
+            ),
+            Restricted((pay("c", "r1", "b"),), block=frozenset({"r2"})),
+            Transfer("b", 2, make_param("default")),
+        ),
+    )
+
+
+class TestPendingView:
+    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+    def test_hook_sees_the_queue_behind_the_running_op(self, strategy):
+        cfg = SchedulerConfig(strategy=strategy, features=FeatureSet.all_on())
+        records = []
+        outcome, _, tree = run_transaction(
+            _mixed_env(), _mixed_tx(), cfg, 0, _recording_execute(records)
+        )
+        assert isinstance(outcome, Commit)
+        state, behind = _run_by_steps(_mixed_env(), _mixed_tx(), cfg)
+        assert state.failure is None
+        assert records == behind
+        assert len(records) == sum(n.status == STATUS_EXECUTED for n in tree.nodes)
+        # the first call, a.pay inside the context frame, sees its frame-mate
+        # before the outer frame's three remaining operations
+        ops = _mixed_tx().ops
+        assert [p.op for p in records[0]] == [ops[0].ops[1], *ops[1:]]
+        # the step() adapter hands the hook the same view
+        step_records = []
+        _run_by_steps(_mixed_env(), _mixed_tx(), cfg, execute=_recording_execute(step_records))
+        assert step_records == records
+
+
+class TestEntryPointEquivalence:
+    @staticmethod
+    def _assert_same(env, tx, cfg, ts):
+        outcome, _, tree = run_transaction(env, tx, cfg, ts)
+        state, _ = _run_by_steps(env, tx, cfg, ts)
+        # a commit carries the final environment; a revert keeps `env`
+        assert _state_outcome(state) == outcome
+        assert state.nodes == tree.nodes
+        return outcome
+
+    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+    @pytest.mark.parametrize("path", sorted(glob.glob(str(SCENARIO_DIR / "*.msc"))))
+    def test_scenario_transactions(self, path, strategy):
+        with open(path, encoding="utf-8") as fh:
+            s = parse_scenario(fh.read())
+        cfg = scenario_config(s, strategy)
+        env = build_environment(s)
+        for ts, tx in enumerate(s.transactions):
+            outcome = self._assert_same(env, tx, cfg, ts)
+            if isinstance(outcome, Commit):
+                env = outcome.env
+
+    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+    def test_generated_transactions(self, strategy):
+        env0, gen_cfg = harness.default_universe(7)
+        cfg = SchedulerConfig(strategy=strategy)
+        outcomes = set()
+        for i in range(200):
+            tx = harness.gen_transaction(gen_cfg.seed + i, gen_cfg)
+            outcomes.add(type(self._assert_same(env0, tx, cfg, 0)))
+        assert outcomes == {Commit, Revert}
+
+    def test_unknown_author_fails_the_initial_state(self, simple_env):
+        tx = SignedTransaction("ghost", (Transfer("bob", 1, make_param("default")),))
+        state = initial_state(simple_env, tx, SchedulerConfig(), 0)
+        assert state.finished and state.failure[0] == UNKNOWN_ADDRESS
+        with pytest.raises(ValueError):
+            step(state)
+        self._assert_same(simple_env, tx, SchedulerConfig(), 0)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+def test_fanout_at_benchmark_size(strategy):
+    entries = 4000
+    receivers = [f"r{i}" for i in range(16)]
+    env = Environment()
+    env = env.updated("user", registry.implicit_account(1000))
+    env = env.updated(
+        "payer", registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 2 * entries)
+    )
+    for r in receivers:
+        env = env.updated(r, registry.implicit_account(0))
+    dests = ListV(tuple(AddressV(receivers[k % len(receivers)]) for k in range(entries)))
+    tx = SignedTransaction("user", (Transfer("payer", 0, make_param("pay", dests, NatV(2))),))
+    outcome, _, tree = run_transaction(env, tx, SchedulerConfig(strategy=strategy), 0)
+    assert isinstance(outcome, Commit)
+    assert validate_conservation(env, outcome.env)
+    assert validate_no_double_spend(tree, env, outcome.env).ok
+    assert validate_replay(tree, env, outcome.env).ok
+    assert len(tree.nodes) == entries + 1
+    assert all(n.status == STATUS_EXECUTED for n in tree.nodes)
+    assert outcome.env.get("payer").balance == 0
+    assert outcome.env.get("r0").balance == 2 * entries // len(receivers)
