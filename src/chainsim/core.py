@@ -1,14 +1,15 @@
 """Core domain types: values, type tags, contracts, environments, operations.
 
 Everything here is an immutable value. State changes are expressed by
-building new values (`Environment.updated`, `dataclasses.replace`), so any
+building new values (`Environment.updated`, `Contract.with_storage`), so any
 snapshot taken before an update stays valid; transaction revert is "keep the
 old environment".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 if TYPE_CHECKING:
@@ -26,8 +27,11 @@ class AmountError(ValueError):
     """Checked mutez arithmetic went out of the 64-bit unsigned range."""
 
 
+_ADDRESS = re.compile(r"\S+")
+
+
 def check_address(token: str) -> str:
-    if not isinstance(token, str) or not token or any(c.isspace() for c in token):
+    if not isinstance(token, str) or not _ADDRESS.fullmatch(token):
         raise ValueError(f"invalid address token: {token!r}")
     return token
 
@@ -304,7 +308,14 @@ class Contract:
         return clone
 
     def with_storage(self, storage: Value) -> "Contract":
-        return replace(self, storage=storage)
+        # Only the storage changes, so only it needs a check. The message
+        # does not render `storage`, which a contract body may have built
+        # from anything.
+        if not value_typecheck(storage, self.storage_type):
+            raise ValueError("new storage does not inhabit its declared type")
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, storage=storage)
+        return clone
 
 
 @dataclass(frozen=True)

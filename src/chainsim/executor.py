@@ -14,9 +14,7 @@ from typing import Iterable
 from . import registry
 from .core import (
     AmountError,
-    AtomicBundle,
     CallContext,
-    ContextBundle,
     Contract,
     CreateContract,
     EndInteractions,
@@ -24,9 +22,9 @@ from .core import (
     ExecutionContext,
     Operation,
     PendingOp,
-    Restricted,
     Transfer,
     Value,
+    WRAPPER_OPS,
     amount_add,
     value_typecheck,
 )
@@ -86,7 +84,7 @@ def _pending_debits(pending: QueueSnapshot, addr: str) -> int:
     def debits(op: Operation, sender: str) -> int:
         if isinstance(op, Transfer):
             return op.amount if sender == addr else 0
-        if isinstance(op, (AtomicBundle, ContextBundle, Restricted)):
+        if isinstance(op, WRAPPER_OPS):
             return sum(debits(inner, sender) for inner in op.ops)
         return 0
 
@@ -192,11 +190,13 @@ def _execute_transfer(
         raise ExecError(CONTRACT_FAILURE, failure.message) from None
     except AmountError as err:
         raise ExecError(OVERFLOW, f"@{op.dest} overflows: {err}") from None
-    if not value_typecheck(new_storage, credited.storage_type):
-        raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage")
+    try:
+        stored = credited.with_storage(new_storage)
+    except ValueError:
+        raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage") from None
 
     # Storage commits before any emitted operation runs.
-    env3 = env2.updated(op.dest, credited.with_storage(new_storage))
+    env3 = env2.updated(op.dest, stored)
     return ExecOutcome(emitter=op.dest, emitted=tuple(emitted), env_after=env3)
 
 

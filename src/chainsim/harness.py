@@ -91,7 +91,6 @@ class GenConfig:
     code_keys: tuple[str, ...] = ("receiver",)
     max_ops_per_tx: int = 4
     amount_bound: int = 16
-    demonic_profile: DemonicProfile = DEFAULT_DEMONIC_PROFILE
 
 
 def _stable_hash(*parts: object) -> int:
@@ -242,7 +241,7 @@ def default_universe(
     for addr, contract in entries:
         env = env.updated(addr, contract)
     universe = tuple((addr, contract.code_key) for addr, contract in entries)
-    return env, GenConfig(seed=seed, universe=universe, demonic_profile=profile)
+    return env, GenConfig(seed=seed, universe=universe)
 
 
 # ---------------------------------------------------------------------------

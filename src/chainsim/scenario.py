@@ -8,8 +8,9 @@ directory for committed fixtures.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import registry
 from .core import (
@@ -38,7 +39,6 @@ from .core import (
     render_op,
     render_value,
 )
-from .executor import execute_operation
 from .features import FEATURE_NAMES, FeatureSet
 from .scheduler import (
     DEFAULT_FUEL,
@@ -140,17 +140,39 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner and parser
 # ---------------------------------------------------------------------------
 
-_PUNCT = "{}[]()=<>,"
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+# One line of characters and the escapes \\ \" \n \t, without the closing quote.
+_STRING = r'"(?:[^"\\\n]|\\[\\"nt])*'
+_STRING_PREFIX = re.compile(_STRING)
+_ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
+# Every token kind, the layout between tokens, and `error` for any other
+# character. `\d` is a Unicode decimal digit, exactly what int() accepts.
+# The alternatives start with disjoint characters, so only `error` must come
+# last; the rest are tried most frequent first, which roughly halves the
+# time spent matching.
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("skip", r"[ \t\r]+|#[^\n]*"),
+            ("newline", r"\n"),
+            ("ident", "[A-Za-z_][A-Za-z0-9_]*"),
+            ("nat", r"\d+"),
+            ("punct", r"[{}\[\]()=<>,]"),
+            ("address", "@[A-Za-z_][A-Za-z0-9_]*"),
+            ("int", r"-\d+"),
+            ("string", _STRING + '"'),
+            ("error", "."),
+        )
+    )
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # ident | nat | int | string | address | punct | eof
     text: str
     line: int
@@ -167,105 +189,18 @@ def _describe(tok: Token) -> str:
     return f"'{tok.text}'"
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+def _lex_error(text: str, i: int, line: int, col: int) -> ScenarioParseError:
+    """The error for text[i], a character that starts no token."""
+    c = text[i]
+    if c == '"':
+        j = _STRING_PREFIX.match(text, i).end()
+        if text.startswith("\\", j):
+            found = f"'{text[j:j + 2]}'"
+            return ScenarioParseError(line, col + j - i, "valid escape sequence", found)
+        return ScenarioParseError(line, col, "closing '\"'", "end of line")
+    expected = {"@": "address after '@'", "-": "a digit after '-'"}.get(c, "a token")
+    return ScenarioParseError(line, col, expected, f"'{c}'")
 
-    def err(l: int, c: int, expected: str, found: str) -> ScenarioParseError:
-        return ScenarioParseError(l, c, expected, found)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            i += 1
-            col += 1
-            chars: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise err(start_line, start_col, "closing '\"'", "end of line")
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise err(line, col, "valid escape sequence", f"'{text[i:i+2]}'")
-                    chars.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                    continue
-                chars.append(ch)
-                i += 1
-                col += 1
-            tokens.append(Token("string", "".join(chars), start_line, start_col))
-            continue
-        if c == "@":
-            i += 1
-            col += 1
-            j = i
-            if j >= n or text[j] not in _IDENT_START:
-                raise err(start_line, start_col, "address after '@'", f"'{c}'")
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(Token("address", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "-":
-            j = i + 1
-            if j >= n or not text[j].isdigit():
-                raise err(start_line, start_col, "a digit after '-'", f"'{c}'")
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("nat", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise err(start_line, start_col, "a token", f"'{c}'")
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
 
 _DECL_KEYWORDS = ("account", "contract", "strategy", "features", "fuel")
 
@@ -276,18 +211,46 @@ MAX_NESTING = 100
 
 
 class _Stream:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+    """The tokens of `text`, each scanned when the parser first looks at it,
+    so a scan error is reported only if the parse gets that far."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.matches = _TOKEN.finditer(text)
+        self.line = 1
+        self.line_start = 0  # offset of the current line's first character
+        self.tok: Optional[Token] = None
         self.depth = 0
 
+    def _scan(self) -> Token:
+        for m in self.matches:
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            if kind == "newline":
+                self.line += 1
+                self.line_start = m.end()
+                continue
+            col = m.start() - self.line_start + 1
+            if kind == "error":
+                raise _lex_error(self.text, m.start(), self.line, col)
+            text = m.group()
+            if kind == "string":
+                text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
+            elif kind == "address":
+                text = text[1:]
+            return Token(kind, text, self.line, col)
+        return Token("eof", "", self.line, len(self.text) - self.line_start + 1)
+
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        if self.tok is None:
+            self.tok = self._scan()
+        return self.tok
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "eof":
-            self.pos += 1
+            self.tok = None
         return tok
 
     def fail(self, expected: str, tok: Optional[Token] = None) -> ScenarioParseError:
@@ -325,6 +288,10 @@ class _Stream:
     def at_ident(self, *words: str) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.text in words
+
+    def at_punct(self, *chars: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "punct" and tok.text in chars
 
 
 def _parse_nat(ts: _Stream, what: str) -> int:
@@ -368,21 +335,16 @@ def _parse_value(ts: _Stream) -> Value:
             ts.advance()
             return MutezV(_parse_nat(ts, "a mutez amount"))
         ts.fail("a value")
-    if tok.kind == "punct" and tok.text == "(":
+    if ts.at_punct("("):
         ts.open("(")
         ts.expect_ident("pair")
         left = _parse_value(ts)
         right = _parse_value(ts)
         ts.close(")")
         return PairV(left, right)
-    if tok.kind == "punct" and tok.text == "[":
+    if ts.at_punct("["):
         ts.open("[")
-        items: list[Value] = []
-        if not (ts.peek().kind == "punct" and ts.peek().text == "]"):
-            items.append(_parse_value(ts))
-            while ts.peek().kind == "punct" and ts.peek().text == ",":
-                ts.advance()
-                items.append(_parse_value(ts))
+        items = _parse_values(ts, "]")
         ts.close("]")
         try:
             return ListV(tuple(items))
@@ -392,6 +354,30 @@ def _parse_value(ts: _Stream) -> Value:
             ) from None
     ts.fail("a value")
     raise AssertionError("unreachable")
+
+
+def _parse_values(ts: _Stream, close: str) -> list[Value]:
+    """`[value ("," value)*]` up to, not including, the punctuation `close`."""
+    values: list[Value] = []
+    if not ts.at_punct(close):
+        values.append(_parse_value(ts))
+        while ts.at_punct(","):
+            ts.advance()
+            values.append(_parse_value(ts))
+    return values
+
+
+def _parse_contract(ts: _Stream) -> tuple[str, str, Value, Value, int]:
+    """`@A code K config v storage v balance N` of `contract` and `create`."""
+    addr = _parse_address(ts)
+    ts.expect_ident("code")
+    code_key = ts.expect_kind("ident", "a code key").text
+    ts.expect_ident("config")
+    config = _parse_value(ts)
+    ts.expect_ident("storage")
+    storage = _parse_value(ts)
+    ts.expect_ident("balance")
+    return addr, code_key, config, storage, _parse_nat(ts, "a balance (nat)")
 
 
 def _parse_op(ts: _Stream) -> Operation:
@@ -408,26 +394,13 @@ def _parse_op(ts: _Stream) -> Operation:
             ts.advance()
             name = ts.expect_kind("ident", "an entrypoint name").text
             ts.expect_punct("(")
-            args: list[Value] = []
-            if not (ts.peek().kind == "punct" and ts.peek().text == ")"):
-                args.append(_parse_value(ts))
-                while ts.peek().kind == "punct" and ts.peek().text == ",":
-                    ts.advance()
-                    args.append(_parse_value(ts))
+            args = _parse_values(ts, ")")
             ts.expect_punct(")")
             param = make_param(name, *args)
         return Transfer(dest, amount, param)
     if tok.text == "create":
         ts.advance()
-        addr = _parse_address(ts)
-        ts.expect_ident("code")
-        code_key = ts.expect_kind("ident", "a code key").text
-        ts.expect_ident("config")
-        config = _parse_value(ts)
-        ts.expect_ident("storage")
-        storage = _parse_value(ts)
-        ts.expect_ident("balance")
-        balance = _parse_nat(ts, "a balance (nat)")
+        addr, code_key, config, storage, balance = _parse_contract(ts)
         return CreateContract(addr, balance, storage, code_key, config)
     if tok.text in ("atomic", "context"):
         ts.advance()
@@ -454,7 +427,7 @@ def _parse_op(ts: _Stream) -> Operation:
 def _parse_block(ts: _Stream) -> tuple[Operation, ...]:
     ts.open("{")
     ops: list[Operation] = []
-    while not (ts.peek().kind == "punct" and ts.peek().text == "}"):
+    while not ts.at_punct("}"):
         if ts.peek().kind == "eof":
             ts.fail("an operation or '}'")
         ops.append(_parse_op(ts))
@@ -463,60 +436,44 @@ def _parse_block(ts: _Stream) -> tuple[Operation, ...]:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text; raises ScenarioParseError at the first offense."""
-    ts = _Stream(tokenize(text))
+    """Parse scenario text; raises ScenarioParseError at the first offending
+    token in text order. Tokens are scanned as the parse reaches them."""
+    ts = _Stream(text)
     ts.expect_ident("scenario")
     name = ts.expect_kind("string", "a scenario name (string)").text
 
     decls: list[Decl] = []
-    seen_strategy = False
-    seen_fuel = False
+    seen: set[str] = set()  # strategy, features and fuel appear at most once
     while ts.at_ident(*_DECL_KEYWORDS):
         tok = ts.advance()
+        if tok.text in seen:
+            ts.fail(f"at most one {tok.text} declaration", tok)
         if tok.text == "account":
             addr = _parse_address(ts)
             ts.expect_ident("balance")
             decls.append(AccountDecl(addr, _parse_nat(ts, "a balance (nat)")))
         elif tok.text == "contract":
-            addr = _parse_address(ts)
-            ts.expect_ident("code")
-            code_key = ts.expect_kind("ident", "a code key").text
-            ts.expect_ident("config")
-            config = _parse_value(ts)
-            ts.expect_ident("storage")
-            storage = _parse_value(ts)
-            ts.expect_ident("balance")
-            balance = _parse_nat(ts, "a balance (nat)")
+            fields = _parse_contract(ts)
             contextual = False
             if ts.at_ident("contextual"):
                 ts.advance()
                 contextual = True
-            decls.append(ContractDecl(addr, code_key, config, storage, balance, contextual))
+            decls.append(ContractDecl(*fields, contextual))
         elif tok.text == "strategy":
-            if seen_strategy:
-                raise ScenarioParseError(
-                    tok.line, tok.col, "at most one strategy declaration", "'strategy'"
-                )
-            seen_strategy = True
-            which = ts.peek()
-            if which.kind != "ident" or which.text not in ("bfs", "dfs"):
+            seen.add("strategy")
+            if not ts.at_ident("bfs", "dfs"):
                 ts.fail("'bfs' or 'dfs'")
-            ts.advance()
-            decls.append(StrategyDecl(which.text))
+            decls.append(StrategyDecl(ts.advance().text))
         elif tok.text == "features":
-            names: list[str] = []
-            first = ts.peek()
-            if first.kind != "ident" or first.text not in FEATURE_NAMES:
+            seen.add("features")
+            if not ts.at_ident(*FEATURE_NAMES):
                 ts.fail("a feature name")
+            names: list[str] = []
             while ts.at_ident(*FEATURE_NAMES):
                 names.append(ts.advance().text)
             decls.append(FeaturesDecl(tuple(names)))
         else:  # fuel
-            if seen_fuel:
-                raise ScenarioParseError(
-                    tok.line, tok.col, "at most one fuel declaration", "'fuel'"
-                )
-            seen_fuel = True
+            seen.add("fuel")
             decls.append(FuelDecl(_parse_nat(ts, "a fuel bound (nat)")))
 
     transactions: list[SignedTransaction] = []
@@ -535,13 +492,10 @@ def parse_scenario(text: str) -> Scenario:
         if tok.text == "balance":
             ts.advance()
             addr = _parse_address(ts)
-            rel = ts.peek()
-            if rel.kind != "punct" or rel.text not in ("=", "<", ">"):
+            if not ts.at_punct("=", "<", ">"):
                 ts.fail("'=', '<', or '>'")
-            ts.advance()
-            expectations.append(
-                ExpectBalance(addr, rel.text, _parse_nat(ts, "a balance (nat)"))
-            )
+            rel = ts.advance().text
+            expectations.append(ExpectBalance(addr, rel, _parse_nat(ts, "a balance (nat)")))
         elif tok.text == "storage":
             ts.advance()
             addr = _parse_address(ts)
@@ -782,13 +736,12 @@ def run_scenario(
     features: Optional[FeatureSet] = None,
     fuel: Optional[int] = None,
     record_queue_states: bool = False,
-    execute=execute_operation,
 ) -> ScenarioOutcome:
     """Materialize the scenario, run its transactions, judge expectations."""
     validate_scenario(s)
     env_before = build_environment(s)
     cfg = scenario_config(s, strategy, features, fuel, record_queue_states)
-    env_after, ts, trees = run_block(env_before, s.transactions, cfg, 0, execute)
+    env_after, ts, trees = run_block(env_before, s.transactions, cfg, 0)
     results = tuple(_evaluate(e, env_after, tuple(trees)) for e in s.expectations)
     return ScenarioOutcome(
         scenario=s,

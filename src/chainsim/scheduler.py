@@ -120,7 +120,6 @@ class SchedulerState:
     ts: int
     end_owner: Optional[str]
     nodes: tuple[TraceNode, ...]
-    snapshots: tuple[str, ...] = ()
     failure: Optional[tuple[str, str]] = None
     execute: ExecuteFn = field(compare=False, repr=False, default=execute_operation)
 
@@ -361,7 +360,6 @@ def step(state: SchedulerState) -> SchedulerState:
         ts=state.ts,
         end_owner=run.end_owner,
         nodes=tuple(run.nodes),
-        snapshots=state.snapshots,
         failure=run.failure,
         execute=state.execute,
     )
@@ -414,13 +412,12 @@ def run_block(
     txs: Iterable[SignedTransaction],
     cfg: SchedulerConfig,
     ts: int,
-    execute: ExecuteFn = execute_operation,
 ) -> tuple[Environment, int, list[TransactionTree]]:
     """Fold transactions left to right; a revert keeps the pre-transaction
     environment and the block simply continues."""
     trees: list[TransactionTree] = []
     for tx in txs:
-        outcome, ts, tree = run_transaction(env, tx, cfg, ts, execute)
+        outcome, ts, tree = run_transaction(env, tx, cfg, ts)
         trees.append(tree)
         if isinstance(outcome, Commit):
             env = outcome.env

@@ -198,6 +198,23 @@ class TestParseBounds:
         assert _position(proc, path) == _nth(text, TOO_BIG, 1)
         assert "at most 18446744073709551615" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ('scenario "x"\naccount @a balance ²', "²"),
+            ('scenario "x"\naccount @a balance 1\n'
+             "transaction from @a { transfer 0 to @a call f(①) }", "①"),
+            ('scenario "x"\naccount @a balance 1\nexpect storage @a = -²', "-"),
+        ],
+    )
+    def test_non_decimal_digit_is_positioned_parse_error(self, tmp_path, text, needle):
+        # str.isdigit() holds for these characters, but int() rejects them.
+        path = tmp_path / "digits.msc"
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert _position(proc, path) == _nth(text, needle, 1)
+
     @pytest.mark.parametrize("kind", ["ops", "value"])
     def test_nesting_at_the_bound_runs(self, tmp_path, kind):
         # The transaction block is the first level.

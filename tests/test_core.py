@@ -24,6 +24,7 @@ from chainsim.core import (
     StringV,
     Transfer,
     amount_add,
+    check_address,
     check_amount,
     list_t,
     make_param,
@@ -101,6 +102,22 @@ def test_value_constructors_enforce_invariants():
         MutezV(MAX_MUTEZ + 1)
     with pytest.raises(ValueError):
         ListV((NatV(1), IntV(1)))
+
+
+@given(st.text(st.sampled_from("ab \t\n\x1c\x85\xa0\u2028\u3000\u200b")) | st.text())
+def test_address_is_non_empty_without_whitespace(token):
+    valid = bool(token) and not any(c.isspace() for c in token)
+    if valid:
+        assert check_address(token) is token
+    else:
+        with pytest.raises(ValueError):
+            check_address(token)
+
+
+def test_address_must_be_a_str():
+    for bad in (None, 1, b"a", ["a"]):
+        with pytest.raises(ValueError):
+            check_address(bad)
 
 
 class TestAmounts:
@@ -205,6 +222,16 @@ class TestContract:
         for bad in (-1, MAX_MUTEZ + 1, True):
             with pytest.raises(AmountError):
                 contract.with_balance(bad)
+
+    def test_with_storage_checks_only_the_storage(self):
+        contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
+        stored = contract.with_storage(NatV(9))
+        assert stored == Contract(**{**contract.__dict__, "storage": NatV(9)})
+        assert hash(stored) == hash(Contract(**{**contract.__dict__, "storage": NatV(9)}))
+        assert contract.storage == NatV(3)
+        for bad in (UNIT_VALUE, IntV(9), 9):
+            with pytest.raises(ValueError):
+                contract.with_storage(bad)
 
 
 class TestOperations:

@@ -28,7 +28,7 @@ from chainsim.executor import (
     pending_balance,
     view_storage,
 )
-from chainsim.core import MAX_MUTEZ, EndInteractions, RestrictionState
+from chainsim.core import MAX_MUTEZ, STRING, UNIT, EndInteractions, RestrictionState, pair_t
 from chainsim import registry
 from chainsim.features import FeatureSet
 
@@ -164,6 +164,31 @@ class TestTransfer:
         assert env == snapshot
         assert env.get("alice").balance == 100
         assert env.get("full").balance == 0
+
+    @pytest.mark.parametrize("returned", [NatV(1), 1], ids=["nat", "not_a_value"])
+    def test_ill_typed_body_storage_is_type_mismatch(self, simple_env, returned):
+        # The body's storage is declared unit; a nat, or no Value at all, is
+        # rejected without rendering it.
+        key = f"returns_{type(returned).__name__}_for_test"
+        if not registry.is_registered(key):
+            registry.register(
+                registry.ContractDef(
+                    code_key=key,
+                    param_type=pair_t(STRING, UNIT),
+                    storage_type=UNIT,
+                    config_type=UNIT,
+                    body=lambda ctx, p, st: ([], returned),
+                )
+            )
+        env = simple_env.updated("ill", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+        snapshot = copy.deepcopy(env)
+        op = Transfer("ill", 5, make_param("default"))
+        err = _expect_error(TYPE_MISMATCH, execute_operation, _ectx("alice"), op, env, FEATURES)
+        assert err.detail == "@ill returned ill-typed storage"
+        # input environment untouched: no debit of alice, no credit of @ill
+        assert env == snapshot
+        assert env.get("alice").balance == 100
+        assert env.get("ill").balance == 0
 
 
 class TestCreate:

@@ -7,13 +7,15 @@ from chainsim.core import (
     CallContext,
     ContextBundle,
     EndInteractions,
+    Environment,
     NatV,
     Restricted,
     Transfer,
     UNIT_VALUE,
     make_param,
 )
-from chainsim.executor import ExecOutcome, execute_operation
+from chainsim import registry
+from chainsim.executor import CONTRACT_FAILURE, ExecError, ExecOutcome, execute_operation
 from chainsim.features import FeatureSet
 from chainsim.harness import (
     DemonicProfile,
@@ -157,6 +159,28 @@ def _skip_debit(ectx, op, env, features, pending=()):
         )
         return ExecOutcome(out.emitter, out.emitted, forged)
     return out
+
+
+class TestRevertTotality:
+    """A reverted transaction must leave its input environment as it was."""
+
+    def _check(self, write):
+        env = Environment().updated("alice", registry.implicit_account(10))
+        env = env.updated("bob", registry.implicit_account(0))
+
+        def hook(ectx, op, env, features, pending=()):
+            if write:  # a faulty executor that edits its input in place
+                env.accounts["bob"] = registry.implicit_account(99)
+            raise ExecError(CONTRACT_FAILURE, "injected")
+
+        tx = SignedTransaction("alice", (Transfer("bob", 1, make_param("default")),))
+        return check_transaction(env, tx, SchedulerConfig(), ("revert_totality",), hook)
+
+    def test_in_place_write_before_a_revert_is_reported(self):
+        assert self._check(write=True) == ["revert_totality"]
+
+    def test_revert_without_a_write_is_clean(self):
+        assert self._check(write=False) == []
 
 
 class TestFuzz:

@@ -134,6 +134,82 @@ class TestParseErrors:
             parse_scenario('scenario "x"\nfuel 5\nfuel 6')
         assert (err.value.line, err.value.column) == (3, 1)
 
+    def test_duplicate_features(self):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario('scenario "x"\nfeatures bundles\nfeatures views')
+        assert (err.value.line, err.value.column) == (3, 1)
+        assert "at most one features" in err.value.expected
+        assert err.value.found == "'features'"
+
+    @pytest.mark.parametrize(
+        "text,line,col,expected,found",
+        [
+            ('scenario "a\\qb"', 1, 12, "valid escape sequence", "'\\q'"),
+            ('scenario "a\\', 1, 12, "valid escape sequence", "'\\'"),
+            ('scenario "a\nb"', 1, 10, "closing '\"'", "end of line"),
+            ("scenario @ x", 1, 10, "address after '@'", "'@'"),
+            ("scenario @1", 1, 10, "address after '@'", "'@'"),
+            ("scenario -x", 1, 10, "a digit after '-'", "'-'"),
+            ("scenario\r\t€", 1, 11, "a token", "'€'"),
+            ("scenario \x0c", 1, 10, "a token", "'\x0c'"),
+        ],
+    )
+    def test_scan_errors(self, text, line, col, expected, found):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.column) == (line, col)
+        assert (err.value.expected, err.value.found) == (expected, found)
+
+    def test_string_escapes(self):
+        s = parse_scenario('scenario "a\\\\b\\"c\\nd\\te\\\\n"')
+        assert s.name == 'a\\b"c\nd\te\\n'
+
+    @pytest.mark.parametrize(
+        "text,line,col,expected",
+        [
+            ('scenario "x"\naccount @a 5\n€', 2, 12, "'balance'"),
+            ('scenario "x"\naccount @a balance 5 5 "\\q"', 2, 22, "a declaration"),
+            (f'scenario "x"\naccount @a balance {MAX_MUTEZ + 1} @', 2, 20, "a balance"),
+            ('scenario "x"\nstrategy bfs\nstrategy dfs -', 3, 1, "at most one strategy"),
+        ],
+    )
+    def test_first_error_in_text_order(self, text, line, col, expected):
+        # A token is scanned only when the parse reaches it, so an error
+        # before a character that starts no token is the one reported.
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.column) == (line, col)
+        assert err.value.expected.startswith(expected)
+
+    @pytest.mark.parametrize(
+        "text,col", [("scenario # c", 13), ("scenario\n#", 2), ('scenario "x" account', 21)]
+    )
+    def test_end_of_input_is_at_the_end_of_the_text(self, text, col):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.column, err.value.found) == (col, "end of input")
+
+    @pytest.mark.parametrize(
+        "text,col,expected,found",
+        [
+            ('scenario "x"\naccount @a balance ²', 20, "a token", "'²'"),
+            ('scenario "x"\naccount @a balance ①', 20, "a token", "'①'"),
+            ('scenario "x"\naccount @a balance 1²', 21, "a token", "'²'"),
+            ('scenario "x"\nexpect storage @a = -²', 21, "a digit after '-'", "'-'"),
+        ],
+    )
+    def test_non_decimal_digits_are_no_digits(self, text, col, expected, found):
+        # str.isdigit() holds for them, but int() rejects them.
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.column) == (2, col)
+        assert (err.value.expected, err.value.found) == (expected, found)
+
+    def test_other_decimal_digits_are_nats(self):
+        # Unicode decimal digits (Arabic-Indic three here) are what int() takes.
+        s = parse_scenario('scenario "x"\naccount @a balance ٣')
+        assert s.decls == (AccountDecl("a", 3),)
+
     def test_unknown_feature_name(self):
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario('scenario "x"\nfeatures warp')
