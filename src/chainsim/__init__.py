@@ -77,10 +77,8 @@ from .scheduler import (
     SchedulerConfig,
     SignedTransaction,
     Strategy,
-    initial_state,
     run_block,
     run_transaction,
-    step,
 )
 from .trace import (
     TraceNode,

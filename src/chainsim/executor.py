@@ -43,6 +43,7 @@ UNKNOWN_CODE_KEY = "unknown_code_key"
 FEATURE_DISABLED = "feature_disabled"
 FUEL_EXHAUSTED = "fuel_exhausted"
 OVERFLOW = "overflow"
+CONTRACT_CRASH = "contract_crash"
 
 
 class ExecError(Exception):
@@ -133,6 +134,20 @@ def _call_context(
     )
 
 
+def _check_emitted(dest: str, emitted: Iterable[object]) -> None:
+    """Revert unless every emitted item, wrapper members included, is a core
+    operation."""
+    todo = list(emitted)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, WRAPPER_OPS):
+            todo.extend(item.ops)
+        elif not isinstance(item, (Transfer, CreateContract, EndInteractions)):
+            raise ExecError(
+                CONTRACT_CRASH, f"@{dest} emitted {type(item).__name__}, not an operation"
+            )
+
+
 def _execute_transfer(
     ectx: ExecutionContext,
     op: Transfer,
@@ -185,11 +200,26 @@ def _execute_transfer(
         ) from None
     cctx = _call_context(ectx, op.dest, op.amount, credited, env2, features, pending)
     try:
-        emitted, new_storage = defn.body(cctx, op.param, credited.storage)
+        result = defn.body(cctx, op.param, credited.storage)
+        if not (isinstance(result, tuple) and len(result) == 2):
+            raise ExecError(
+                CONTRACT_CRASH,
+                f"@{op.dest} returned {type(result).__name__}, not (operations, storage)",
+            )
+        ops, new_storage = result
+        emitted = tuple(ops)
+    except ExecError:
+        raise
     except ContractFail as failure:
         raise ExecError(CONTRACT_FAILURE, failure.message) from None
     except AmountError as err:
         raise ExecError(OVERFLOW, f"@{op.dest} overflows: {err}") from None
+    except Exception as err:
+        # A body is foreign code: whatever else it raises reverts, typed.
+        raise ExecError(
+            CONTRACT_CRASH, f"@{op.dest} raised {type(err).__name__}: {err}"
+        ) from None
+    _check_emitted(op.dest, emitted)
     try:
         stored = credited.with_storage(new_storage)
     except ValueError:
@@ -197,7 +227,7 @@ def _execute_transfer(
 
     # Storage commits before any emitted operation runs.
     env3 = env2.updated(op.dest, stored)
-    return ExecOutcome(emitter=op.dest, emitted=tuple(emitted), env_after=env3)
+    return ExecOutcome(emitter=op.dest, emitted=emitted, env_after=env3)
 
 
 def _execute_create(

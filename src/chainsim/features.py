@@ -33,10 +33,6 @@ class FeatureSet:
     end_interactions: bool = False
 
     @classmethod
-    def all_on(cls) -> "FeatureSet":
-        return cls(**{name: True for name in FEATURE_NAMES})
-
-    @classmethod
     def from_names(cls, names: Iterable[str]) -> "FeatureSet":
         flags = {}
         for name in names:

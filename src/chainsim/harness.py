@@ -280,10 +280,6 @@ class FuzzReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def first_failing_seed(self) -> int | None:
-        return min((v.seed for v in self.violations), default=None)
-
     def to_json_dict(self) -> dict:
         return {
             "iterations": self.iterations,

@@ -239,3 +239,38 @@ class TestParseBounds:
         assert _position(proc, path) == _nth(text, opening, nth)
         assert f"at most {MAX_NESTING} nested brackets" in proc.stderr
 
+
+CRASH_SCENARIO = """scenario "crash"
+account @alice balance 10
+contract @crash code index_error_for_cli_test config unit storage unit balance 0
+transaction from @alice { transfer 1 to @crash call default() }
+expect revert
+expect balance @alice = 10
+"""
+
+# Registers a body that evaluates [1][5], then runs the CLI on argv.
+CRASH_MAIN = """import sys
+from chainsim import cli, registry
+from chainsim.core import STRING, UNIT, pair_t
+registry.register(registry.ContractDef(
+    "index_error_for_cli_test", pair_t(STRING, UNIT), UNIT, UNIT,
+    lambda ctx, p, st: ([1][5], st),
+))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_crashing_body_reverts_with_contract_crash(tmp_path):
+    path = tmp_path / "crash.msc"
+    path.write_text(CRASH_SCENARIO)
+    proc = subprocess.run(
+        [sys.executable, "-c", CRASH_MAIN, "run", "--step", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (
+        "  revert (contract_crash: @crash raised IndexError: list index out of range)\n"
+        in proc.stdout
+    )
+    assert "revert: PASS" in proc.stdout

@@ -4,16 +4,19 @@ import random
 import pytest
 
 from chainsim.core import (
+    AtomicBundle,
     CreateContract,
     ExecutionContext,
     NatV,
     PendingOp,
+    Restricted,
     Transfer,
     UNIT_VALUE,
     make_param,
 )
 from chainsim.executor import (
     ADDRESS_OCCUPIED,
+    CONTRACT_CRASH,
     CONTRACT_FAILURE,
     END_INTERACTIONS_VIOLATION,
     FEATURE_DISABLED,
@@ -30,10 +33,10 @@ from chainsim.executor import (
 )
 from chainsim.core import MAX_MUTEZ, STRING, UNIT, EndInteractions, RestrictionState, pair_t
 from chainsim import registry
-from chainsim.features import FeatureSet
+from chainsim.features import FEATURE_NAMES, FeatureSet
 
 FEATURES = FeatureSet()
-ALL_FEATURES = FeatureSet.all_on()
+ALL_FEATURES = FeatureSet.from_names(FEATURE_NAMES)
 
 
 def _ectx(sender, **kw):
@@ -189,6 +192,69 @@ class TestTransfer:
         assert env == snapshot
         assert env.get("alice").balance == 100
         assert env.get("ill").balance == 0
+
+    @pytest.mark.parametrize(
+        "body, kind, detail",
+        [
+            (
+                lambda ctx, p, st: ([1][5], st),
+                CONTRACT_CRASH,
+                "@crash raised IndexError: list index out of range",
+            ),
+            (
+                lambda ctx, p, st: (5, st),
+                CONTRACT_CRASH,
+                "@crash raised TypeError: 'int' object is not iterable",
+            ),
+            (
+                lambda ctx, p, st: None,
+                CONTRACT_CRASH,
+                "@crash returned NoneType, not (operations, storage)",
+            ),
+            (
+                lambda ctx, p, st: ([], st, st),
+                CONTRACT_CRASH,
+                "@crash returned tuple, not (operations, storage)",
+            ),
+            (
+                lambda ctx, p, st: ([5], st),
+                CONTRACT_CRASH,
+                "@crash emitted int, not an operation",
+            ),
+            (
+                lambda ctx, p, st: (
+                    [AtomicBundle((Transfer("alice", 0, make_param("default")), Restricted(("x",))))],
+                    st,
+                ),
+                CONTRACT_CRASH,
+                "@crash emitted str, not an operation",
+            ),
+            # an ExecError from a capability keeps its kind
+            (lambda ctx, p, st: ([], ctx.view("alice")), FEATURE_DISABLED, "views feature disabled"),
+        ],
+        ids=["index_error", "ops_not_iterable", "none", "triple", "emits_int", "wrapped_str", "view_off"],
+    )
+    def test_misbehaving_body_reverts_with_a_kind(self, simple_env, request, body, kind, detail):
+        key = f"crash_{request.node.callspec.id}_for_test"
+        if not registry.is_registered(key):
+            registry.register(
+                registry.ContractDef(
+                    code_key=key,
+                    param_type=pair_t(STRING, UNIT),
+                    storage_type=UNIT,
+                    config_type=UNIT,
+                    body=body,
+                )
+            )
+        env = simple_env.updated("crash", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+        snapshot = copy.deepcopy(env)
+        op = Transfer("crash", 5, make_param("default"))
+        err = _expect_error(kind, execute_operation, _ectx("alice"), op, env, FEATURES)
+        assert err.detail == detail
+        # input environment untouched: no debit of alice, no credit of @crash
+        assert env == snapshot
+        assert env.get("alice").balance == 100
+        assert env.get("crash").balance == 0
 
 
 class TestCreate:

@@ -19,13 +19,11 @@ class TestFeatureSet:
         assert fs.views and fs.bundles
         assert not fs.restrictions
         assert fs.enabled_names() == ("views", "bundles")
+        assert FeatureSet.from_names(FEATURE_NAMES).enabled_names() == FEATURE_NAMES
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             FeatureSet.from_names(["warp_drive"])
-
-    def test_all_on(self):
-        assert FeatureSet.all_on().enabled_names() == FEATURE_NAMES
 
 
 class TestNarrow:

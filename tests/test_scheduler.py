@@ -1,10 +1,8 @@
-import glob
 from dataclasses import replace
 
 import pytest
 
 from chainsim.core import (
-    WRAPPER_OPS,
     AddressV,
     AtomicBundle,
     ContextBundle,
@@ -19,6 +17,7 @@ from chainsim.core import (
     Transfer,
     UNIT_VALUE,
     make_param,
+    render_stack,
 )
 from chainsim.executor import (
     CONTRACT_FAILURE,
@@ -29,9 +28,8 @@ from chainsim.executor import (
     execute_operation,
     view_storage,
 )
-from chainsim.features import FeatureSet
-from chainsim import harness, registry
-from chainsim.scenario import build_environment, parse_scenario, scenario_config
+from chainsim.features import FEATURE_NAMES, FeatureSet
+from chainsim import registry
 from chainsim.trace import (
     STATUS_EXECUTED,
     validate_conservation,
@@ -44,46 +42,70 @@ from chainsim.scheduler import (
     SchedulerConfig,
     SignedTransaction,
     Strategy,
-    initial_state,
     run_block,
     run_transaction,
-    step,
 )
-from conftest import SCENARIO_DIR
 
 BFS = SchedulerConfig(strategy=Strategy.BFS, record_queue_states=True)
 DFS = SchedulerConfig(strategy=Strategy.DFS, record_queue_states=True)
 
 
 def _first_step(strategy, contextual_payer=False):
-    """Step once from the initial state of `user: a.pay([r1, r2], 1); b`,
-    returning the successor plus the untouched second operation and the two
-    operations the payer emits."""
+    """Run `user: a.pay([r1, r2], 1); b`, recording each executor call's
+    operation, context and the queue behind it. Returns the tree, the records,
+    the second submitted operation and the two operations the payer emits."""
     env = _context_env()
     if contextual_payer:
         env = env.updated("a", replace(env.get("a"), contextual=True))
-    cfg = SchedulerConfig(strategy=strategy, features=FeatureSet(contexts=True))
-    state = initial_state(env, _context_tx(wrap=False), cfg, 0)
-    to_b = state.stack[0][1]
+    cfg = SchedulerConfig(
+        strategy=strategy, features=FeatureSet(contexts=True), record_queue_states=True
+    )
+    records = []
+
+    def execute(ectx, op, env, features, pending):
+        records.append((op, ectx, tuple(pending)))
+        return execute_operation(ectx, op, env, features, pending)
+
+    tx = _context_tx(wrap=False)
+    outcome, _, tree = run_transaction(env, tx, cfg, 0, execute)
+    assert isinstance(outcome, Commit)
+    root_ctx = ExecutionContext(sender="user", source="user", level=0)
+    to_b = PendingOp(tx.ops[1], root_ctx, None)
     emitted_ctx = ExecutionContext(sender="a", source="user", level=0)
     r1, r2 = (
         PendingOp(Transfer(r, 1, make_param("default")), emitted_ctx, 0) for r in ("r1", "r2")
     )
-    return step(state), to_b, r1, r2
+    return tree, records, to_b, r1, r2
+
+
+def _queue_after_first_step(tree, records):
+    """The whole queue after the first step, head first: the second call's
+    operation, context and trace parent, then the queue behind it."""
+    op, ectx, behind = records[1]
+    return (PendingOp(op, ectx, tree.nodes[1].parent), *behind)
 
 
 class TestStepInsertsEmitted:
     def test_bfs_appends(self):
-        state, to_b, r1, r2 = _first_step(Strategy.BFS)
-        assert state.stack == ((to_b, r1, r2),)
+        tree, records, to_b, r1, r2 = _first_step(Strategy.BFS)
+        assert _queue_after_first_step(tree, records) == (to_b, r1, r2)
+        assert tree.queue_states[1] == (
+            "[[(user, b.default()), (a, r1.default()), (a, r2.default())]]"
+        )
 
     def test_dfs_prepends_preserving_order(self):
-        state, to_b, r1, r2 = _first_step(Strategy.DFS)
-        assert state.stack == ((r1, r2, to_b),)
+        tree, records, to_b, r1, r2 = _first_step(Strategy.DFS)
+        assert _queue_after_first_step(tree, records) == (r1, r2, to_b)
+        assert tree.queue_states[1] == (
+            "[[(a, r1.default()), (a, r2.default()), (user, b.default())]]"
+        )
 
     def test_new_frame_pushes(self):
-        state, to_b, r1, r2 = _first_step(Strategy.BFS, contextual_payer=True)
-        assert state.stack == ((r1, r2), (to_b,))
+        tree, records, to_b, r1, r2 = _first_step(Strategy.BFS, contextual_payer=True)
+        assert _queue_after_first_step(tree, records) == (r1, r2, to_b)
+        assert tree.queue_states[1] == (
+            "[[(a, r1.default()), (a, r2.default())], [(user, b.default())]]"
+        )
 
 
 def _rob_tx(n=3, m=5):
@@ -147,12 +169,13 @@ class TestRunTransaction:
         assert tree.queue_states == ("[]",)
 
     def test_unknown_author_reverts(self, simple_env):
-        outcome, ts, _ = run_transaction(
-            simple_env, SignedTransaction("ghost", ()), BFS, 0
-        )
+        tx = SignedTransaction("ghost", (Transfer("bob", 1, make_param("default")),))
+        outcome, ts, tree = run_transaction(simple_env, tx, BFS, 0)
         assert isinstance(outcome, Revert)
         assert outcome.kind == UNKNOWN_ADDRESS
+        assert outcome.detail == "author @ghost is not on chain"
         assert ts == 1
+        assert tree.nodes == ()
 
     def test_fuel_exhaustion_reverts(self, vault_env):
         cfg = SchedulerConfig(strategy=Strategy.BFS, fuel=3)
@@ -179,6 +202,30 @@ class TestRunTransaction:
         )
         assert isinstance(outcome, Commit)
         assert outcome.env.get("bob").balance == 53
+
+    def test_queue_states_on_failure(self, simple_env, vault_env):
+        # a snapshot precedes every executable op that is attempted, including
+        # the one that fails; a wrapper gets none, and a revert adds no "[]"
+        to_bob = Transfer("bob", 1, make_param("default"))
+        cases = [
+            # fuel exhaustion: the state the fourth op failed in is recorded
+            (vault_env, _rob_tx(), replace(BFS, fuel=3), FUEL_EXHAUSTED,
+             ("[[(owner, bad.rob(3, 5))]]", *PAPER_QUEUE_STATES[:3])),
+            # a disabled wrapper at the head: only the op before it
+            (simple_env, SignedTransaction("alice", (to_bob, AtomicBundle((to_bob,)))),
+             BFS, FEATURE_DISABLED,
+             ("[[(alice, bob.default()), (alice, atomic{bob.default()})]]",)),
+            # an executor error on the first op
+            (simple_env,
+             SignedTransaction("alice", (Transfer("bob", 10_000, make_param("default")),)),
+             BFS, "insufficient_balance", ("[[(alice, bob.default())]]",)),
+            # an unknown author: nothing runs
+            (simple_env, SignedTransaction("ghost", (to_bob,)), BFS, UNKNOWN_ADDRESS, ()),
+        ]
+        for env, tx, cfg, kind, states in cases:
+            outcome, _, tree = run_transaction(env, tx, cfg, 0)
+            assert isinstance(outcome, Revert) and outcome.kind == kind
+            assert tree.queue_states == states
 
     def test_determinism(self, vault_env):
         runs = [run_transaction(vault_env, _rob_tx(), BFS, 7) for _ in range(2)]
@@ -444,8 +491,8 @@ class TestTraceShape:
 
 
 def test_view_between_steps_sees_committed_storage():
-    # drive a fixed vault withdrawal one step at a time and watch the
-    # compromised counter move through the intermediate environments
+    # a fixed vault withdrawal: each executor call is handed the environment
+    # the previous steps committed, so the compromised counter moves through it
     env = Environment()
     env = env.updated("owner", registry.implicit_account(10))
     env = env.updated(
@@ -458,46 +505,20 @@ def test_view_between_steps_sees_committed_storage():
         "owner", (Transfer("vault", 0, make_param("withdraw", NatV(5))),)
     )
     views_on = FeatureSet(views=True)
-    state = initial_state(env, tx, SchedulerConfig(features=views_on), 0)
-    state = step(state)  # withdraw executes, storage commit lands first
-    assert view_storage(state.env, "vault", views_on) == MutezV(5)
-    state = step(state)  # payout to owner
-    assert state.env.get("owner").balance == 15
-    state = step(state)  # private settle zeroes the counter
-    assert view_storage(state.env, "vault", views_on) == MutezV(0)
-    assert state.finished
+    seen = []
 
-
-# ---------------------------------------------------------------------------
-# The core loop behind run_transaction against the step() adapter
-# ---------------------------------------------------------------------------
-
-
-def _run_by_steps(env, tx, cfg, ts=0, execute=execute_operation):
-    """Drive `tx` with step() alone. Returns the final state and, for each
-    executable step, the frozen queue behind the operation about to run."""
-    state = initial_state(env, tx, cfg, ts, execute)
-    behind = []
-    while not state.finished:
-        queue = [p for frame in state.stack for p in frame]
-        if not isinstance(queue[0].op, WRAPPER_OPS):
-            behind.append(tuple(queue[1:]))
-        state = step(state)
-    return state, behind
-
-
-def _state_outcome(state):
-    if state.failure is None:
-        return Commit(state.env)
-    return Revert(*state.failure)
-
-
-def _recording_execute(records):
     def execute(ectx, op, env, features, pending):
-        records.append(tuple(pending))
+        seen.append((op.dest, view_storage(env, "vault", views_on), env.get("owner").balance))
         return execute_operation(ectx, op, env, features, pending)
 
-    return execute
+    outcome, _, _ = run_transaction(env, tx, SchedulerConfig(features=views_on), 0, execute)
+    assert isinstance(outcome, Commit)
+    assert seen == [
+        ("vault", MutezV(0), 10),  # withdraw
+        ("owner", MutezV(5), 10),  # payout: the storage commit landed first
+        ("vault", MutezV(5), 15),  # private settle, after the payout
+    ]
+    assert view_storage(outcome.env, "vault", views_on) == MutezV(0)
 
 
 def _mixed_env():
@@ -531,68 +552,36 @@ def _mixed_tx():
     )
 
 
+def _flat(queue_state):
+    """A rendered queue state with its frame boundaries removed."""
+    return queue_state.replace("], [", ", ")
+
+
 class TestPendingView:
     @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
     def test_hook_sees_the_queue_behind_the_running_op(self, strategy):
-        cfg = SchedulerConfig(strategy=strategy, features=FeatureSet.all_on())
-        records = []
-        outcome, _, tree = run_transaction(
-            _mixed_env(), _mixed_tx(), cfg, 0, _recording_execute(records)
+        cfg = SchedulerConfig(
+            strategy=strategy,
+            features=FeatureSet.from_names(FEATURE_NAMES),
+            record_queue_states=True,
         )
+        records = []
+
+        def execute(ectx, op, env, features, pending):
+            records.append((PendingOp(op, ectx, None), tuple(pending)))
+            return execute_operation(ectx, op, env, features, pending)
+
+        outcome, _, tree = run_transaction(_mixed_env(), _mixed_tx(), cfg, 0, execute)
         assert isinstance(outcome, Commit)
-        state, behind = _run_by_steps(_mixed_env(), _mixed_tx(), cfg)
-        assert state.failure is None
-        assert records == behind
         assert len(records) == sum(n.status == STATUS_EXECUTED for n in tree.nodes)
+        # each call's view is the step's recorded queue minus the running op
+        assert len(tree.queue_states) == len(records) + 1
+        for (head, behind), state in zip(records, tree.queue_states):
+            assert render_stack([(head, *behind)]) == _flat(state)
         # the first call, a.pay inside the context frame, sees its frame-mate
         # before the outer frame's three remaining operations
         ops = _mixed_tx().ops
-        assert [p.op for p in records[0]] == [ops[0].ops[1], *ops[1:]]
-        # the step() adapter hands the hook the same view
-        step_records = []
-        _run_by_steps(_mixed_env(), _mixed_tx(), cfg, execute=_recording_execute(step_records))
-        assert step_records == records
-
-
-class TestEntryPointEquivalence:
-    @staticmethod
-    def _assert_same(env, tx, cfg, ts):
-        outcome, _, tree = run_transaction(env, tx, cfg, ts)
-        state, _ = _run_by_steps(env, tx, cfg, ts)
-        # a commit carries the final environment; a revert keeps `env`
-        assert _state_outcome(state) == outcome
-        assert state.nodes == tree.nodes
-        return outcome
-
-    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
-    @pytest.mark.parametrize("path", sorted(glob.glob(str(SCENARIO_DIR / "*.msc"))))
-    def test_scenario_transactions(self, path, strategy):
-        with open(path, encoding="utf-8") as fh:
-            s = parse_scenario(fh.read())
-        cfg = scenario_config(s, strategy)
-        env = build_environment(s)
-        for ts, tx in enumerate(s.transactions):
-            outcome = self._assert_same(env, tx, cfg, ts)
-            if isinstance(outcome, Commit):
-                env = outcome.env
-
-    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
-    def test_generated_transactions(self, strategy):
-        env0, gen_cfg = harness.default_universe(7)
-        cfg = SchedulerConfig(strategy=strategy)
-        outcomes = set()
-        for i in range(200):
-            tx = harness.gen_transaction(gen_cfg.seed + i, gen_cfg)
-            outcomes.add(type(self._assert_same(env0, tx, cfg, 0)))
-        assert outcomes == {Commit, Revert}
-
-    def test_unknown_author_fails_the_initial_state(self, simple_env):
-        tx = SignedTransaction("ghost", (Transfer("bob", 1, make_param("default")),))
-        state = initial_state(simple_env, tx, SchedulerConfig(), 0)
-        assert state.finished and state.failure[0] == UNKNOWN_ADDRESS
-        with pytest.raises(ValueError):
-            step(state)
-        self._assert_same(simple_env, tx, SchedulerConfig(), 0)
+        assert [p.op for p in records[0][1]] == [ops[0].ops[1], *ops[1:]]
 
 
 @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
