@@ -1,3 +1,5 @@
+import copy
+import glob
 from dataclasses import replace
 
 import pytest
@@ -29,9 +31,11 @@ from chainsim.executor import (
     view_storage,
 )
 from chainsim.features import FEATURE_NAMES, FeatureSet
-from chainsim import registry
+from chainsim import harness, registry
+from chainsim.scenario import build_environment, parse_scenario, scenario_config
 from chainsim.trace import (
     STATUS_EXECUTED,
+    STATUS_FAILED,
     validate_conservation,
     validate_no_double_spend,
     validate_replay,
@@ -45,6 +49,7 @@ from chainsim.scheduler import (
     run_block,
     run_transaction,
 )
+from conftest import SCENARIO_DIR
 
 BFS = SchedulerConfig(strategy=Strategy.BFS, record_queue_states=True)
 DFS = SchedulerConfig(strategy=Strategy.DFS, record_queue_states=True)
@@ -582,6 +587,68 @@ class TestPendingView:
         # before the outer frame's three remaining operations
         ops = _mixed_tx().ops
         assert [p.op for p in records[0][1]] == [ops[0].ops[1], *ops[1:]]
+
+
+def _check_driver_run(env, tx, cfg, ts):
+    """Run `tx` with queue snapshots and a recording `execute` hook, and check
+    what holds of every run whatever its outcome. Returns the outcome."""
+    cfg = replace(cfg, record_queue_states=True)
+    before = copy.deepcopy(env)
+    records = []
+
+    def execute(ectx, op, env, features, pending):
+        records.append((PendingOp(op, ectx, None), tuple(pending)))
+        return execute_operation(ectx, op, env, features, pending)
+
+    outcome, ts_after, tree = run_transaction(env, tx, cfg, ts, execute)
+    assert ts_after == ts + 1
+    # the hook observes and changes nothing: a run without it is the same run
+    assert run_transaction(env, tx, cfg, ts) == (outcome, ts_after, tree)
+    assert [n.id for n in tree.nodes] == list(range(len(tree.nodes)))
+    assert all(n.parent is None or n.parent < n.id for n in tree.nodes)
+    executed = sum(n.status == STATUS_EXECUTED for n in tree.nodes)
+    failed = [n for n in tree.nodes if n.status == STATUS_FAILED]
+    if isinstance(outcome, Commit):
+        # one snapshot per executed op, then the empty queue
+        assert not failed
+        assert len(records) == executed
+        assert len(tree.queue_states) == executed + 1
+        assert tree.queue_states[-1] == "[]"
+        assert validate_conservation(env, outcome.env)
+        assert validate_replay(tree, env, outcome.env).ok
+    else:
+        # a revert leaves its input alone, and only its last node failed
+        assert env == before
+        assert failed == list(tree.nodes[-1:])
+        assert executed <= len(records) <= len(tree.queue_states) <= executed + 1
+    # each call's view is the step's recorded queue minus the running op
+    for (head, behind), state in zip(records, tree.queue_states):
+        assert render_stack([(head, *behind)]) == _flat(state)
+    return outcome
+
+
+class TestDriverOnEveryTransaction:
+    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+    @pytest.mark.parametrize("path", sorted(glob.glob(str(SCENARIO_DIR / "*.msc"))))
+    def test_scenario_transactions(self, path, strategy):
+        with open(path, encoding="utf-8") as fh:
+            s = parse_scenario(fh.read())
+        cfg = scenario_config(s, strategy)
+        env = build_environment(s)
+        for ts, tx in enumerate(s.transactions):
+            outcome = _check_driver_run(env, tx, cfg, ts)
+            if isinstance(outcome, Commit):
+                env = outcome.env
+
+    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+    def test_generated_transactions(self, strategy):
+        env0, gen_cfg = harness.default_universe(7)
+        cfg = SchedulerConfig(strategy=strategy)
+        outcomes = set()
+        for i in range(200):
+            tx = harness.gen_transaction(gen_cfg.seed + i, gen_cfg)
+            outcomes.add(type(_check_driver_run(env0, tx, cfg, 0)))
+        assert outcomes == {Commit, Revert}
 
 
 @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
