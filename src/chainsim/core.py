@@ -57,8 +57,7 @@ class TypeTag:
 
     `kind` is one of unit/nat/int/bool/string/mutez/address/pair/list/union;
     pair takes two args, list one, union any number of alternatives. Union is
-    a type-level construct only (declarations such as multi-entrypoint
-    parameter types); inference never produces it.
+    a type-level construct only; inference never produces it.
     """
 
     kind: str
@@ -283,9 +282,9 @@ def make_param(entrypoint: str, *args: Value) -> Value:
 @dataclass(frozen=True)
 class Contract:
     """An installed contract. Only storage and balance ever change; code_key,
-    the type tags, config and the contextual flag are fixed at creation."""
+    the storage type, config and the contextual flag are fixed at creation.
+    The entrypoints live with the code (`registry.ContractDef`)."""
 
-    param_type: TypeTag
     storage_type: TypeTag
     storage: Value
     balance: int

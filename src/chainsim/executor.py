@@ -21,7 +21,9 @@ from .core import (
     Environment,
     ExecutionContext,
     Operation,
+    PairV,
     PendingOp,
+    StringV,
     Transfer,
     Value,
     WRAPPER_OPS,
@@ -148,6 +150,18 @@ def _check_emitted(dest: str, emitted: Iterable[object]) -> None:
             )
 
 
+def _check_call(dest: str, defn: registry.ContractDef, param: Value) -> None:
+    """Revert unless `param` is (name, arg) with `name` one of the callee's
+    declared entrypoints and `arg` of that entrypoint's type."""
+    if not (isinstance(param, PairV) and isinstance(param.left, StringV)):
+        raise ExecError(TYPE_MISMATCH, f"@{dest} expects an (entrypoint, argument) pair")
+    name = param.left.s
+    if name not in defn.entrypoints:
+        raise ExecError(TYPE_MISMATCH, f"@{dest} does not declare entrypoint {name!r}")
+    if not value_typecheck(param.right, defn.entrypoints[name]):
+        raise ExecError(TYPE_MISMATCH, f"argument does not fit @{dest}'s {name!r} entrypoint")
+
+
 def _execute_transfer(
     ectx: ExecutionContext,
     op: Transfer,
@@ -175,10 +189,13 @@ def _execute_transfer(
     dest_c = env.get(op.dest)
     if dest_c is None:
         raise ExecError(UNKNOWN_ADDRESS, f"destination @{op.dest} is not on chain")
-    if not value_typecheck(op.param, dest_c.param_type):
+    try:
+        defn = registry.resolve(dest_c.code_key)
+    except registry.RegistryError:
         raise ExecError(
-            TYPE_MISMATCH, f"parameter does not fit @{op.dest}'s parameter type"
-        )
+            UNKNOWN_CODE_KEY, f"@{op.dest} references code {dest_c.code_key!r}"
+        ) from None
+    _check_call(op.dest, defn, op.param)
 
     # Funds move now, at execution time; the emission that produced this op
     # moved nothing. The callee body observes its balance with the incoming
@@ -192,12 +209,6 @@ def _execute_transfer(
         raise ExecError(OVERFLOW, f"credit overflows @{op.dest}") from None
     env2 = env1.updated(op.dest, credited)
 
-    try:
-        defn = registry.resolve(credited.code_key)
-    except registry.RegistryError:
-        raise ExecError(
-            UNKNOWN_CODE_KEY, f"@{op.dest} references code {credited.code_key!r}"
-        ) from None
     cctx = _call_context(ectx, op.dest, op.amount, credited, env2, features, pending)
     try:
         result = defn.body(cctx, op.param, credited.storage)

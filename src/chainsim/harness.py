@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from . import registry
 from .core import (
-    STRING,
     UNIT,
     UNIT_VALUE,
     AddressV,
@@ -28,7 +27,6 @@ from .core import (
     Transfer,
     Value,
     make_param,
-    pair_t,
     render_value,
 )
 from .executor import execute_operation
@@ -201,7 +199,7 @@ def gen_demonic_contract(seed: int, profile: DemonicProfile) -> ContractDef:
 
     return ContractDef(
         code_key=key,
-        param_type=pair_t(STRING, UNIT),
+        entrypoints={"default": UNIT},
         storage_type=UNIT,
         config_type=UNIT,
         body=body,

@@ -123,13 +123,6 @@ def validate_no_double_spend(
     return ValidationReport("no_double_spend", not violations, tuple(violations))
 
 
-def _contiguous(seqs: list[int]) -> bool:
-    if len(seqs) <= 1:
-        return True
-    ordered = sorted(seqs)
-    return ordered[-1] - ordered[0] + 1 == len(ordered)
-
-
 def validate_atomic_bundles(
     tree: TransactionTree, emission_groups: bool = False
 ) -> ValidationReport:
@@ -137,44 +130,62 @@ def validate_atomic_bundles(
     back-to-back (consecutive seq indices, nothing foreign between them).
 
     A member that is itself a wrapper contributes its own expansion, so the
-    check follows expansion edges recursively; operations a member merely
-    EMITS are not part of the bundled sequence (under breadth-first order
-    they lawfully run later). With emission_groups=True the same contiguity
-    check also applies to the operations emitted by each single execution,
-    including the externally submitted root group.
+    check follows expansion edges; operations a member merely EMITS are not
+    part of the bundled sequence (under breadth-first order they lawfully run
+    later). With emission_groups=True the same contiguity check also applies
+    to the operations emitted by each single execution, including the
+    externally submitted root group.
     """
+    # Parents precede children, so one reverse pass folds each node's
+    # (min seq, max seq, count), plus its own span if it expanded, into its
+    # parent's span. A span is contiguous iff max - min + 1 == count.
+    spans: dict[Optional[int], tuple[int, int, int]] = {}
+    for node in reversed(tree.nodes):
+        lo, hi, count = node.seq, node.seq, 1
+        if node.status == STATUS_EXPANDED and node.id in spans:
+            own = spans[node.id]
+            lo, hi, count = min(lo, own[0]), max(hi, own[1]), count + own[2]
+        if node.parent in spans:
+            acc = spans[node.parent]
+            lo, hi, count = min(lo, acc[0]), max(hi, acc[1]), count + acc[2]
+        spans[node.parent] = (lo, hi, count)
+
+    def interleaved(parent_id: Optional[int]) -> bool:
+        lo, hi, count = spans.get(parent_id, (0, -1, 0))
+        return hi - lo + 1 != count
+
     children: dict[Optional[int], list[TraceNode]] = {}
     for node in tree.nodes:
         children.setdefault(node.parent, []).append(node)
 
-    def expansion_span(parent_id: Optional[int]) -> list[int]:
+    def members(parent_id: Optional[int]) -> list[int]:
         seqs: list[int] = []
-        for child in children.get(parent_id, []):
-            seqs.append(child.seq)
-            if child.status == STATUS_EXPANDED:
-                seqs.extend(expansion_span(child.id))
-        return seqs
+        todo = [parent_id]
+        while todo:
+            for child in children.get(todo.pop(), []):
+                seqs.append(child.seq)
+                if child.status == STATUS_EXPANDED:
+                    todo.append(child.id)
+        return sorted(seqs)
 
-    violations = []
-    for node in tree.nodes:
-        if node.kind == "atomic":
-            seqs = expansion_span(node.id)
-            if not _contiguous(seqs):
-                violations.append(
-                    f"bundle node {node.id}: members at seqs {sorted(seqs)} interleave"
-                )
+    groups = [
+        (node.id, f"bundle node {node.id}: members at")
+        for node in tree.nodes
+        if node.kind == "atomic"
+    ]
     if emission_groups:
-        groups: list[tuple[str, Optional[int]]] = [("root", None)]
-        for node in tree.nodes:
-            if node.status == STATUS_EXECUTED:
-                groups.append((f"node {node.id}", node.id))
-        for label, parent_id in groups:
-            seqs = expansion_span(parent_id)
-            if not _contiguous(seqs):
-                violations.append(
-                    f"emission group of {label}: seqs {sorted(seqs)} interleave"
-                )
-    return ValidationReport("atomic_bundles", not violations, tuple(violations))
+        groups.append((None, "emission group of root:"))
+        groups.extend(
+            (node.id, f"emission group of node {node.id}:")
+            for node in tree.nodes
+            if node.status == STATUS_EXECUTED
+        )
+    violations = tuple(
+        f"{label} seqs {members(parent_id)} interleave"
+        for parent_id, label in groups
+        if interleaved(parent_id)
+    )
+    return ValidationReport("atomic_bundles", not violations, violations)
 
 
 def validate_conservation(env_before: Environment, env_after: Environment) -> bool:

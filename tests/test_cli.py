@@ -251,9 +251,9 @@ expect balance @alice = 10
 # Registers a body that evaluates [1][5], then runs the CLI on argv.
 CRASH_MAIN = """import sys
 from chainsim import cli, registry
-from chainsim.core import STRING, UNIT, pair_t
+from chainsim.core import UNIT
 registry.register(registry.ContractDef(
-    "index_error_for_cli_test", pair_t(STRING, UNIT), UNIT, UNIT,
+    "index_error_for_cli_test", {"default": UNIT}, UNIT, UNIT,
     lambda ctx, p, st: ([1][5], st),
 ))
 sys.exit(cli.main(sys.argv[1:]))
@@ -274,3 +274,37 @@ def test_crashing_body_reverts_with_contract_crash(tmp_path):
         in proc.stdout
     )
     assert "revert: PASS" in proc.stdout
+
+
+ENTRYPOINT_SCENARIO = """scenario "entrypoints"
+account @owner balance 100
+account @shop balance 0
+contract @vault code bank config (pair 9 @owner) storage unit balance 15
+transaction from @owner { transfer 1 to @vault call deposit(5) }
+transaction from @owner { transfer 0 to @vault call withdraw() }
+transaction from @owner { transfer 0 to @vault call frobnicate(5) }
+transaction from @owner { transfer 1 to @shop call foo() }
+transaction from @owner { transfer 0 to @vault call withdraw(2) }
+expect balance @owner = 102
+expect balance @vault = 13
+"""
+
+
+def test_calls_outside_the_declared_entrypoints_revert_type_mismatch(tmp_path):
+    path = tmp_path / "entrypoints.msc"
+    path.write_text(ENTRYPOINT_SCENARIO)
+    proc = run_cli("run", "--step", str(path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # --step prints each queue state ("[...]") and then the outcome, indented
+    outcomes = [
+        line.strip()
+        for line in proc.stdout.splitlines()
+        if line.startswith("  ") and "[" not in line
+    ]
+    assert outcomes == [
+        "revert (type_mismatch: argument does not fit @vault's 'deposit' entrypoint)",
+        "revert (type_mismatch: argument does not fit @vault's 'withdraw' entrypoint)",
+        "revert (type_mismatch: @vault does not declare entrypoint 'frobnicate')",
+        "revert (type_mismatch: @shop does not declare entrypoint 'foo')",
+        "commit",
+    ]

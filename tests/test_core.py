@@ -200,7 +200,6 @@ class TestContract:
     def test_storage_must_typecheck(self):
         with pytest.raises(ValueError):
             Contract(
-                param_type=pair_t(NAT, NAT),
                 storage_type=NAT,
                 storage=UNIT_VALUE,
                 balance=0,

@@ -5,6 +5,7 @@ import pytest
 
 from chainsim.core import (
     AtomicBundle,
+    Contract,
     CreateContract,
     ExecutionContext,
     NatV,
@@ -31,7 +32,7 @@ from chainsim.executor import (
     pending_balance,
     view_storage,
 )
-from chainsim.core import MAX_MUTEZ, STRING, UNIT, EndInteractions, RestrictionState, pair_t
+from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions, RestrictionState
 from chainsim import registry
 from chainsim.features import FEATURE_NAMES, FeatureSet
 
@@ -102,9 +103,60 @@ class TestTransfer:
 
     def test_param_type_gate(self, simple_env):
         op = Transfer("bob", 0, NatV(5))
-        _expect_error(
+        err = _expect_error(
             TYPE_MISMATCH, execute_operation, _ectx("alice"), op, simple_env, FEATURES
         )
+        assert err.detail == "@bob expects an (entrypoint, argument) pair"
+
+    @pytest.mark.parametrize(
+        "dest, param, detail",
+        [
+            (
+                "vault",
+                make_param("deposit", NatV(5)),
+                "argument does not fit @vault's 'deposit' entrypoint",
+            ),
+            (
+                "vault",
+                make_param("withdraw"),
+                "argument does not fit @vault's 'withdraw' entrypoint",
+            ),
+            (
+                "vault",
+                make_param("frobnicate", NatV(5)),
+                "@vault does not declare entrypoint 'frobnicate'",
+            ),
+            ("owner", make_param("foo"), "@owner does not declare entrypoint 'foo'"),
+        ],
+        ids=["deposit_nat", "withdraw_unit", "undeclared", "account_foo"],
+    )
+    def test_undeclared_or_ill_typed_call_is_type_mismatch(
+        self, vault_env, dest, param, detail
+    ):
+        # Checked against the callee's declared entrypoints before any funds
+        # move: the input environment is untouched.
+        snapshot = copy.deepcopy(vault_env)
+        op = Transfer(dest, 1, param)
+        err = _expect_error(
+            TYPE_MISMATCH, execute_operation, _ectx("owner"), op, vault_env, FEATURES
+        )
+        assert err.detail == detail
+        assert vault_env == snapshot
+
+    def test_unregistered_code_key_is_checked_first(self, simple_env):
+        # A hand-built contract whose code is not registered has no declared
+        # entrypoints: the call reverts unknown_code_key before the parameter
+        # check and before the credit could overflow.
+        orphan = Contract(
+            storage_type=UNIT, storage=UNIT_VALUE, balance=MAX_MUTEZ,
+            code_key="no_such_code", config=UNIT_VALUE,
+        )
+        env = simple_env.updated("orphan", orphan)
+        op = Transfer("orphan", 1, NatV(5))
+        err = _expect_error(
+            UNKNOWN_CODE_KEY, execute_operation, _ectx("alice"), op, env, FEATURES
+        )
+        assert err.detail == "@orphan references code 'no_such_code'"
 
     def test_self_transfer_allowed(self, simple_env):
         op = Transfer("alice", 10, make_param("default"))
@@ -177,7 +229,7 @@ class TestTransfer:
             registry.register(
                 registry.ContractDef(
                     code_key=key,
-                    param_type=pair_t(STRING, UNIT),
+                    entrypoints={"default": UNIT},
                     storage_type=UNIT,
                     config_type=UNIT,
                     body=lambda ctx, p, st: ([], returned),
@@ -240,7 +292,7 @@ class TestTransfer:
             registry.register(
                 registry.ContractDef(
                     code_key=key,
-                    param_type=pair_t(STRING, UNIT),
+                    entrypoints={"default": UNIT},
                     storage_type=UNIT,
                     config_type=UNIT,
                     body=body,
@@ -473,7 +525,7 @@ def test_code_immutability(vault_env):
     rng = random.Random(99)
     env = vault_env
     fingerprint = {
-        addr: (c.code_key, c.param_type, c.storage_type, c.config)
+        addr: (c.code_key, c.storage_type, c.config)
         for addr, c in env.accounts.items()
     }
     ops = [
@@ -489,14 +541,9 @@ def test_code_immutability(vault_env):
         except ExecError:
             continue
         env = out.env_after
-        for addr, (key, pt, st, cfg) in fingerprint.items():
+        for addr, (key, st, cfg) in fingerprint.items():
             c = env.get(addr)
-            assert (c.code_key, c.param_type, c.storage_type, c.config) == (
-                key,
-                pt,
-                st,
-                cfg,
-            )
+            assert (c.code_key, c.storage_type, c.config) == (key, st, cfg)
         assert all(c.balance >= 0 for c in env.accounts.values())
 
 

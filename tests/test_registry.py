@@ -10,7 +10,6 @@ from chainsim.core import (
     UNIT,
     UNIT_VALUE,
     make_param,
-    pair_t,
 )
 from chainsim.features import FeatureSet
 from chainsim import registry
@@ -34,7 +33,7 @@ class TestRegistration:
     def test_register_then_instantiate(self):
         defn = ContractDef(
             code_key="null_body_for_test",
-            param_type=pair_t(UNIT, UNIT),
+            entrypoints={"default": UNIT},
             storage_type=UNIT,
             config_type=UNIT,
             body=lambda ctx, p, st: ([], st),

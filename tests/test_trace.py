@@ -6,6 +6,7 @@ from chainsim.core import (
     AtomicBundle,
     NatV,
     Transfer,
+    UNIT,
     UNIT_VALUE,
     make_param,
 )
@@ -186,6 +187,33 @@ class TestAtomicBundles:
         )
         assert isinstance(outcome, Commit)
         assert not validate_atomic_bundles(dfs_tree, emission_groups=True).ok
+
+    @pytest.mark.parametrize("emission_groups", [False, True])
+    def test_deep_nesting_is_validated_without_recursion(self, emission_groups):
+        # A body emits one transfer inside 3,000 nested bundles: deeper than
+        # the interpreter's recursion limit, and quadratic for a validator
+        # that recomputes each bundle's span.
+        key = "deep_bundles_for_test"
+        if not registry.is_registered(key):
+            def body(ctx, param, storage):
+                op = Transfer("r", 0, make_param("default"))
+                for _ in range(3000):
+                    op = AtomicBundle((op,))
+                return [op], storage
+
+            registry.register(
+                registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body)
+            )
+        env = _bundle_env().updated(
+            "deep", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        )
+        cfg = SchedulerConfig(features=FeatureSet(bundles=True))
+        tx = SignedTransaction("user", (Transfer("deep", 0, make_param("default")),))
+        outcome, _, tree = run_transaction(env, tx, cfg, 0)
+        assert isinstance(outcome, Commit)
+        assert len(tree.nodes) == 3002
+        report = validate_atomic_bundles(tree, emission_groups=emission_groups)
+        assert report.ok, report.violations
 
 
 class TestReplay:
