@@ -47,7 +47,6 @@ from .core import (
     make_param,
     pair_t,
     render_value,
-    union_t,
     value_type,
     value_typecheck,
 )

@@ -55,9 +55,8 @@ def amount_add(a: int, b: int) -> int:
 class TypeTag:
     """Structural type of a runtime value.
 
-    `kind` is one of unit/nat/int/bool/string/mutez/address/pair/list/union;
-    pair takes two args, list one, union any number of alternatives. Union is
-    a type-level construct only; inference never produces it.
+    `kind` is one of unit/nat/int/bool/string/mutez/address/pair/list;
+    pair takes two args, list one.
     """
 
     kind: str
@@ -79,12 +78,6 @@ def pair_t(left: TypeTag, right: TypeTag) -> TypeTag:
 
 def list_t(elem: TypeTag) -> TypeTag:
     return TypeTag("list", (elem,))
-
-
-def union_t(*alternatives: TypeTag) -> TypeTag:
-    if not alternatives:
-        raise ValueError("union needs at least one alternative")
-    return TypeTag("union", tuple(alternatives))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +215,6 @@ def value_typecheck(v: Value, t: TypeTag) -> bool:
         return isinstance(v, ListV) and all(
             value_typecheck(item, t.args[0]) for item in v.items
         )
-    if t.kind == "union":
-        return any(value_typecheck(v, alt) for alt in t.args)
     raise ValueError(f"unknown type tag kind: {t.kind!r}")
 
 
@@ -579,15 +570,3 @@ def render_stack(frames: Iterable[Iterable[PendingOp]]) -> str:
         pending = ", ".join(f"({p.ectx.sender}, {render_op_brief(p.op)})" for p in frame)
         rendered.append(f"[{pending}]")
     return "[" + ", ".join(rendered) + "]"
-
-
-def describe_op(op: Operation) -> tuple[str, Optional[str], Optional[int], Optional[str]]:
-    """Trace-node fields of an executable operation: kind, dest, amount and
-    the rendered parameter (a created contract's storage)."""
-    if isinstance(op, Transfer):
-        return "transfer", op.dest, op.amount, render_value(op.param)
-    if isinstance(op, CreateContract):
-        return "create", op.addr, op.amount, render_value(op.storage)
-    if isinstance(op, EndInteractions):
-        return "end_interactions", None, None, None
-    raise TypeError(f"not an executable operation: {op!r}")

@@ -35,7 +35,6 @@ from .core import (
     Restricted,
     Transfer,
     Value,
-    describe_op,
     render_stack,
 )
 from .executor import (
@@ -120,23 +119,12 @@ class _PendingView:
         return chain.from_iterable(reversed(self._frames))
 
 
-# Wrapper type -> (trace kind, enabling feature, error kind when it is off).
+# Wrapper type -> (enabling feature, error kind when it is off).
 _WRAPPERS = {
-    AtomicBundle: ("atomic", "bundles", FEATURE_DISABLED),
-    ContextBundle: ("context", "contexts", FEATURE_DISABLED),
-    Restricted: ("restricted", "restrictions", RESTRICTION_VIOLATION),
+    AtomicBundle: ("bundles", FEATURE_DISABLED),
+    ContextBundle: ("contexts", FEATURE_DISABLED),
+    Restricted: ("restrictions", RESTRICTION_VIOLATION),
 }
-
-
-def _op_deltas(op: Operation, sender: str) -> tuple[tuple[str, int], ...]:
-    moves: dict[str, int] = {}
-    if isinstance(op, Transfer):
-        moves[sender] = moves.get(sender, 0) - op.amount
-        moves[op.dest] = moves.get(op.dest, 0) + op.amount
-    elif isinstance(op, CreateContract):
-        moves[sender] = moves.get(sender, 0) - op.amount
-        moves[op.addr] = moves.get(op.addr, 0) + op.amount
-    return tuple(sorted((a, d) for a, d in moves.items() if d != 0))
 
 
 def run_transaction(
@@ -188,14 +176,10 @@ def run_transaction(
         frame.popleft()
 
         if wrapper is not None:
-            kind, feature, error = wrapper
+            feature, error = wrapper
             enabled = getattr(features, feature)
-            nodes.append(
-                TraceNode(
-                    node_id, p.parent, node_id, p.ectx.sender, kind,
-                    status=STATUS_EXPANDED if enabled else STATUS_FAILED,
-                )
-            )
+            status = STATUS_EXPANDED if enabled else STATUS_FAILED
+            nodes.append(TraceNode(node_id, p.parent, p.ectx.sender, op, status))
             if not enabled:
                 failure = (error, f"{feature} feature disabled")
                 break
@@ -223,7 +207,6 @@ def run_transaction(
             end_interactions_owner=end_owner,
             level=ts,
         )
-        op_kind, dest, amount, param = describe_op(op)
         try:
             if fuel_left <= 0:
                 raise ExecError(FUEL_EXHAUSTED, f"fuel cap of {cfg.fuel} operations hit")
@@ -243,21 +226,11 @@ def run_transaction(
             elif isinstance(op, CreateContract):
                 commits = ((op.addr, op.storage),)
         except ExecError as err:
-            nodes.append(
-                TraceNode(
-                    node_id, p.parent, node_id, ectx.sender, op_kind, dest, amount,
-                    param, STATUS_FAILED,
-                )
-            )
+            nodes.append(TraceNode(node_id, p.parent, ectx.sender, op, STATUS_FAILED))
             failure = (err.kind, err.detail)
             break
 
-        nodes.append(
-            TraceNode(
-                node_id, p.parent, node_id, ectx.sender, op_kind, dest, amount, param,
-                STATUS_EXECUTED, _op_deltas(op, ectx.sender), commits,
-            )
-        )
+        nodes.append(TraceNode(node_id, p.parent, ectx.sender, op, STATUS_EXECUTED, commits))
         emitted_ctx = ExecutionContext(
             sender=outcome.emitter,
             source=ectx.source,

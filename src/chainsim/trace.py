@@ -1,8 +1,10 @@
 """Transaction trees and executable validators over them.
 
 A tree records every operation a transaction touched: executed ops, expanded
-wrappers, and at most one failing op. Node ids equal execution order (seq),
-and parents always precede children.
+wrappers, and at most one failing op. Each node holds the operation it
+records; its kind and balance deltas are derived from that operation, and its
+destination, amount and rendered parameter only when it is exported. Node ids
+equal execution order, and parents always precede children.
 """
 
 from __future__ import annotations
@@ -10,26 +12,61 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Environment, Value, render_value
+from .core import (
+    AtomicBundle,
+    ContextBundle,
+    CreateContract,
+    EndInteractions,
+    Environment,
+    Operation,
+    Restricted,
+    Transfer,
+    Value,
+    render_value,
+)
 
 STATUS_EXECUTED = "executed"
 STATUS_EXPANDED = "expanded"
 STATUS_FAILED = "failed"
+
+_KINDS = {
+    Transfer: "transfer",
+    CreateContract: "create",
+    EndInteractions: "end_interactions",
+    AtomicBundle: "atomic",
+    ContextBundle: "context",
+    Restricted: "restricted",
+}
 
 
 @dataclass(frozen=True)
 class TraceNode:
     id: int
     parent: Optional[int]
-    seq: int
     sender: str
-    kind: str  # transfer | create | end_interactions | atomic | context | restricted
-    dest: Optional[str] = None
-    amount: Optional[int] = None
-    param: Optional[str] = None
+    op: Operation
     status: str = STATUS_EXECUTED
-    deltas: tuple[tuple[str, int], ...] = ()
     commits: tuple[tuple[str, Value], ...] = ()
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[type(self.op)]
+
+    @property
+    def deltas(self) -> tuple[tuple[str, int], ...]:
+        """Balance moves of an executed node, computed from its operation
+        rather than from the environment it produced."""
+        if self.status != STATUS_EXECUTED:
+            return ()
+        op = self.op
+        moves: dict[str, int] = {}
+        if isinstance(op, Transfer):
+            moves[self.sender] = moves.get(self.sender, 0) - op.amount
+            moves[op.dest] = moves.get(op.dest, 0) + op.amount
+        elif isinstance(op, CreateContract):
+            moves[self.sender] = moves.get(self.sender, 0) - op.amount
+            moves[op.addr] = moves.get(op.addr, 0) + op.amount
+        return tuple(sorted((a, d) for a, d in moves.items() if d != 0))
 
 
 @dataclass(frozen=True)
@@ -48,19 +85,18 @@ class TransactionTree:
 
 
 def node_to_json(node: TraceNode) -> dict:
+    op = node.op
     out: dict = {
         "id": node.id,
         "parent": node.parent,
-        "seq": node.seq,
+        "seq": node.id,
         "sender": node.sender,
         "kind": node.kind,
     }
-    if node.dest is not None:
-        out["dest"] = node.dest
-    if node.amount is not None:
-        out["amount"] = node.amount
-    if node.param is not None:
-        out["param"] = node.param
+    if isinstance(op, Transfer):
+        out.update(dest=op.dest, amount=op.amount, param=render_value(op.param))
+    elif isinstance(op, CreateContract):
+        out.update(dest=op.addr, amount=op.amount, param=render_value(op.storage))
     out["status"] = node.status
     out["deltas"] = {addr: delta for addr, delta in node.deltas}
     out["commits"] = {addr: render_value(value) for addr, value in node.commits}
@@ -127,7 +163,7 @@ def validate_atomic_bundles(
     tree: TransactionTree, emission_groups: bool = False
 ) -> ValidationReport:
     """Check that every atomic bundle's member operations executed
-    back-to-back (consecutive seq indices, nothing foreign between them).
+    back-to-back (consecutive node ids, nothing foreign between them).
 
     A member that is itself a wrapper contributes its own expansion, so the
     check follows expansion edges; operations a member merely EMITS are not
@@ -137,11 +173,11 @@ def validate_atomic_bundles(
     externally submitted root group.
     """
     # Parents precede children, so one reverse pass folds each node's
-    # (min seq, max seq, count), plus its own span if it expanded, into its
+    # (min id, max id, count), plus its own span if it expanded, into its
     # parent's span. A span is contiguous iff max - min + 1 == count.
     spans: dict[Optional[int], tuple[int, int, int]] = {}
     for node in reversed(tree.nodes):
-        lo, hi, count = node.seq, node.seq, 1
+        lo, hi, count = node.id, node.id, 1
         if node.status == STATUS_EXPANDED and node.id in spans:
             own = spans[node.id]
             lo, hi, count = min(lo, own[0]), max(hi, own[1]), count + own[2]
@@ -159,14 +195,14 @@ def validate_atomic_bundles(
         children.setdefault(node.parent, []).append(node)
 
     def members(parent_id: Optional[int]) -> list[int]:
-        seqs: list[int] = []
+        ids: list[int] = []
         todo = [parent_id]
         while todo:
             for child in children.get(todo.pop(), []):
-                seqs.append(child.seq)
+                ids.append(child.id)
                 if child.status == STATUS_EXPANDED:
                     todo.append(child.id)
-        return sorted(seqs)
+        return sorted(ids)
 
     groups = [
         (node.id, f"bundle node {node.id}: members at")

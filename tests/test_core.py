@@ -33,7 +33,6 @@ from chainsim.core import (
     render_op_brief,
     render_value,
     split_param,
-    union_t,
     value_type,
     value_typecheck,
 )
@@ -59,12 +58,6 @@ class TestTypecheck:
         assert value_typecheck(ListV((NatV(1), NatV(2))), list_t(NAT))
         assert not value_typecheck(ListV((NatV(1),)), list_t(ADDRESS))
         assert value_typecheck(ListV(()), list_t(ADDRESS))
-
-    def test_union_admits_any_alternative(self):
-        t = union_t(NAT, UNIT)
-        assert value_typecheck(NatV(3), t)
-        assert value_typecheck(UNIT_VALUE, t)
-        assert not value_typecheck(IntV(3), t)
 
 
 _values = st.deferred(

@@ -17,6 +17,7 @@ from chainsim.core import (
     PendingOp,
     Restricted,
     Transfer,
+    UNIT,
     UNIT_VALUE,
     make_param,
     render_stack,
@@ -26,6 +27,7 @@ from chainsim.executor import (
     FEATURE_DISABLED,
     FUEL_EXHAUSTED,
     RESTRICTION_VIOLATION,
+    TYPE_MISMATCH,
     UNKNOWN_ADDRESS,
     execute_operation,
     view_storage,
@@ -231,6 +233,28 @@ class TestRunTransaction:
             outcome, _, tree = run_transaction(env, tx, cfg, 0)
             assert isinstance(outcome, Revert) and outcome.kind == kind
             assert tree.queue_states == states
+
+    def test_deeply_nested_emitted_parameter_reverts(self, simple_env):
+        # A body emits a transfer whose argument nests 5,000 pairs, deeper
+        # than the interpreter's recursion limit. The driver renders nothing,
+        # so the callee's entrypoint check rejects it. Queue snapshots and
+        # trace export do render it, so they stay off here.
+        key = "deep_param_for_test"
+        if not registry.is_registered(key):
+            def body(ctx, param, storage):
+                v = UNIT_VALUE
+                for _ in range(5000):
+                    v = PairV(NatV(1), v)
+                return [Transfer("r", 0, make_param("default", v))], storage
+
+            registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
+        env = simple_env.updated("r", registry.implicit_account(0)).updated(
+            "deep", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        )
+        tx = SignedTransaction("alice", (Transfer("deep", 0, make_param("default")),))
+        outcome, _, tree = run_transaction(env, tx, SchedulerConfig(), 0)
+        assert isinstance(outcome, Revert) and outcome.kind == TYPE_MISMATCH
+        assert [n.status for n in tree.nodes] == [STATUS_EXECUTED, STATUS_FAILED]
 
     def test_determinism(self, vault_env):
         runs = [run_transaction(vault_env, _rob_tx(), BFS, 7) for _ in range(2)]
@@ -456,9 +480,9 @@ class TestTraceShape:
         _, _, tree = run_transaction(vault_env, _rob_tx(), BFS, 0)
         by_parent = {}
         for node in tree.nodes:
-            by_parent.setdefault(node.parent, []).append(node.seq)
-        for seqs in by_parent.values():
-            ordered = sorted(seqs)
+            by_parent.setdefault(node.parent, []).append(node.id)
+        for ids in by_parent.values():
+            ordered = sorted(ids)
             assert ordered[-1] - ordered[0] + 1 == len(ordered)
 
     def test_dfs_descendants_run_before_later_siblings(self, vault_env):
@@ -476,23 +500,23 @@ class TestTraceShape:
         def descendants(node_id):
             out = []
             for child in children.get(node_id, []):
-                out.append(child.seq)
+                out.append(child.id)
                 out.extend(descendants(child.id))
             return out
 
         for siblings in children.values():
-            ordered = sorted(siblings, key=lambda n: n.seq)
+            ordered = sorted(siblings, key=lambda n: n.id)
             for earlier, later in zip(ordered, ordered[1:]):
                 for d in descendants(earlier.id):
-                    assert d < later.seq
+                    assert d < later.id
 
     def test_parent_precedes_child(self, vault_env):
         _, _, tree = run_transaction(vault_env, _rob_tx(), BFS, 0)
-        ids = {n.id: n for n in tree.nodes}
+        # ids are execution order: 0..n-1 in list order
+        assert [n.id for n in tree.nodes] == list(range(len(tree.nodes)))
         for node in tree.nodes:
-            assert node.id == node.seq
             if node.parent is not None:
-                assert ids[node.parent].seq < node.seq
+                assert node.parent < node.id
 
 
 def test_view_between_steps_sees_committed_storage():

@@ -3,17 +3,24 @@ import json
 import pytest
 
 from chainsim.core import (
+    AddressV,
     AtomicBundle,
+    ContextBundle,
+    CreateContract,
+    EndInteractions,
+    Environment,
     NatV,
+    Restricted,
     Transfer,
     UNIT,
     UNIT_VALUE,
     make_param,
 )
-from chainsim.features import FeatureSet
+from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim import registry
 from chainsim.scheduler import (
     Commit,
+    Revert,
     SchedulerConfig,
     SignedTransaction,
     Strategy,
@@ -251,3 +258,85 @@ class TestJson:
         assert "breaking invariant" in payload["reason"]
         statuses = [n["status"] for n in payload["nodes"]]
         assert statuses.count("failed") == 1
+
+
+def _node(id, parent, sender, kind, status="executed", deltas=None, commits=None, **op):
+    """One exported node: `op` holds dest, amount and param when the node
+    records a transfer or a create."""
+    return {
+        "id": id, "parent": parent, "seq": id, "sender": sender, "kind": kind,
+        **op, "status": status, "deltas": deltas or {}, "commits": commits or {},
+    }
+
+
+class TestJsonExact:
+    """Every key and value of exported nodes, for each node kind."""
+
+    CFG = SchedulerConfig(features=FeatureSet.from_names(FEATURE_NAMES))
+    UNIT_CALL = '(pair "default" unit)'
+
+    def _env(self):
+        env = Environment()
+        env = env.updated("alice", registry.implicit_account(100))
+        return env.updated("bob", registry.implicit_account(50))
+
+    def test_committed_transaction_with_every_node_kind(self):
+        ops = (
+            ContextBundle(
+                (
+                    CreateContract("fwd", 2, NatV(5), "forwarder", UNIT_VALUE),
+                    Transfer("fwd", 0, make_param("invoke", AddressV("bob"), NatV(1))),
+                )
+            ),
+            AtomicBundle((Transfer("bob", 3, make_param("default")),)),
+            Restricted((Transfer("bob", 1, make_param("default")),), allow=frozenset({"bob"})),
+            Restricted((EndInteractions(),), block=frozenset({"carol"})),
+        )
+        outcome, _, tree = run_transaction(
+            self._env(), SignedTransaction("alice", ops), self.CFG, 4
+        )
+        assert isinstance(outcome, Commit)
+        call = self.UNIT_CALL
+        assert tree_to_json(tree) == {
+            "outcome": "commit",
+            "ts": 4,
+            "nodes": [
+                _node(0, None, "alice", "context", "expanded"),
+                _node(1, 0, "alice", "create", dest="fwd", amount=2, param="5",
+                      deltas={"alice": -2, "fwd": 2}, commits={"fwd": "5"}),
+                _node(2, 0, "alice", "transfer", dest="fwd", amount=0,
+                      param='(pair "invoke" (pair @bob 1))', commits={"fwd": "4"}),
+                _node(3, 2, "fwd", "transfer", dest="bob", amount=1, param=call,
+                      deltas={"bob": 1, "fwd": -1}, commits={"bob": "unit"}),
+                _node(4, None, "alice", "atomic", "expanded"),
+                _node(5, 4, "alice", "transfer", dest="bob", amount=3, param=call,
+                      deltas={"alice": -3, "bob": 3}, commits={"bob": "unit"}),
+                _node(6, None, "alice", "restricted", "expanded"),
+                _node(7, 6, "alice", "transfer", dest="bob", amount=1, param=call,
+                      deltas={"alice": -1, "bob": 1}, commits={"bob": "unit"}),
+                _node(8, None, "alice", "restricted", "expanded"),
+                _node(9, 8, "alice", "end_interactions"),
+            ],
+        }
+
+    def test_reverting_transaction_ends_in_a_failed_transfer(self):
+        ops = (
+            Transfer("bob", 1, make_param("default")),
+            Transfer("bob", 1000, make_param("default")),
+        )
+        outcome, _, tree = run_transaction(
+            self._env(), SignedTransaction("alice", ops), self.CFG, 5
+        )
+        assert isinstance(outcome, Revert)
+        call = self.UNIT_CALL
+        assert tree_to_json(tree) == {
+            "outcome": "revert",
+            "reason": "insufficient_balance: @alice holds 99, cannot send 1000",
+            "ts": 5,
+            "nodes": [
+                _node(0, None, "alice", "transfer", dest="bob", amount=1, param=call,
+                      deltas={"alice": -1, "bob": 1}, commits={"bob": "unit"}),
+                _node(1, None, "alice", "transfer", "failed", dest="bob", amount=1000,
+                      param=call),
+            ],
+        }
