@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from chainsim import cli
+from chainsim.features import FEATURE_NAMES
 from chainsim.scenario import MAX_NESTING
-from conftest import GOLDEN_DIR, scenario_path
+from conftest import GOLDEN_DIR, SCENARIO_DIR, scenario_path
 
 
 def run_cli(*args, cwd=None):
@@ -19,6 +21,34 @@ def run_cli(*args, cwd=None):
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+# The commands `cli_matrix.txt` freezes for every fixture, file name second.
+MATRIX_COMMANDS = (
+    ("run", "--step", "--features", ",".join(FEATURE_NAMES)),
+    ("run", "--strategy", "dfs", "--step"),
+    ("run", "--step", "--fuel", "3"),
+    ("compare",),
+)
+
+
+def cli_matrix(capsys) -> str:
+    """Each fixture under each matrix command, run in-process from the
+    repository root: `$ chainsim <args>`, then stdout, then `exit N`."""
+    capsys.readouterr()
+    blocks = []
+    for path in sorted(SCENARIO_DIR.glob("*.msc")):
+        for command, *flags in MATRIX_COMMANDS:
+            argv = [command, f"scenarios/{path.name}", *flags]
+            code = cli.main(argv)
+            out = capsys.readouterr().out
+            blocks.append(f"$ chainsim {' '.join(argv)}\n{out}exit {code}\n")
+    return "".join(blocks)
+
+
+def test_cli_matrix(capsys, monkeypatch):
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    assert cli_matrix(capsys) == golden("cli_matrix.txt")
 
 
 class TestRun:
