@@ -71,20 +71,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ScenarioParseError as err:
         _err(f"{args.file}:{err}")
         return EXIT_USAGE
+    # Only the flags given override the scenario's declared settings.
+    overrides: dict = {}
     try:
-        strategy = _parse_strategy(args.strategy) if args.strategy else None
-        features = _parse_features(args.features) if args.features is not None else None
+        if args.strategy:
+            overrides["strategy"] = _parse_strategy(args.strategy)
+        if args.features is not None:
+            overrides["features"] = _parse_features(args.features)
     except ValueError as err:
         _err(str(err))
         return EXIT_USAGE
+    if args.fuel is not None:
+        overrides["fuel"] = args.fuel
+    if args.step:
+        overrides["record_queue_states"] = True
     try:
-        outcome = run_scenario(
-            scenario,
-            strategy=strategy,
-            features=features,
-            fuel=args.fuel,
-            record_queue_states=args.step,
-        )
+        outcome = run_scenario(scenario, **overrides)
     except SetupError as err:
         _err(str(err))
         return EXIT_USAGE

@@ -16,10 +16,6 @@ if TYPE_CHECKING:
     from .features import FeatureSet
 
 # Addresses are opaque tokens; amounts are mutez in the unsigned 64-bit range.
-Address = str
-Amount = int
-Timestamp = int
-
 MAX_MUTEZ = 2**64 - 1
 
 
@@ -223,31 +219,52 @@ def _escape(s: str) -> str:
     return out.replace("\n", "\\n").replace("\t", "\\t")
 
 
+_LEAF_RENDERERS: dict[type, Callable[..., str]] = {
+    UnitV: lambda v: "unit",
+    NatV: lambda v: str(v.n),
+    IntV: lambda v: str(v.i),
+    BoolV: lambda v: "true" if v.b else "false",
+    StringV: lambda v: f'"{_escape(v.s)}"',
+    MutezV: lambda v: f"mutez {v.mutez}",
+    AddressV: lambda v: f"@{v.addr}",
+}
+
+
 def render_value(v: Value) -> str:
     """Render a value in scenario literal syntax.
 
     Non-negative IntV renders as a bare integer, which re-parses as NatV;
-    every other value round-trips through the scenario parser.
+    every other value round-trips through the scenario parser. Pairs and
+    lists are rendered from an explicit stack, so nesting depth is bounded
+    by memory, not by the interpreter's recursion limit.
     """
-    if isinstance(v, UnitV):
-        return "unit"
-    if isinstance(v, NatV):
-        return str(v.n)
-    if isinstance(v, IntV):
-        return str(v.i)
-    if isinstance(v, BoolV):
-        return "true" if v.b else "false"
-    if isinstance(v, StringV):
-        return f'"{_escape(v.s)}"'
-    if isinstance(v, MutezV):
-        return f"mutez {v.mutez}"
-    if isinstance(v, AddressV):
-        return f"@{v.addr}"
-    if isinstance(v, PairV):
-        return f"(pair {render_value(v.left)} {render_value(v.right)})"
-    if isinstance(v, ListV):
-        return "[" + ", ".join(render_value(item) for item in v.items) + "]"
-    raise TypeError(f"not a value: {v!r}")
+    leaf = _LEAF_RENDERERS.get(type(v))
+    if leaf is not None:
+        return leaf(v)
+    parts: list[str] = []
+    # Values still to render and literal text, last to be rendered first.
+    todo: list[Union[Value, str]] = [v]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        leaf = _LEAF_RENDERERS.get(type(item))
+        if leaf is not None:
+            parts.append(leaf(item))
+        elif isinstance(item, PairV):
+            parts.append("(pair ")
+            todo += (")", item.right, " ", item.left)
+        elif isinstance(item, ListV):
+            parts.append("[")
+            todo.append("]")
+            for k in range(len(item.items) - 1, -1, -1):
+                todo.append(item.items[k])
+                if k:
+                    todo.append(", ")
+        else:
+            raise TypeError(f"not a value: {item!r}")
+    return "".join(parts)
 
 
 def nest_values(values: tuple[Value, ...] | list[Value]) -> Value:
@@ -451,11 +468,14 @@ class ExecutionContext:
 
 @dataclass(frozen=True)
 class PendingOp:
-    """An operation queued with its execution context. `parent` is the trace
-    node id of the emitting execution (None for externally submitted ops)."""
+    """A queued operation with what belongs to it alone: who emitted it and
+    the restrictions it runs under. `parent` is the trace node id of the
+    emitting execution (None for externally submitted ops). The transaction's
+    author, timestamp and end-of-interactions owner live with the driver."""
 
     op: Operation
-    ectx: ExecutionContext
+    sender: str
+    restrictions: RestrictionState = RestrictionState()
     parent: Optional[int] = None
 
 
@@ -567,6 +587,6 @@ def render_stack(frames: Iterable[Iterable[PendingOp]]) -> str:
     """A pending-queue state as printed by --step: frames of (sender, op)."""
     rendered = []
     for frame in frames:
-        pending = ", ".join(f"({p.ectx.sender}, {render_op_brief(p.op)})" for p in frame)
+        pending = ", ".join(f"({p.sender}, {render_op_brief(p.op)})" for p in frame)
         rendered.append(f"[{pending}]")
     return "[" + ", ".join(rendered) + "]"

@@ -91,7 +91,7 @@ def _pending_debits(pending: QueueSnapshot, addr: str) -> int:
             return sum(debits(inner, sender) for inner in op.ops)
         return 0
 
-    return sum(debits(p.op, p.ectx.sender) for p in pending)
+    return sum(debits(p.op, p.sender) for p in pending)
 
 
 def pending_balance(

@@ -31,16 +31,8 @@ from .core import (
 )
 from .executor import execute_operation
 from .registry import ContractDef, ContractFail
-from .scenario import (
-    ContractDecl,
-    FeaturesDecl,
-    FuelDecl,
-    Scenario,
-    StrategyDecl,
-    print_scenario,
-)
+from .scenario import ContractDecl, Scenario, print_scenario
 from .scheduler import (
-    DEFAULT_FUEL,
     Commit,
     SchedulerConfig,
     SignedTransaction,
@@ -354,20 +346,11 @@ def reproduction_scenario(
     env0: Environment, tx: SignedTransaction, sched_cfg: SchedulerConfig
 ) -> str:
     """Print a standalone scenario reproducing `tx` against `env0`."""
-    decls: list = []
-    for addr in sorted(env0.accounts):
-        c = env0.accounts[addr]
-        decls.append(
-            ContractDecl(addr, c.code_key, c.config, c.storage, c.balance, c.contextual)
-        )
-    decls.append(StrategyDecl(sched_cfg.strategy.value))
-    enabled = sched_cfg.features.enabled_names()
-    if enabled:
-        decls.append(FeaturesDecl(enabled))
-    if sched_cfg.fuel != DEFAULT_FUEL:
-        decls.append(FuelDecl(sched_cfg.fuel))
-    scenario = Scenario("reproduction", tuple(decls), (tx,), ())
-    return print_scenario(scenario)
+    decls = tuple(
+        ContractDecl(addr, c.code_key, c.config, c.storage, c.balance, c.contextual)
+        for addr, c in sorted(env0.accounts.items())
+    )
+    return print_scenario(Scenario("reproduction", decls, (tx,), (), sched_cfg))
 
 
 def fuzz(

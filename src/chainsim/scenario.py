@@ -8,6 +8,7 @@ directory for committed fixtures.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -87,22 +88,7 @@ class ContractDecl:
     contextual: bool = False
 
 
-@dataclass(frozen=True)
-class StrategyDecl:
-    strategy: str  # "bfs" | "dfs"
-
-
-@dataclass(frozen=True)
-class FeaturesDecl:
-    names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FuelDecl:
-    fuel: int
-
-
-Decl = Union[AccountDecl, ContractDecl, StrategyDecl, FeaturesDecl, FuelDecl]
+Decl = Union[AccountDecl, ContractDecl]
 
 
 @dataclass(frozen=True)
@@ -133,10 +119,14 @@ Expectation = Union[ExpectBalance, ExpectStorage, ExpectOutcome, ExpectTotal]
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario. `config` holds the declared strategy, features and
+    fuel; `run_scenario` can override each of them for one run."""
+
     name: str
     decls: tuple[Decl, ...]
     transactions: tuple[SignedTransaction, ...]
     expectations: tuple[Expectation, ...]
+    config: SchedulerConfig = SchedulerConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +433,10 @@ def parse_scenario(text: str) -> Scenario:
     name = ts.expect_kind("string", "a scenario name (string)").text
 
     decls: list[Decl] = []
-    seen: set[str] = set()  # strategy, features and fuel appear at most once
+    settings: dict = {}  # SchedulerConfig fields; each declared at most once
     while ts.at_ident(*_DECL_KEYWORDS):
         tok = ts.advance()
-        if tok.text in seen:
+        if tok.text in settings:
             ts.fail(f"at most one {tok.text} declaration", tok)
         if tok.text == "account":
             addr = _parse_address(ts)
@@ -460,21 +450,21 @@ def parse_scenario(text: str) -> Scenario:
                 contextual = True
             decls.append(ContractDecl(*fields, contextual))
         elif tok.text == "strategy":
-            seen.add("strategy")
             if not ts.at_ident("bfs", "dfs"):
                 ts.fail("'bfs' or 'dfs'")
-            decls.append(StrategyDecl(ts.advance().text))
+            settings["strategy"] = Strategy(ts.advance().text)
         elif tok.text == "features":
-            seen.add("features")
             if not ts.at_ident(*FEATURE_NAMES):
                 ts.fail("a feature name")
             names: list[str] = []
             while ts.at_ident(*FEATURE_NAMES):
                 names.append(ts.advance().text)
-            decls.append(FeaturesDecl(tuple(names)))
+            settings["features"] = FeatureSet.from_names(names)
         else:  # fuel
-            seen.add("fuel")
-            decls.append(FuelDecl(_parse_nat(ts, "a fuel bound (nat)")))
+            fuel_tok = ts.peek()
+            settings["fuel"] = _parse_nat(ts, "a fuel bound (nat)")
+            if settings["fuel"] < 1:
+                ts.fail("a fuel bound of at least 1", fuel_tok)
 
     transactions: list[SignedTransaction] = []
     while ts.at_ident("transaction"):
@@ -513,7 +503,13 @@ def parse_scenario(text: str) -> Scenario:
 
     if ts.peek().kind != "eof":
         ts.fail("a declaration, transaction, expectation, or end of input")
-    return Scenario(name, tuple(decls), tuple(transactions), tuple(expectations))
+    return Scenario(
+        name,
+        tuple(decls),
+        tuple(transactions),
+        tuple(expectations),
+        SchedulerConfig(**settings),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,27 +518,28 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def print_scenario(s: Scenario) -> str:
+    """Scenario text that parses back to `s`. The settings follow the account
+    and contract lines: `strategy` always, `features` when any are on, and
+    `fuel` when it is not the default."""
     lines = [f"scenario {render_value(StringV(s.name))}"]
     for decl in s.decls:
         if isinstance(decl, AccountDecl):
             lines.append(f"account @{decl.addr} balance {decl.balance}")
-        elif isinstance(decl, ContractDecl):
-            line = (
-                f"contract @{decl.addr} code {decl.code_key}"
-                f" config {render_value(decl.config)}"
-                f" storage {render_value(decl.storage)} balance {decl.balance}"
-            )
-            if decl.contextual:
-                line += " contextual"
-            lines.append(line)
-        elif isinstance(decl, StrategyDecl):
-            lines.append(f"strategy {decl.strategy}")
-        elif isinstance(decl, FeaturesDecl):
-            lines.append("features " + " ".join(decl.names))
-        elif isinstance(decl, FuelDecl):
-            lines.append(f"fuel {decl.fuel}")
-        else:
-            raise TypeError(f"unknown decl: {decl!r}")
+            continue
+        line = (
+            f"contract @{decl.addr} code {decl.code_key}"
+            f" config {render_value(decl.config)}"
+            f" storage {render_value(decl.storage)} balance {decl.balance}"
+        )
+        if decl.contextual:
+            line += " contextual"
+        lines.append(line)
+    lines.append(f"strategy {s.config.strategy.value}")
+    enabled = s.config.features.enabled_names()
+    if enabled:
+        lines.append("features " + " ".join(enabled))
+    if s.config.fuel != DEFAULT_FUEL:
+        lines.append(f"fuel {s.config.fuel}")
     for tx in s.transactions:
         lines.append(f"transaction from @{tx.author} {{")
         lines.extend(render_op(op, 1) for op in tx.ops)
@@ -596,10 +593,9 @@ def validate_scenario(s: Scenario) -> None:
     address referenced by an op declared or created earlier in the scenario."""
     known: set[str] = set()
     for decl in s.decls:
-        if isinstance(decl, (AccountDecl, ContractDecl)):
-            if decl.addr in known:
-                raise SetupError(f"duplicate address @{decl.addr}")
-            known.add(decl.addr)
+        if decl.addr in known:
+            raise SetupError(f"duplicate address @{decl.addr}")
+        known.add(decl.addr)
         if isinstance(decl, ContractDecl) and not registry.is_registered(decl.code_key):
             raise SetupError(f"unknown code key {decl.code_key!r} for @{decl.addr}")
     for tx in s.transactions:
@@ -622,8 +618,6 @@ def build_environment(s: Scenario) -> Environment:
     once: Environment.updated would copy the whole dict per declaration."""
     accounts: dict[str, Contract] = {}
     for decl in s.decls:
-        if not isinstance(decl, (AccountDecl, ContractDecl)):
-            continue
         try:
             if isinstance(decl, AccountDecl):
                 contract = registry.implicit_account(decl.balance)
@@ -641,32 +635,11 @@ def build_environment(s: Scenario) -> Environment:
     return Environment(accounts)
 
 
-def scenario_config(
-    s: Scenario,
-    strategy: Optional[Strategy] = None,
-    features: Optional[FeatureSet] = None,
-    fuel: Optional[int] = None,
-    record_queue_states: bool = False,
-) -> SchedulerConfig:
-    declared_strategy = Strategy.BFS
-    declared_features = FeatureSet()
-    declared_fuel: Optional[int] = None
-    for decl in s.decls:
-        if isinstance(decl, StrategyDecl):
-            declared_strategy = Strategy(decl.strategy)
-        elif isinstance(decl, FeaturesDecl):
-            declared_features = FeatureSet.from_names(decl.names)
-        elif isinstance(decl, FuelDecl):
-            declared_fuel = decl.fuel
-    if fuel is None:
-        fuel = declared_fuel if declared_fuel is not None else DEFAULT_FUEL
+def scenario_config(s: Scenario, **overrides) -> SchedulerConfig:
+    """The scenario's settings with `overrides`, SchedulerConfig fields by
+    name, replacing the declared ones."""
     try:
-        return SchedulerConfig(
-            strategy=strategy or declared_strategy,
-            features=features if features is not None else declared_features,
-            fuel=fuel,
-            record_queue_states=record_queue_states,
-        )
+        return dataclasses.replace(s.config, **overrides)
     except ValueError as err:
         raise SetupError(str(err)) from None
 
@@ -730,17 +703,12 @@ def _evaluate(
     raise TypeError(f"unknown expectation: {e!r}")
 
 
-def run_scenario(
-    s: Scenario,
-    strategy: Optional[Strategy] = None,
-    features: Optional[FeatureSet] = None,
-    fuel: Optional[int] = None,
-    record_queue_states: bool = False,
-) -> ScenarioOutcome:
-    """Materialize the scenario, run its transactions, judge expectations."""
+def run_scenario(s: Scenario, **overrides) -> ScenarioOutcome:
+    """Materialize the scenario, run its transactions under its settings with
+    `overrides` applied (see scenario_config), judge expectations."""
     validate_scenario(s)
     env_before = build_environment(s)
-    cfg = scenario_config(s, strategy, features, fuel, record_queue_states)
+    cfg = scenario_config(s, **overrides)
     env_after, ts, trees = run_block(env_before, s.transactions, cfg, 0)
     results = tuple(_evaluate(e, env_after, tuple(trees)) for e in s.expectations)
     return ScenarioOutcome(

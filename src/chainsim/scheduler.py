@@ -10,7 +10,10 @@ while the timestamp still advances.
 
 `run_transaction` is the only driver: one pass of its loop is one step, and
 the transaction's state (queue frames, fuel, end-of-interactions owner, trace
-nodes) lives in its locals. `--step` output comes from its queue snapshots
+nodes) lives in its locals. A queue entry holds only what is its own, the
+sender and the restrictions; the loop builds each executable operation's
+`ExecutionContext` from it and the transaction's author and timestamp.
+`--step` output comes from its queue snapshots
 (`SchedulerConfig.record_queue_states`), and an `execute` hook sees each
 executable operation with the environment and the queue behind it.
 """
@@ -144,10 +147,9 @@ def run_transaction(
     """
     features = cfg.features
     record = cfg.record_queue_states
-    # The submitted ops form one frame under root contexts (sender = source =
-    # author). Frames are deques with the head frame last in the list.
-    root_ctx = ExecutionContext(sender=tx.author, source=tx.author, level=ts)
-    frames = [deque(PendingOp(op, root_ctx, parent=None) for op in tx.ops)]
+    # The submitted ops form one frame sent by the author. Frames are deques
+    # with the head frame last in the list.
+    frames = [deque(PendingOp(op, tx.author) for op in tx.ops)]
     pending = _PendingView(frames)
     fuel_left = cfg.fuel
     end_owner: Optional[str] = None
@@ -179,31 +181,24 @@ def run_transaction(
             feature, error = wrapper
             enabled = getattr(features, feature)
             status = STATUS_EXPANDED if enabled else STATUS_FAILED
-            nodes.append(TraceNode(node_id, p.parent, p.ectx.sender, op, status))
+            nodes.append(TraceNode(node_id, p.parent, p.sender, op, status))
             if not enabled:
                 failure = (error, f"{feature} feature disabled")
                 break
-            ectx = p.ectx
+            restrictions = p.restrictions
             if isinstance(op, Restricted):
-                ectx = ExecutionContext(
-                    sender=ectx.sender,
-                    source=ectx.source,
-                    restrictions=narrow_restrictions(ectx.restrictions, op.allow, op.block),
-                    end_interactions_owner=ectx.end_interactions_owner,
-                    level=ectx.level,
-                )
-            members = [PendingOp(o, ectx, node_id) for o in op.ops]
+                restrictions = narrow_restrictions(restrictions, op.allow, op.block)
+            members = [PendingOp(o, p.sender, restrictions, node_id) for o in op.ops]
             if isinstance(op, ContextBundle):
                 frames.append(deque(members))
             else:
                 frame.extendleft(reversed(members))
             continue
 
-        src = p.ectx
         ectx = ExecutionContext(
-            sender=src.sender,
-            source=src.source,
-            restrictions=src.restrictions,
+            sender=p.sender,
+            source=tx.author,
+            restrictions=p.restrictions,
             end_interactions_owner=end_owner,
             level=ts,
         )
@@ -226,18 +221,14 @@ def run_transaction(
             elif isinstance(op, CreateContract):
                 commits = ((op.addr, op.storage),)
         except ExecError as err:
-            nodes.append(TraceNode(node_id, p.parent, ectx.sender, op, STATUS_FAILED))
+            nodes.append(TraceNode(node_id, p.parent, p.sender, op, STATUS_FAILED))
             failure = (err.kind, err.detail)
             break
 
-        nodes.append(TraceNode(node_id, p.parent, ectx.sender, op, STATUS_EXECUTED, commits))
-        emitted_ctx = ExecutionContext(
-            sender=outcome.emitter,
-            source=ectx.source,
-            restrictions=ectx.restrictions,
-            level=ectx.level,
-        )
-        emitted = [PendingOp(o, emitted_ctx, node_id) for o in outcome.emitted]
+        nodes.append(TraceNode(node_id, p.parent, p.sender, op, STATUS_EXECUTED, commits))
+        emitted = [
+            PendingOp(o, outcome.emitter, p.restrictions, node_id) for o in outcome.emitted
+        ]
         if open_new_frame:
             # A contextual call's frame comes instead of, not on top of, frames
             # the call just drained (callee flag wins: one frame, not two).
@@ -253,7 +244,7 @@ def run_transaction(
         env = outcome.env_after
         fuel_left -= 1
         if isinstance(op, EndInteractions):
-            end_owner = ectx.sender
+            end_owner = p.sender
 
     if failure is None:
         if record:

@@ -26,20 +26,17 @@ from chainsim.core import (
     Value,
     make_param,
 )
-from chainsim.features import FEATURE_NAMES
+from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim.scenario import (
     AccountDecl,
     ContractDecl,
-    FeaturesDecl,
-    FuelDecl,
     Scenario,
-    StrategyDecl,
     ExpectBalance,
     ExpectOutcome,
     ExpectStorage,
     ExpectTotal,
 )
-from chainsim.scheduler import SignedTransaction
+from chainsim.scheduler import SchedulerConfig, SignedTransaction, Strategy
 
 _SAFE_CHARS = string.ascii_letters + string.digits + " _-.!?:/\\\"\n\t"
 
@@ -132,13 +129,14 @@ def random_scenario(rng: random.Random) -> Scenario:
                     contextual=rng.random() < 0.2,
                 )
             )
+    settings = {}
     if rng.random() < 0.6:
-        decls.append(StrategyDecl(rng.choice(["bfs", "dfs"])))
+        settings["strategy"] = Strategy(rng.choice(["bfs", "dfs"]))
     if rng.random() < 0.4:
         count = rng.randrange(1, len(FEATURE_NAMES) + 1)
-        decls.append(FeaturesDecl(tuple(rng.sample(FEATURE_NAMES, count))))
+        settings["features"] = FeatureSet.from_names(rng.sample(FEATURE_NAMES, count))
     if rng.random() < 0.3:
-        decls.append(FuelDecl(rng.randrange(1, 10_000)))
+        settings["fuel"] = rng.randrange(1, 10_000)
 
     txs = tuple(
         SignedTransaction(
@@ -163,4 +161,4 @@ def random_scenario(rng: random.Random) -> Scenario:
             expects.append(ExpectTotal(rng.randrange(1000)))
 
     name = "gen-" + str(rng.randrange(10**6))
-    return Scenario(name, tuple(decls), txs, tuple(expects))
+    return Scenario(name, tuple(decls), txs, tuple(expects), SchedulerConfig(**settings))

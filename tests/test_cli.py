@@ -118,6 +118,18 @@ class TestRun:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
+    def test_zero_fuel_in_file_is_positioned_parse_error(self, tmp_path):
+        path = tmp_path / "fuel0.msc"
+        path.write_text('scenario "x"\nfuel 0\naccount @a balance 5\n')
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert _position(proc, path) == (2, 6)
+        assert "expected a fuel bound of at least 1, found '0'" in proc.stderr
+
+    def test_zero_fuel_flag_is_setup_error(self):
+        proc = run_cli("run", str(scenario_path("vault_bfs_attack.msc")), "--fuel", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: fuel must be at least 1\n"
 
     def test_forwarder_overflow_reverts(self, tmp_path):
         path = tmp_path / "overflow.msc"

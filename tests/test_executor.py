@@ -422,9 +422,7 @@ class TestViews:
 
 
 def _pending_transfer(sender, dest, amount):
-    return PendingOp(
-        Transfer(dest, amount, make_param("default")), _ectx(sender), None
-    )
+    return PendingOp(Transfer(dest, amount, make_param("default")), sender)
 
 
 class TestPendingBalance:
@@ -460,9 +458,7 @@ class TestPendingBalance:
 
         inner = Transfer("bad", 5, make_param("default"))
         wrapped = PendingOp(
-            AtomicBundle((inner, Restricted((inner,), block=frozenset()))),
-            _ectx("vault"),
-            None,
+            AtomicBundle((inner, Restricted((inner,), block=frozenset()))), "vault"
         )
         assert pending_balance(vault_env, "vault", [wrapped], ALL_FEATURES) == 5
 

@@ -21,7 +21,6 @@ from chainsim.scenario import (
     Scenario,
     ScenarioParseError,
     SetupError,
-    StrategyDecl,
     build_environment,
     parse_scenario,
     print_scenario,
@@ -43,12 +42,8 @@ class TestParse:
         assert len(s.transactions[0].ops) == 1
         op = s.transactions[0].ops[0]
         assert op == Transfer("bad", 0, make_param("rob", NatV(3), NatV(5)))
-        assert [type(d) for d in s.decls] == [
-            AccountDecl,
-            ContractDecl,
-            ContractDecl,
-            StrategyDecl,
-        ]
+        assert [type(d) for d in s.decls] == [AccountDecl, ContractDecl, ContractDecl]
+        assert s.config.strategy is Strategy.BFS
         assert s.expectations[0].outcome == "commit"
 
     def test_comments_and_whitespace_insensitive(self):
@@ -140,6 +135,14 @@ class TestParseErrors:
         assert (err.value.line, err.value.column) == (3, 1)
         assert "at most one features" in err.value.expected
         assert err.value.found == "'features'"
+
+    def test_zero_fuel(self):
+        # Like every other out-of-range NAT: positioned at the number.
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario('scenario "x"\nfuel 0\naccount @a balance 5')
+        assert (err.value.line, err.value.column) == (2, 6)
+        assert err.value.expected == "a fuel bound of at least 1"
+        assert err.value.found == "'0'"
 
     @pytest.mark.parametrize(
         "text,line,col,expected,found",
@@ -460,10 +463,10 @@ class TestSetupErrors:
         with pytest.raises(SetupError):
             run_scenario(parse_scenario(text))
 
-    def test_zero_fuel(self):
-        text = 'scenario "x"\nfuel 0\naccount @a balance 5'
-        with pytest.raises(SetupError, match="fuel"):
-            run_scenario(parse_scenario(text))
+    def test_zero_fuel_override(self):
+        text = 'scenario "x"\nfuel 5\naccount @a balance 5'
+        with pytest.raises(SetupError, match="fuel must be at least 1"):
+            run_scenario(parse_scenario(text), fuel=0)
 
     def test_expectation_on_unknown_address(self):
         text = 'scenario "x"\naccount @a balance 5\nexpect balance @ghost = 0'

@@ -9,7 +9,6 @@ from chainsim.core import (
     AtomicBundle,
     ContextBundle,
     Environment,
-    ExecutionContext,
     ListV,
     MutezV,
     NatV,
@@ -38,6 +37,7 @@ from chainsim.scenario import build_environment, parse_scenario, scenario_config
 from chainsim.trace import (
     STATUS_EXECUTED,
     STATUS_FAILED,
+    tree_to_json,
     validate_conservation,
     validate_no_double_spend,
     validate_replay,
@@ -76,20 +76,22 @@ def _first_step(strategy, contextual_payer=False):
     tx = _context_tx(wrap=False)
     outcome, _, tree = run_transaction(env, tx, cfg, 0, execute)
     assert isinstance(outcome, Commit)
-    root_ctx = ExecutionContext(sender="user", source="user", level=0)
-    to_b = PendingOp(tx.ops[1], root_ctx, None)
-    emitted_ctx = ExecutionContext(sender="a", source="user", level=0)
+    # what the queue entries do not hold comes from the transaction
+    for _, ectx, _ in records:
+        assert (ectx.source, ectx.level, ectx.end_interactions_owner) == ("user", 0, None)
+    to_b = PendingOp(tx.ops[1], "user")
     r1, r2 = (
-        PendingOp(Transfer(r, 1, make_param("default")), emitted_ctx, 0) for r in ("r1", "r2")
+        PendingOp(Transfer(r, 1, make_param("default")), "a", parent=0) for r in ("r1", "r2")
     )
     return tree, records, to_b, r1, r2
 
 
 def _queue_after_first_step(tree, records):
     """The whole queue after the first step, head first: the second call's
-    operation, context and trace parent, then the queue behind it."""
+    operation, sender, restrictions and trace parent, then the queue behind
+    it."""
     op, ectx, behind = records[1]
-    return (PendingOp(op, ectx, tree.nodes[1].parent), *behind)
+    return (PendingOp(op, ectx.sender, ectx.restrictions, tree.nodes[1].parent), *behind)
 
 
 class TestStepInsertsEmitted:
@@ -236,9 +238,9 @@ class TestRunTransaction:
 
     def test_deeply_nested_emitted_parameter_reverts(self, simple_env):
         # A body emits a transfer whose argument nests 5,000 pairs, deeper
-        # than the interpreter's recursion limit. The driver renders nothing,
-        # so the callee's entrypoint check rejects it. Queue snapshots and
-        # trace export do render it, so they stay off here.
+        # than the interpreter's recursion limit. The callee's entrypoint
+        # check rejects it, and queue snapshots and trace export render it
+        # without recursing.
         key = "deep_param_for_test"
         if not registry.is_registered(key):
             def body(ctx, param, storage):
@@ -252,9 +254,12 @@ class TestRunTransaction:
             "deep", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
         )
         tx = SignedTransaction("alice", (Transfer("deep", 0, make_param("default")),))
-        outcome, _, tree = run_transaction(env, tx, SchedulerConfig(), 0)
+        cfg = SchedulerConfig(record_queue_states=True)
+        outcome, _, tree = run_transaction(env, tx, cfg, 0)
         assert isinstance(outcome, Revert) and outcome.kind == TYPE_MISMATCH
         assert [n.status for n in tree.nodes] == [STATUS_EXECUTED, STATUS_FAILED]
+        failed = tree_to_json(tree)["nodes"][1]
+        assert failed["param"] == '(pair "default" ' + "(pair 1 " * 5000 + "unit" + ")" * 5001
 
     def test_determinism(self, vault_env):
         runs = [run_transaction(vault_env, _rob_tx(), BFS, 7) for _ in range(2)]
@@ -597,7 +602,7 @@ class TestPendingView:
         records = []
 
         def execute(ectx, op, env, features, pending):
-            records.append((PendingOp(op, ectx, None), tuple(pending)))
+            records.append((PendingOp(op, ectx.sender, ectx.restrictions), tuple(pending)))
             return execute_operation(ectx, op, env, features, pending)
 
         outcome, _, tree = run_transaction(_mixed_env(), _mixed_tx(), cfg, 0, execute)
@@ -621,7 +626,7 @@ def _check_driver_run(env, tx, cfg, ts):
     records = []
 
     def execute(ectx, op, env, features, pending):
-        records.append((PendingOp(op, ectx, None), tuple(pending)))
+        records.append((PendingOp(op, ectx.sender, ectx.restrictions), tuple(pending)))
         return execute_operation(ectx, op, env, features, pending)
 
     outcome, ts_after, tree = run_transaction(env, tx, cfg, ts, execute)
@@ -657,7 +662,7 @@ class TestDriverOnEveryTransaction:
     def test_scenario_transactions(self, path, strategy):
         with open(path, encoding="utf-8") as fh:
             s = parse_scenario(fh.read())
-        cfg = scenario_config(s, strategy)
+        cfg = scenario_config(s, strategy=strategy)
         env = build_environment(s)
         for ts, tx in enumerate(s.transactions):
             outcome = _check_driver_run(env, tx, cfg, ts)
