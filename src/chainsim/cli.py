@@ -1,8 +1,9 @@
 """Command-line front door: run scenarios, compare strategies, fuzz.
 
-Exit codes: 0 success, 1 expectation/divergence/violation, 2 usage or
-parse/setup error, 3 internal error. Output is plain line-oriented text
-(no styling, so NO_COLOR needs nothing special).
+Exit codes: 0 success, 1 expectation/divergence/violation, 2 usage,
+parse, setup or file error (`main` maps them all), 3 internal error.
+Output is plain line-oriented text (no styling, so NO_COLOR needs nothing
+special).
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ def _parse_strategy(name: str) -> Strategy:
     try:
         return Strategy(name)
     except ValueError:
-        raise ValueError(f"unknown strategy {name!r} (choose bfs or dfs)") from None
+        raise SetupError(f"unknown strategy {name!r} (choose bfs or dfs)") from None
 
 
 def _parse_features(raw: str) -> FeatureSet:
     names = [part for part in raw.replace(",", " ").split() if part]
-    return FeatureSet.from_names(names)
+    try:
+        return FeatureSet.from_names(names)
+    except ValueError as err:
+        raise SetupError(str(err)) from None
 
 
 def _print_run(outcome, scenario: Scenario, step: bool) -> None:
@@ -63,33 +67,18 @@ def _print_run(outcome, scenario: Scenario, step: bool) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.file)
-    except OSError as err:
-        _err(str(err))
-        return EXIT_USAGE
-    except ScenarioParseError as err:
-        _err(f"{args.file}:{err}")
-        return EXIT_USAGE
+    scenario = load_scenario(args.file)
     # Only the flags given override the scenario's declared settings.
     overrides: dict = {}
-    try:
-        if args.strategy:
-            overrides["strategy"] = _parse_strategy(args.strategy)
-        if args.features is not None:
-            overrides["features"] = _parse_features(args.features)
-    except ValueError as err:
-        _err(str(err))
-        return EXIT_USAGE
+    if args.strategy:
+        overrides["strategy"] = _parse_strategy(args.strategy)
+    if args.features is not None:
+        overrides["features"] = _parse_features(args.features)
     if args.fuel is not None:
         overrides["fuel"] = args.fuel
     if args.step:
         overrides["record_queue_states"] = True
-    try:
-        outcome = run_scenario(scenario, **overrides)
-    except SetupError as err:
-        _err(str(err))
-        return EXIT_USAGE
+    outcome = run_scenario(scenario, **overrides)
     _print_run(outcome, scenario, args.step)
     if args.trace:
         payload = [tree_to_json(tree) for tree in outcome.trees]
@@ -102,30 +91,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     names = [part for part in args.strategies.split(",") if part]
     if len(names) < 2:
-        _err("compare needs at least two strategies")
-        return EXIT_USAGE
-    try:
-        strategies = [_parse_strategy(name) for name in names]
-    except ValueError as err:
-        _err(str(err))
-        return EXIT_USAGE
-    try:
-        scenario = load_scenario(args.file)
-    except OSError as err:
-        _err(str(err))
-        return EXIT_USAGE
-    except ScenarioParseError as err:
-        _err(f"{args.file}:{err}")
-        return EXIT_USAGE
-
-    outcomes = []
-    try:
-        for strategy in strategies:
-            outcomes.append((strategy, run_scenario(scenario, strategy=strategy)))
-    except SetupError as err:
-        _err(str(err))
-        return EXIT_USAGE
-
+        raise SetupError("compare needs at least two strategies")
+    strategies = [_parse_strategy(name) for name in names]
+    scenario = load_scenario(args.file)
+    outcomes = [(s, run_scenario(scenario, strategy=s)) for s in strategies]
     for strategy, outcome in outcomes:
         tx_summaries = []
         for tree in outcome.trees:
@@ -155,14 +124,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.iterations < 1:
-        _err("--iterations must be at least 1")
-        return EXIT_USAGE
+        raise SetupError("--iterations must be at least 1")
     if args.invariants:
         invariants = tuple(part for part in args.invariants.split(",") if part)
         for name in invariants:
             if name not in INVARIANT_NAMES:
-                _err(f"unknown invariant {name!r} (choose from {', '.join(INVARIANT_NAMES)})")
-                return EXIT_USAGE
+                raise SetupError(
+                    f"unknown invariant {name!r} (choose from {', '.join(INVARIANT_NAMES)})"
+                )
     else:
         invariants = DEFAULT_INVARIANTS
     env, gen_cfg = default_universe(args.seed)
@@ -221,9 +190,14 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0) if exc.code != 2 else EXIT_USAGE
     try:
         return args.fn(args)
+    except ScenarioParseError as err:
+        _err(f"{args.file}:{err}")
+    except (OSError, SetupError) as err:
+        _err(str(err))
     except Exception as err:  # pragma: no cover - defensive catch-all
         _err(f"internal error: {err!r}")
         return EXIT_INTERNAL
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

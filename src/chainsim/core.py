@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 if TYPE_CHECKING:
     from .features import FeatureSet
@@ -272,9 +272,10 @@ def nest_values(values: tuple[Value, ...] | list[Value]) -> Value:
     values = tuple(values)
     if not values:
         return UNIT_VALUE
-    if len(values) == 1:
-        return values[0]
-    return PairV(values[0], nest_values(values[1:]))
+    nested = values[-1]
+    for value in reversed(values[:-1]):
+        nested = PairV(value, nested)
+    return nested
 
 
 def make_param(entrypoint: str, *args: Value) -> Value:
@@ -437,6 +438,22 @@ Operation = Union[
 WRAPPER_OPS = (AtomicBundle, ContextBundle, Restricted)
 
 
+def walk_ops(ops: Iterable[Operation]) -> Iterator[tuple[int, Operation]]:
+    """Pre-order walk: (depth, op) for each of `ops` at depth 0 and, right
+    after each wrapper, its members one level deeper, in surface order. One
+    iterator per open wrapper sits on an explicit stack, so nesting depth is
+    bounded by memory, not by the recursion limit."""
+    stack = [iter(ops)]
+    while stack:
+        for op in stack[-1]:
+            yield len(stack) - 1, op
+            if isinstance(op, WRAPPER_OPS):
+                stack.append(iter(op.ops))
+                break
+        else:
+            stack.pop()
+
+
 # ---------------------------------------------------------------------------
 # Execution contexts
 # ---------------------------------------------------------------------------
@@ -543,44 +560,62 @@ def _wrapper_parts(op: Operation) -> tuple[str, Optional[list[str]]]:
 def render_op(op: Operation, indent: int = 0) -> str:
     """Render an operation in scenario syntax, wrapper members one per line
     below their wrapper. A ("default", unit) transfer prints bare."""
-    pad = "  " * indent
-    if isinstance(op, Transfer):
-        call = split_param(op.param)
-        if call is None:
-            raise ValueError(f"not an entrypoint call: {render_value(op.param)}")
-        line = f"{pad}transfer {op.amount} to @{op.dest}"
-        if call != ("default", ()):
-            line += f" call {call[0]}({_render_args(call[1])})"
-        return line
-    if isinstance(op, CreateContract):
-        return (
-            f"{pad}create @{op.addr} code {op.code_key} config {render_value(op.config)}"
-            f" storage {render_value(op.storage)} balance {op.amount}"
-        )
-    if isinstance(op, EndInteractions):
-        return f"{pad}end_interactions"
-    head, addrs = _wrapper_parts(op)
-    if addrs is not None:
-        head += f" [{' '.join('@' + a for a in addrs)}]"
-    members = [render_op(o, indent + 1) for o in op.ops]
-    return "\n".join([f"{pad}{head} {{", *members, f"{pad}}}"])
+    lines: list[str] = []
+    closers: list[str] = []  # the "}" line of each wrapper still open
+    for depth, item in walk_ops((op,)):
+        while len(closers) > depth:
+            lines.append(closers.pop())
+        pad = "  " * (indent + depth)
+        if isinstance(item, Transfer):
+            call = split_param(item.param)
+            if call is None:
+                raise ValueError(f"not an entrypoint call: {render_value(item.param)}")
+            line = f"transfer {item.amount} to @{item.dest}"
+            if call != ("default", ()):
+                line += f" call {call[0]}({_render_args(call[1])})"
+        elif isinstance(item, CreateContract):
+            line = (
+                f"create @{item.addr} code {item.code_key} config {render_value(item.config)}"
+                f" storage {render_value(item.storage)} balance {item.amount}"
+            )
+        elif isinstance(item, EndInteractions):
+            line = "end_interactions"
+        else:
+            line, addrs = _wrapper_parts(item)
+            if addrs is not None:
+                line += f" [{' '.join('@' + a for a in addrs)}]"
+            line += " {"
+            closers.append(pad + "}")
+        lines.append(pad + line)
+    return "\n".join(lines + closers[::-1])
 
 
 def render_op_brief(op: Operation) -> str:
     """One-line rendering used in queue states: `dest.entrypoint(args)`."""
-    if isinstance(op, Transfer):
-        call = split_param(op.param)
-        if call is None:
-            return f"{op.dest}!{render_value(op.param)}"
-        return f"{op.dest}.{call[0]}({_render_args(call[1])})"
-    if isinstance(op, CreateContract):
-        return f"create {op.addr}"
-    if isinstance(op, EndInteractions):
-        return "end_interactions"
-    head, addrs = _wrapper_parts(op)
-    if addrs is not None:
-        head += f"[{', '.join('@' + a for a in addrs)}]"
-    return head + "{" + ", ".join(render_op_brief(o) for o in op.ops) + "}"
+    parts: list[str] = []
+    open_wrappers, prev_depth = 0, -1
+    for depth, item in walk_ops((op,)):
+        if depth <= prev_depth:  # not a first member: close what it follows
+            parts.append("}" * (open_wrappers - depth) + ", ")
+            open_wrappers = depth
+        prev_depth = depth
+        if isinstance(item, Transfer):
+            call = split_param(item.param)
+            if call is None:
+                parts.append(f"{item.dest}!{render_value(item.param)}")
+            else:
+                parts.append(f"{item.dest}.{call[0]}({_render_args(call[1])})")
+        elif isinstance(item, CreateContract):
+            parts.append(f"create {item.addr}")
+        elif isinstance(item, EndInteractions):
+            parts.append("end_interactions")
+        else:
+            head, addrs = _wrapper_parts(item)
+            if addrs is not None:
+                head += f"[{', '.join('@' + a for a in addrs)}]"
+            parts.append(head + "{")
+            open_wrappers += 1
+    return "".join(parts) + "}" * open_wrappers
 
 
 def render_stack(frames: Iterable[Iterable[PendingOp]]) -> str:

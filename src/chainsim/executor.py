@@ -29,6 +29,7 @@ from .core import (
     WRAPPER_OPS,
     amount_add,
     value_typecheck,
+    walk_ops,
 )
 from .features import FeatureSet, end_mode_permits, restrictions_permit
 from .registry import ContractFail
@@ -84,14 +85,8 @@ def view_storage(env: Environment, addr: str, features: FeatureSet) -> Value:
 
 
 def _pending_debits(pending: QueueSnapshot, addr: str) -> int:
-    def debits(op: Operation, sender: str) -> int:
-        if isinstance(op, Transfer):
-            return op.amount if sender == addr else 0
-        if isinstance(op, WRAPPER_OPS):
-            return sum(debits(inner, sender) for inner in op.ops)
-        return 0
-
-    return sum(debits(p.op, p.sender) for p in pending)
+    ops = (p.op for p in pending if p.sender == addr)
+    return sum(op.amount for _, op in walk_ops(ops) if isinstance(op, Transfer))
 
 
 def pending_balance(

@@ -39,6 +39,7 @@ from .core import (
     make_param,
     render_op,
     render_value,
+    walk_ops,
 )
 from .features import FEATURE_NAMES, FeatureSet
 from .scheduler import (
@@ -64,7 +65,8 @@ class ScenarioParseError(Exception):
 
 class SetupError(Exception):
     """The scenario parsed but cannot be materialized (bad code key, duplicate
-    address, undeclared reference, bad config/storage)."""
+    address, undeclared reference, bad config/storage), or a setting given
+    for the run is invalid."""
 
 
 # ---------------------------------------------------------------------------
@@ -572,22 +574,6 @@ def compile_op(op: Operation) -> Operation:
     return op
 
 
-def _op_addr_refs(op: Operation):
-    """(referenced addresses, created addresses) in surface order."""
-    if isinstance(op, Transfer):
-        yield ("ref", op.dest)
-    elif isinstance(op, CreateContract):
-        yield ("create", op.addr)
-    elif isinstance(op, (AtomicBundle, ContextBundle)):
-        for inner in op.ops:
-            yield from _op_addr_refs(inner)
-    elif isinstance(op, Restricted):
-        for addr in sorted((op.allow or frozenset()) | (op.block or frozenset())):
-            yield ("ref", addr)
-        for inner in op.ops:
-            yield from _op_addr_refs(inner)
-
-
 def validate_scenario(s: Scenario) -> None:
     """Static checks: known code keys, no duplicate addresses, and every
     address referenced by an op declared or created earlier in the scenario."""
@@ -601,13 +587,18 @@ def validate_scenario(s: Scenario) -> None:
     for tx in s.transactions:
         if tx.author not in known:
             raise SetupError(f"transaction author @{tx.author} is not declared")
-        for op in tx.ops:
-            for what, addr in _op_addr_refs(op):
-                if what == "ref":
-                    if addr not in known:
-                        raise SetupError(f"address @{addr} referenced before declaration")
-                else:
-                    known.add(addr)
+        # Pre-order: a restriction's addresses are checked before its members.
+        for _, op in walk_ops(tx.ops):
+            refs: list[str] = []
+            if isinstance(op, Transfer):
+                refs = [op.dest]
+            elif isinstance(op, Restricted):
+                refs = sorted((op.allow or frozenset()) | (op.block or frozenset()))
+            elif isinstance(op, CreateContract):
+                known.add(op.addr)
+            for addr in refs:
+                if addr not in known:
+                    raise SetupError(f"address @{addr} referenced before declaration")
     for e in s.expectations:
         if isinstance(e, (ExpectBalance, ExpectStorage)) and e.addr not in known:
             raise SetupError(f"expectation references unknown address @{e.addr}")

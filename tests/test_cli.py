@@ -104,6 +104,36 @@ class TestRun:
         node = tree["nodes"][0]
         assert {"id", "parent", "seq", "sender", "kind", "status", "deltas", "commits"} <= set(node)
 
+    def test_unknown_feature_flag(self):
+        proc = run_cli(
+            "run", str(scenario_path("vault_bfs_attack.msc")), "--features", "bogus"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unknown feature: 'bogus'\n"
+
+    def test_unwritable_trace_is_usage_error(self, tmp_path):
+        trace = tmp_path / "missing" / "t.json"
+        proc = run_cli(
+            "run", str(scenario_path("vault_bfs_attack.msc")), "--trace", str(trace)
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and str(trace) in proc.stderr
+        assert "internal error" not in proc.stderr
+
+    def test_call_with_thousands_of_arguments(self, tmp_path):
+        # 5,000 arguments nest 5,000 pairs deep, past the recursion limit.
+        path = tmp_path / "wide.msc"
+        args = ", ".join(["1"] * 5000)
+        path.write_text(
+            'scenario "wide"\naccount @a balance 10\naccount @b balance 0\n'
+            f"transaction from @a {{\n  transfer 1 to @b call f({args})\n}}\n"
+            "expect revert\n"
+        )
+        proc = run_cli("run", str(path), "--step", "--trace", str(tmp_path / "t.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert "  revert (type_mismatch: @b does not declare entrypoint 'f')\n" in proc.stdout
+        assert json.loads((tmp_path / "t.json").read_text())[0]["outcome"] == "revert"
+
     def test_feature_override(self):
         # stripping the contexts feature makes the fixture revert
         proc = run_cli(
@@ -181,6 +211,13 @@ class TestFuzz:
     def test_unknown_invariant_usage_error(self):
         proc = run_cli("fuzz", "--iterations", "1", "--invariants", "nope")
         assert proc.returncode == 2
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        proc = run_cli("fuzz", "--iterations", "3", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
+        assert "internal error" not in proc.stderr
 
     def test_stdout_deterministic(self):
         a = run_cli("fuzz", "--seed", "3", "--iterations", "40")

@@ -12,8 +12,11 @@ from chainsim.core import (
     UNIT_VALUE,
     AddressV,
     AmountError,
+    AtomicBundle,
     BoolV,
     Contract,
+    ContextBundle,
+    EndInteractions,
     Environment,
     IntV,
     ListV,
@@ -30,11 +33,13 @@ from chainsim.core import (
     make_param,
     nest_values,
     pair_t,
+    render_op,
     render_op_brief,
     render_value,
     split_param,
     value_type,
     value_typecheck,
+    walk_ops,
 )
 from chainsim import registry
 
@@ -283,6 +288,40 @@ class TestRendering:
         assert render_op_brief(Transfer("x", 0, make_param("default"))) == "x.default()"
 
 
+class TestWalkOps:
+    T = Transfer("x", 0, make_param("default"))
+    EMPTY = ContextBundle(())
+    NESTED = AtomicBundle((AtomicBundle((T,)), EMPTY, T, EndInteractions()))
+
+    def test_pre_order_with_depths(self):
+        inner = self.NESTED.ops[0]
+        assert list(walk_ops([self.NESTED, self.T])) == [
+            (0, self.NESTED), (1, inner), (2, self.T), (1, self.EMPTY), (1, self.T),
+            (1, EndInteractions()), (0, self.T),
+        ]
+
+    def test_renderers_close_wrappers_as_depth_drops(self):
+        assert render_op_brief(self.NESTED) == (
+            "atomic{atomic{x.default()}, context{}, x.default(), end_interactions}"
+        )
+        assert render_op(self.NESTED, 1).splitlines() == [
+            "  atomic {", "    atomic {", "      transfer 0 to @x", "    }",
+            "    context {", "    }", "    transfer 0 to @x", "    end_interactions", "  }",
+        ]
+
+    def test_nesting_past_the_recursion_limit(self):
+        op = Transfer("x", 1, make_param("default"))
+        for _ in range(1500):
+            op = Restricted((op,), allow=frozenset({"x"}))
+        lines = render_op(op).splitlines()
+        assert len(lines) == 3001
+        assert lines[1499:1502] == [
+            " " * 2998 + "allow [@x] {", " " * 3000 + "transfer 1 to @x", " " * 2998 + "}"
+        ]
+        assert render_op_brief(op) == "allow[@x]{" * 1500 + "x.default()" + "}" * 1500
+        assert len(list(walk_ops([op]))) == 1501
+
+
 def test_split_param_inverts_make_param():
     from scenario_gen import random_value
 
@@ -306,3 +345,9 @@ def test_make_param_nesting():
     assert nest_values([NatV(1), NatV(2), NatV(3)]) == PairV(
         NatV(1), PairV(NatV(2), NatV(3))
     )
+    # more arguments than the recursion limit allows frames
+    chain = nest_values([NatV(k) for k in range(5000)])
+    for k in range(4999):
+        assert chain.left == NatV(k)
+        chain = chain.right
+    assert chain == NatV(4999)

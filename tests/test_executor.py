@@ -274,6 +274,11 @@ class TestTransfer:
                 "@crash emitted int, not an operation",
             ),
             (
+                lambda ctx, p, st: ([None], st),
+                CONTRACT_CRASH,
+                "@crash emitted NoneType, not an operation",
+            ),
+            (
                 lambda ctx, p, st: (
                     [AtomicBundle((Transfer("alice", 0, make_param("default")), Restricted(("x",))))],
                     st,
@@ -284,7 +289,10 @@ class TestTransfer:
             # an ExecError from a capability keeps its kind
             (lambda ctx, p, st: ([], ctx.view("alice")), FEATURE_DISABLED, "views feature disabled"),
         ],
-        ids=["index_error", "ops_not_iterable", "none", "triple", "emits_int", "wrapped_str", "view_off"],
+        ids=[
+            "index_error", "ops_not_iterable", "none", "triple", "emits_int", "emits_none",
+            "wrapped_str", "view_off",
+        ],
     )
     def test_misbehaving_body_reverts_with_a_kind(self, simple_env, request, body, kind, detail):
         key = f"crash_{request.node.callspec.id}_for_test"
@@ -461,6 +469,12 @@ class TestPendingBalance:
             AtomicBundle((inner, Restricted((inner,), block=frozenset()))), "vault"
         )
         assert pending_balance(vault_env, "vault", [wrapped], ALL_FEATURES) == 5
+        # nested deeper than the recursion limit; other senders' ops are skipped
+        deep = inner
+        for _ in range(3000):
+            deep = AtomicBundle((deep,))
+        pending = [PendingOp(deep, "vault"), PendingOp(deep, "owner")]
+        assert pending_balance(vault_env, "vault", pending, ALL_FEATURES) == 15 - 5
 
     def test_feature_off(self, vault_env):
         _expect_error(FEATURE_DISABLED, pending_balance, vault_env, "vault", [], FEATURES)

@@ -1,4 +1,5 @@
-"""Every name a `chainsim` module imports is used in that module.
+"""Every name a `chainsim` module imports is used in that module, and no
+function recurses without a stated bound.
 
 `__init__.py` is exempt: its imports are the package's re-exports. A name
 that appears only in a string annotation (or a string inside a subscripted
@@ -56,3 +57,38 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     dead = _imported(tree) - _used(tree) - {"annotations"}
     assert not dead, f"{path.name} imports unused names: {sorted(dead)}"
+
+
+# The self-recursive functions allowed, each with what bounds its depth.
+BOUNDED_RECURSION = {
+    "_parse_value": "scenario.MAX_NESTING brackets",
+    "value_typecheck": "the depth of the declared TypeTag",
+    "value_type": "parsed values are bounded by MAX_NESTING; a body that builds "
+    "a deeper list element reverts contract_crash",
+}
+
+
+def _self_recursive(tree: ast.Module) -> set[str]:
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == fn.name
+                ):
+                    found.add(fn.name)
+    return found
+
+
+def test_no_unbounded_recursion():
+    """A function that calls its own name (a bare `Name`, not an attribute)
+    must be in BOUNDED_RECURSION; everything else that nests, such as wrapper
+    operations or pair values, is walked from an explicit stack. Mutual
+    recursion is not seen: `_parse_op` and `_parse_block` call each other,
+    bounded by MAX_NESTING as well."""
+    found = set()
+    for path in MODULES:
+        found |= _self_recursive(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == set(BOUNDED_RECURSION)

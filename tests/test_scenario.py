@@ -6,6 +6,8 @@ import pytest
 from chainsim.core import (
     MAX_MUTEZ,
     UNIT_VALUE,
+    AtomicBundle,
+    ContextBundle,
     NatV,
     PairV,
     Restricted,
@@ -25,6 +27,7 @@ from chainsim.scenario import (
     parse_scenario,
     print_scenario,
     run_scenario,
+    validate_scenario,
 )
 from chainsim.scheduler import SignedTransaction, Strategy
 
@@ -307,6 +310,17 @@ class TestRoundTrip:
                     for v in (decl.config, decl.storage):
                         assert value_typecheck(v, value_type(v))
 
+    def test_print_nesting_past_the_recursion_limit(self):
+        op = Transfer("a", 1, make_param("default"))
+        for _ in range(1500):
+            op = ContextBundle((op,))
+        s = Scenario("deep", (AccountDecl("a", 1),), (SignedTransaction("a", (op,)),), ())
+        lines = print_scenario(s).splitlines()
+        assert lines[3] == "transaction from @a {"
+        assert lines[4:6] == ["  context {", "    context {"]
+        assert lines[-2:] == ["  }", "}"]
+        assert len(lines) == 4 + 3001 + 1
+
     def test_print_preserves_declaration_order(self):
         text = (
             'scenario "ordered"\n'
@@ -442,6 +456,23 @@ class TestSetupErrors:
         text = 'scenario "x"\naccount @a balance 5\ntransaction from @a { transfer 1 to @ghost }'
         with pytest.raises(SetupError, match="@ghost"):
             run_scenario(parse_scenario(text))
+
+    def test_undeclared_destination_past_the_recursion_limit(self):
+        op = Transfer("ghost", 1, make_param("default"))
+        for _ in range(3000):
+            op = AtomicBundle((op,))
+        s = Scenario("deep", (AccountDecl("a", 5),), (SignedTransaction("a", (op,)),), ())
+        with pytest.raises(SetupError, match="@ghost referenced before declaration"):
+            validate_scenario(s)
+
+    def test_restriction_addresses_checked_before_members(self):
+        op = Restricted(
+            (Transfer("ghost", 1, make_param("default")),), allow=frozenset({"b", "c"})
+        )
+        decls = (AccountDecl("a", 5), AccountDecl("c", 0))
+        s = Scenario("r", decls, (SignedTransaction("a", (op,)),), ())
+        with pytest.raises(SetupError, match="@b referenced before declaration"):
+            validate_scenario(s)
 
     def test_created_address_usable_later(self):
         text = (

@@ -261,6 +261,32 @@ class TestRunTransaction:
         failed = tree_to_json(tree)["nodes"][1]
         assert failed["param"] == '(pair "default" ' + "(pair 1 " * 5000 + "unit" + ")" * 5001
 
+    def test_deeply_nested_emitted_bundle_commits_with_snapshots(self, simple_env):
+        # A body emits a transfer inside 3,000 nested bundles, deeper than the
+        # interpreter's recursion limit. Queue snapshots render it, and the
+        # trace exports it, without recursing.
+        key = "deep_bundle_for_test"
+        if not registry.is_registered(key):
+            def body(ctx, param, storage):
+                op = Transfer("r", 0, make_param("default"))
+                for _ in range(3000):
+                    op = AtomicBundle((op,))
+                return [Transfer("r", 0, make_param("default")), op], storage
+
+            registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
+        env = simple_env.updated("r", registry.implicit_account(0)).updated(
+            "deep", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        )
+        tx = SignedTransaction("alice", (Transfer("deep", 0, make_param("default")),))
+        cfg = SchedulerConfig(features=FeatureSet(bundles=True), record_queue_states=True)
+        outcome, _, tree = run_transaction(env, tx, cfg, 0)
+        assert isinstance(outcome, Commit)
+        assert len(tree.nodes) == 3003
+        assert tree.queue_states[1] == (
+            "[[(deep, r.default()), (deep, " + "atomic{" * 3000 + "r.default()" + "}" * 3000 + ")]]"
+        )
+        assert len(tree_to_json(tree)["nodes"]) == 3003
+
     def test_determinism(self, vault_env):
         runs = [run_transaction(vault_env, _rob_tx(), BFS, 7) for _ in range(2)]
         assert runs[0][0] == runs[1][0]
