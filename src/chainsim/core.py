@@ -288,11 +288,12 @@ def make_param(entrypoint: str, *args: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contract:
     """An installed contract. Only storage and balance ever change; code_key,
     the storage type, config and the contextual flag are fixed at creation.
-    The entrypoints live with the code (`registry.ContractDef`)."""
+    The entrypoints live with the code (`registry.ContractDef`). Slots keep
+    the one instance per account small."""
 
     storage_type: TypeTag
     storage: Value
@@ -311,9 +312,7 @@ class Contract:
     def with_balance(self, balance: int) -> "Contract":
         # The storage is unchanged and was typechecked when `self` was built,
         # so only the new amount needs a check.
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__, balance=check_amount(balance))
-        return clone
+        return self._with(self.storage, check_amount(balance))
 
     def with_storage(self, storage: Value) -> "Contract":
         # Only the storage changes, so only it needs a check. The message
@@ -321,33 +320,84 @@ class Contract:
         # from anything.
         if not value_typecheck(storage, self.storage_type):
             raise ValueError("new storage does not inhabit its declared type")
+        return self._with(storage, self.balance)
+
+    def _with(self, storage: Value, balance: int) -> "Contract":
+        # A copy that skips `__post_init__`: the callers checked what changed.
         clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__, storage=storage)
+        set_field = object.__setattr__
+        set_field(clone, "storage_type", self.storage_type)
+        set_field(clone, "storage", storage)
+        set_field(clone, "balance", balance)
+        set_field(clone, "code_key", self.code_key)
+        set_field(clone, "config", self.config)
+        set_field(clone, "contextual", self.contextual)
         return clone
 
 
-@dataclass(frozen=True)
 class Environment:
-    """Partial map address -> contract. Updates copy; old snapshots stay valid.
+    """Partial map address -> contract. Updates share structure; old
+    snapshots stay valid.
 
-    The backing dict is owned by the instance and must not be mutated.
+    An environment is a `base` dict, shared by every environment derived from
+    it, and a `top` dict of the writes made since `base` was built; `top`
+    wins. Neither dict is mutated once an environment holds it. `updated`
+    copies only `top`, and folds it into a fresh base once
+    `len(top) ** 2 > len(base)`, so an update over N accounts costs
+    amortised O(sqrt N) instead of a copy of all N.
+
+    `Environment(accounts)` takes ownership of `accounts` without copying it.
+    An address is checked once, when it first enters through `updated`.
     """
 
-    accounts: dict[str, Contract] = field(default_factory=dict)
+    __slots__ = ("_base", "_top")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, accounts: Optional[dict[str, Contract]] = None) -> None:
+        self._base: dict[str, Contract] = {} if accounts is None else accounts
+        self._top: dict[str, Contract] = {}
+
+    @property
+    def accounts(self) -> dict[str, Contract]:
+        """Every account as one dict, which callers never mutate.
+
+        The first read of a layered environment folds `top` into a fresh base
+        that this environment keeps, so later reads return that same dict."""
+        if self._top:
+            self._base = {**self._base, **self._top}
+            self._top = {}
+        return self._base
 
     def get(self, addr: str) -> Optional[Contract]:
-        return self.accounts.get(addr)
+        contract = self._top.get(addr)
+        return self._base.get(addr) if contract is None else contract
 
     def __contains__(self, addr: str) -> bool:
-        return addr in self.accounts
+        return addr in self._top or addr in self._base
 
     def addresses(self) -> tuple[str, ...]:
         return tuple(sorted(self.accounts))
 
     def updated(self, addr: str, contract: Contract) -> "Environment":
-        accounts = dict(self.accounts)
-        accounts[check_address(addr)] = contract
-        return Environment(accounts)
+        base = self._base
+        if addr not in self._top and addr not in base:
+            check_address(addr)
+        top = {**self._top, addr: contract}
+        if len(top) ** 2 > len(base):
+            base = {**base, **top}
+            top = {}
+        env = object.__new__(Environment)
+        env._base = base
+        env._top = top
+        return env
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Environment):
+            return NotImplemented
+        return self.accounts == other.accounts
+
+    def __repr__(self) -> str:
+        return f"Environment(accounts={self.accounts!r})"
 
     def total_balance(self) -> int:
         total = 0

@@ -9,7 +9,6 @@ alone reproduces its violation; iterations are independent of each other.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import random
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from .core import (
     UNIT,
     UNIT_VALUE,
     AddressV,
+    Contract,
     CreateContract,
     Environment,
     NatV,
@@ -227,11 +227,8 @@ def default_universe(
         ("fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(40), 40)),
         ("imp", registry.instantiate(demonic.code_key, UNIT_VALUE, UNIT_VALUE, 10)),
     )
-    env = Environment()
-    for addr, contract in entries:
-        env = env.updated(addr, contract)
     universe = tuple((addr, contract.code_key) for addr, contract in entries)
-    return env, GenConfig(seed=seed, universe=universe)
+    return Environment(dict(entries)), GenConfig(seed=seed, universe=universe)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +285,13 @@ def check_transaction(
     execute=execute_operation,
 ) -> list[str]:
     """Run one transaction from env0 and return the invariants it violates."""
-    snapshot = copy.deepcopy(env0) if "revert_totality" in invariants else None
+    # Every account and value is a frozen dataclass, so a contract's identity
+    # and hash show whether a faulty executor replaced or mutated it in place.
+    snapshot = (
+        {addr: (c, hash(c)) for addr, c in env0.accounts.items()}
+        if "revert_totality" in invariants
+        else None
+    )
     outcome, _, tree = run_transaction(env0, tx, sched_cfg, 0, execute)
     failed: list[str] = []
     if isinstance(outcome, Commit):
@@ -305,7 +308,7 @@ def check_transaction(
         ):
             failed.append("transfer_correctness")
     else:
-        if "revert_totality" in invariants and snapshot is not None and env0 != snapshot:
+        if snapshot is not None and not _unchanged(env0, snapshot):
             failed.append("revert_totality")
     if (
         "sibling_contiguity" in invariants
@@ -313,6 +316,13 @@ def check_transaction(
     ):
         failed.append("sibling_contiguity")
     return failed
+
+
+def _unchanged(env: Environment, snapshot: dict[str, tuple[Contract, int]]) -> bool:
+    accounts = env.accounts
+    return accounts.keys() == snapshot.keys() and all(
+        accounts[addr] is c and hash(c) == h for addr, (c, h) in snapshot.items()
+    )
 
 
 def _shrink(

@@ -74,13 +74,13 @@ class SetupError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccountDecl:
     addr: str
     balance: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractDecl:
     addr: str
     code_key: str

@@ -1,7 +1,8 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainsim.core import (
     ADDRESS,
@@ -41,7 +42,7 @@ from chainsim.core import (
     value_typecheck,
     walk_ops,
 )
-from chainsim import registry
+from chainsim import core, registry
 
 
 class TestTypecheck:
@@ -180,6 +181,29 @@ class TestEnvironment:
         assert "missing" not in env
         assert "a" in env
 
+    def test_invalid_new_address_is_rejected(self):
+        env = Environment({"a": registry.implicit_account(0)}).updated(
+            "b", registry.implicit_account(1)
+        )
+        for bad in ("a b", "", 5):
+            with pytest.raises(ValueError):
+                Environment().updated(bad, registry.implicit_account(1))
+            with pytest.raises(ValueError):
+                env.updated(bad, registry.implicit_account(1))
+
+    def test_present_address_is_not_checked_again(self, monkeypatch):
+        env = Environment({f"a{i}": registry.implicit_account(i) for i in range(100)})
+        env = env.updated("new", registry.implicit_account(0))
+
+        def refuse(token):
+            raise AssertionError(f"{token!r} checked again")
+
+        monkeypatch.setattr(core, "check_address", refuse)
+        # "a0" sits in the shared base and "new" in the writes above it.
+        for addr in ("a0", "new", "a0", "new"):
+            env = env.updated(addr, registry.implicit_account(7))
+        assert env.get("a0").balance == env.get("new").balance == 7
+
 
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 100)), max_size=8))
 def test_updates_never_mutate_snapshots(script):
@@ -192,6 +216,39 @@ def test_updates_never_mutate_snapshots(script):
         history.append((copy.deepcopy(env), env))
     for frozen, live in history:
         assert frozen == live
+
+
+_MODEL_ADDRS = [f"a{i}" for i in range(200)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 120),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(_MODEL_ADDRS), st.integers(0, 1000)),
+        min_size=100,
+        max_size=300,
+    ),
+)
+def test_layered_environment_matches_a_dict_model(start, script):
+    """Updates that cross many compactions, some applied to an older snapshot
+    (a branch, as revert and fuzz take), read exactly as a plain dict."""
+    model = {a: registry.implicit_account(k) for k, a in enumerate(_MODEL_ADDRS[:start])}
+    history = [(Environment(dict(model)), model)]
+    for branch, addr, balance in script:
+        # Mostly extend the newest snapshot; every fourth step branches.
+        env, model = history[-1 if branch % 4 else branch % len(history)]
+        model = {**model, addr: registry.implicit_account(balance)}
+        history.append((env.updated(addr, model[addr]), model))
+    for env, model in history:
+        for addr in _MODEL_ADDRS + ["absent"]:
+            assert env.get(addr) is model.get(addr)
+            assert (addr in env) == (addr in model)
+        assert env == Environment(dict(model))
+        assert env.accounts == model
+        assert env.addresses() == tuple(sorted(model))
+        assert env.total_balance() == sum(c.balance for c in model.values())
+        assert Environment(dict(env.accounts)) == env
 
 
 class TestContract:
@@ -213,8 +270,8 @@ class TestContract:
         contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
         moved = contract.with_balance(MAX_MUTEZ)
         assert moved.balance == MAX_MUTEZ
-        assert moved == Contract(**{**contract.__dict__, "balance": MAX_MUTEZ})
-        assert hash(moved) == hash(Contract(**{**contract.__dict__, "balance": MAX_MUTEZ}))
+        assert moved == dataclasses.replace(contract, balance=MAX_MUTEZ)
+        assert hash(moved) == hash(dataclasses.replace(contract, balance=MAX_MUTEZ))
         assert contract.balance == 3
         for bad in (-1, MAX_MUTEZ + 1, True):
             with pytest.raises(AmountError):
@@ -223,8 +280,8 @@ class TestContract:
     def test_with_storage_checks_only_the_storage(self):
         contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
         stored = contract.with_storage(NatV(9))
-        assert stored == Contract(**{**contract.__dict__, "storage": NatV(9)})
-        assert hash(stored) == hash(Contract(**{**contract.__dict__, "storage": NatV(9)}))
+        assert stored == dataclasses.replace(contract, storage=NatV(9))
+        assert hash(stored) == hash(dataclasses.replace(contract, storage=NatV(9)))
         assert contract.storage == NatV(3)
         for bad in (UNIT_VALUE, IntV(9), 9):
             with pytest.raises(ValueError):

@@ -164,23 +164,38 @@ def _skip_debit(ectx, op, env, features, pending=()):
 class TestRevertTotality:
     """A reverted transaction must leave its input environment as it was."""
 
-    def _check(self, write):
-        env = Environment().updated("alice", registry.implicit_account(10))
-        env = env.updated("bob", registry.implicit_account(0))
+    def _check(self, fault):
+        # One dict, so `env.accounts` in the hook is the very dict the
+        # transaction started from, not a merged copy.
+        env = Environment(
+            {
+                "alice": registry.implicit_account(10),
+                "bob": registry.implicit_account(0),
+                "fwd": registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 0),
+            }
+        )
 
         def hook(ectx, op, env, features, pending=()):
-            if write:  # a faulty executor that edits its input in place
-                env.accounts["bob"] = registry.implicit_account(99)
+            fault(env)  # a faulty executor that edits its input in place
             raise ExecError(CONTRACT_FAILURE, "injected")
 
         tx = SignedTransaction("alice", (Transfer("bob", 1, make_param("default")),))
         return check_transaction(env, tx, SchedulerConfig(), ("revert_totality",), hook)
 
     def test_in_place_write_before_a_revert_is_reported(self):
-        assert self._check(write=True) == ["revert_totality"]
+        def write(env):
+            env.accounts["bob"] = registry.implicit_account(99)
+
+        assert self._check(write) == ["revert_totality"]
+
+    def test_in_place_value_mutation_before_a_revert_is_reported(self):
+        def mutate(env):
+            object.__setattr__(env.get("fwd").storage, "n", 6)
+
+        assert self._check(mutate) == ["revert_totality"]
 
     def test_revert_without_a_write_is_clean(self):
-        assert self._check(write=False) == []
+        assert self._check(lambda env: None) == []
 
 
 class TestFuzz:

@@ -379,7 +379,7 @@ class TestContexts:
     def test_callee_contextual_flag_opens_frame(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", payer.__class__(**{**payer.__dict__, "contextual": True}))
+        env = env.updated("a", replace(payer, contextual=True))
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -398,7 +398,7 @@ class TestContexts:
     def test_callee_flag_wins_when_combined(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", payer.__class__(**{**payer.__dict__, "contextual": True}))
+        env = env.updated("a", replace(payer, contextual=True))
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -412,7 +412,7 @@ class TestContexts:
     def test_contextual_callee_requires_feature(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", payer.__class__(**{**payer.__dict__, "contextual": True}))
+        env = env.updated("a", replace(payer, contextual=True))
         cfg = SchedulerConfig(strategy=Strategy.BFS)
         outcome, _, _ = run_transaction(env, _context_tx(wrap=False), cfg, 0)
         assert isinstance(outcome, Revert)
