@@ -9,8 +9,8 @@ old environment".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:
     from .features import FeatureSet
@@ -521,8 +521,7 @@ class RestrictionState:
     block: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
+class ExecutionContext(NamedTuple):
     """Who emitted the operation (sender), who authored the transaction
     (source), and the transaction-scoped control state."""
 
@@ -533,8 +532,7 @@ class ExecutionContext:
     level: int = 0
 
 
-@dataclass(frozen=True)
-class PendingOp:
+class PendingOp(NamedTuple):
     """A queued operation with what belongs to it alone: who emitted it and
     the restrictions it runs under. `parent` is the trace node id of the
     emitting execution (None for externally submitted ops). The transaction's
@@ -546,8 +544,7 @@ class PendingOp:
     parent: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CallContext:
+class CallContext(NamedTuple):
     """Everything a contract body may observe about the chain.
 
     Bodies are deterministic functions of (CallContext, param, storage); the
@@ -565,8 +562,8 @@ class CallContext:
     level: int
     config: Value
     features: "FeatureSet"
-    view: Callable[[str], Value] = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
-    pending_balance: Callable[[str], int] = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
+    view: Callable[[str], Value] = None  # type: ignore[assignment]
+    pending_balance: Callable[[str], int] = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------

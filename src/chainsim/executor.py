@@ -8,8 +8,7 @@ the scheduler reverts the whole transaction on any ExecError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import registry
 from .core import (
@@ -58,8 +57,7 @@ class ExecError(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class ExecOutcome:
+class ExecOutcome(NamedTuple):
     """Successful execution: who emitted, what was emitted (verbatim, in body
     order; ordering is the scheduler's job), and the updated environment."""
 
@@ -226,6 +224,12 @@ def _execute_transfer(
             CONTRACT_CRASH, f"@{op.dest} raised {type(err).__name__}: {err}"
         ) from None
     _check_emitted(op.dest, emitted)
+    if new_storage is credited.storage:
+        # The callee kept its storage object, which `env2` already holds. It
+        # is checked again because a body may have mutated it in place.
+        if not value_typecheck(new_storage, credited.storage_type):
+            raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage")
+        return ExecOutcome(emitter=op.dest, emitted=emitted, env_after=env2)
     try:
         stored = credited.with_storage(new_storage)
     except ValueError:

@@ -195,13 +195,7 @@ def run_transaction(
                 frame.extendleft(reversed(members))
             continue
 
-        ectx = ExecutionContext(
-            sender=p.sender,
-            source=tx.author,
-            restrictions=p.restrictions,
-            end_interactions_owner=end_owner,
-            level=ts,
-        )
+        ectx = ExecutionContext(p.sender, tx.author, p.restrictions, end_owner, ts)
         try:
             if fuel_left <= 0:
                 raise ExecError(FUEL_EXHAUSTED, f"fuel cap of {cfg.fuel} operations hit")

@@ -10,7 +10,7 @@ equal execution order, and parents always precede children.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     AtomicBundle,
@@ -39,8 +39,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     id: int
     parent: Optional[int]
     sender: str

@@ -4,16 +4,22 @@ import random
 import pytest
 
 from chainsim.core import (
+    NAT,
     AtomicBundle,
+    CallContext,
     Contract,
     CreateContract,
+    Environment,
     ExecutionContext,
     NatV,
+    PairV,
     PendingOp,
     Restricted,
+    StringV,
     Transfer,
     UNIT_VALUE,
     make_param,
+    pair_t,
 )
 from chainsim.executor import (
     ADDRESS_OCCUPIED,
@@ -28,6 +34,7 @@ from chainsim.executor import (
     UNKNOWN_ADDRESS,
     UNKNOWN_CODE_KEY,
     ExecError,
+    ExecOutcome,
     execute_operation,
     pending_balance,
     view_storage,
@@ -35,6 +42,7 @@ from chainsim.executor import (
 from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions, RestrictionState
 from chainsim import registry
 from chainsim.features import FEATURE_NAMES, FeatureSet
+from chainsim.trace import TraceNode
 
 FEATURES = FeatureSet()
 ALL_FEATURES = FeatureSet.from_names(FEATURE_NAMES)
@@ -563,3 +571,100 @@ def test_failure_leaves_input_env_identical(simple_env):
     with pytest.raises(ExecError):
         execute_operation(_ectx("alice"), op, simple_env, FEATURES)
     assert simple_env == snapshot
+
+
+_PAY_BOB = Transfer("bob", 1, make_param("default"))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ExecutionContext("alice", "alice"),
+        PendingOp(_PAY_BOB, "alice"),
+        CallContext("bob", "alice", "alice", 1, 51, 0, UNIT_VALUE, FEATURES),
+        ExecOutcome("bob", (), Environment()),
+        TraceNode(0, None, "alice", _PAY_BOB),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_per_step_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def _register_storage_body(key, storage_type, body):
+    if not registry.is_registered(key):
+        registry.register(
+            registry.ContractDef(
+                code_key=key,
+                entrypoints={"default": UNIT},
+                storage_type=storage_type,
+                config_type=UNIT,
+                body=body,
+            )
+        )
+
+
+def _count_updates(monkeypatch):
+    """Record the address of every `Environment.updated` call from now on."""
+    calls = []
+    original = Environment.updated
+
+    def counted(self, addr, contract):
+        calls.append(addr)
+        return original(self, addr, contract)
+
+    monkeypatch.setattr(Environment, "updated", counted)
+    return calls
+
+
+class TestStorageWrite:
+    """A transfer writes the callee's storage only when the body returned a
+    new storage object."""
+
+    def test_kept_storage_object_is_not_written_again(self, simple_env, monkeypatch):
+        kept = simple_env.get("bob").storage
+        calls = _count_updates(monkeypatch)
+        out = execute_operation(_ectx("alice"), _PAY_BOB, simple_env, FEATURES)
+        # The sender's debit and the callee's credit; no storage write.
+        assert calls == ["alice", "bob"]
+        assert out.env_after.get("bob").storage is kept
+        assert out.env_after.get("bob").balance == 51
+
+    def test_equal_new_storage_object_is_written(self, simple_env, monkeypatch):
+        _register_storage_body(
+            "returns_equal_copy_for_test", NAT, lambda ctx, p, st: ([], NatV(st.n))
+        )
+        env = simple_env.updated(
+            "copier", registry.instantiate("returns_equal_copy_for_test", UNIT_VALUE, NatV(7), 0)
+        )
+        before = env.get("copier").storage
+        calls = _count_updates(monkeypatch)
+        out = execute_operation(
+            _ectx("alice"), Transfer("copier", 1, make_param("default")), env, FEATURES
+        )
+        assert calls == ["alice", "copier", "copier"]
+        committed = out.env_after.get("copier").storage
+        assert committed == before and committed is not before
+        assert out.env_after.get("copier").balance == 1
+
+    def test_kept_storage_mutated_ill_typed_is_type_mismatch(self, simple_env):
+        # The body returns its own storage object after breaking its type in
+        # place, so the object is the one the environment holds.
+        def body(ctx, p, st):
+            object.__setattr__(st, "right", StringV("x"))
+            return [], st
+
+        _register_storage_body("breaks_kept_storage_for_test", pair_t(NAT, NAT), body)
+        env = simple_env.updated(
+            "breaker",
+            registry.instantiate(
+                "breaks_kept_storage_for_test", UNIT_VALUE, PairV(NatV(1), NatV(2)), 0
+            ),
+        )
+        op = Transfer("breaker", 5, make_param("default"))
+        err = _expect_error(TYPE_MISMATCH, execute_operation, _ectx("alice"), op, env, FEATURES)
+        assert err.detail == "@breaker returned ill-typed storage"
+        assert env.get("alice").balance == 100
+        assert env.get("breaker").balance == 0
