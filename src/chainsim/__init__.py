@@ -51,7 +51,7 @@ from .core import (
     value_typecheck,
 )
 from .executor import ExecError, ExecOutcome, execute_operation, pending_balance, view_storage
-from .features import FeatureSet, narrow_restrictions
+from .features import FeatureSet
 from .harness import (
     DemonicProfile,
     FuzzReport,

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-if TYPE_CHECKING:
-    from .features import FeatureSet
+from .features import FeatureSet
 
 # Addresses are opaque tokens; amounts are mutez in the unsigned 64-bit range.
 MAX_MUTEZ = 2**64 - 1
@@ -459,6 +458,7 @@ class Restricted:
     (`allow` is None); nesting composes. Construction normalises to one of
     the two: neither set means an empty block list, an allow list drops an
     empty block set, and an allow list with a non-empty block set is an error.
+    Every listed entry must be an address token.
     """
 
     ops: tuple["Operation", ...] = ()
@@ -467,13 +467,17 @@ class Restricted:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        block: Optional[frozenset[str]] = frozenset(self.block or ())
-        if self.allow is not None:
-            if block:
-                raise ValueError("a restriction wrapper takes allow or block, not both")
-            object.__setattr__(self, "allow", frozenset(self.allow))
-            block = None
-        object.__setattr__(self, "block", block)
+        addrs = frozenset(self.block or ())
+        if self.allow is None:
+            object.__setattr__(self, "block", addrs)
+        elif addrs:
+            raise ValueError("a restriction wrapper takes allow or block, not both")
+        else:
+            addrs = frozenset(self.allow)
+            object.__setattr__(self, "allow", addrs)
+            object.__setattr__(self, "block", None)
+        for addr in addrs:
+            check_address(addr)
 
 
 @dataclass(frozen=True)
@@ -514,11 +518,23 @@ class RestrictionState:
     """Allow/block address sets inherited down a transaction tree.
 
     allow=None means the full universe. Child states only ever shrink allow
-    and grow block (see features.narrow_restrictions).
+    and grow block (see `narrowed`).
     """
 
     allow: Optional[frozenset[str]] = None
     block: frozenset[str] = frozenset()
+
+    def narrowed(self, op: Restricted) -> "RestrictionState":
+        """The state `op`'s members run under: allow sets intersect (absent =
+        full universe) and block sets unite, so along any path allow only
+        ever shrinks and block only ever grows."""
+        if op.allow is None:
+            return RestrictionState(self.allow, self.block | op.block)
+        allow = op.allow if self.allow is None else self.allow & op.allow
+        return RestrictionState(allow, self.block)
+
+    def permits(self, dest: str) -> bool:
+        return dest not in self.block and (self.allow is None or dest in self.allow)
 
 
 class ExecutionContext(NamedTuple):
@@ -561,7 +577,7 @@ class CallContext(NamedTuple):
     self_balance: int
     level: int
     config: Value
-    features: "FeatureSet"
+    features: FeatureSet
     view: Callable[[str], Value] = None  # type: ignore[assignment]
     pending_balance: Callable[[str], int] = None  # type: ignore[assignment]
 

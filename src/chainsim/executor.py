@@ -4,6 +4,10 @@ The executor is pure: given identical inputs it returns an identical
 ExecOutcome or raises an identical ExecError, and it never mutates its input
 environment. Failure therefore leaves no partial debit or credit anywhere;
 the scheduler reverts the whole transaction on any ExecError.
+
+Every check of an executable operation against the feature flags, the
+restrictions and the end-of-interactions mode is made here, and the outcome
+says what the operation changed, so the scheduler only orders the queue.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import (
     value_typecheck,
     walk_ops,
 )
-from .features import FeatureSet, end_mode_permits, restrictions_permit
+from .features import FeatureSet
 from .registry import ContractFail
 
 # Error kinds. Each kind identifies the precondition that failed.
@@ -59,11 +63,15 @@ class ExecError(Exception):
 
 class ExecOutcome(NamedTuple):
     """Successful execution: who emitted, what was emitted (verbatim, in body
-    order; ordering is the scheduler's job), and the updated environment."""
+    order; ordering is the scheduler's job), the updated environment, the
+    `(address, storage)` pairs the trace records as committed, and whether
+    the emissions run in a fresh queue frame (a contextual callee's)."""
 
     emitter: str
     emitted: tuple[Operation, ...]
     env_after: Environment
+    commits: tuple[tuple[str, Value], ...]
+    opens_frame: bool
 
 
 # The operations still queued behind the one executing, head frame first. The
@@ -162,14 +170,15 @@ def _execute_transfer(
     features: FeatureSet,
     pending: QueueSnapshot,
 ) -> ExecOutcome:
-    if not restrictions_permit(ectx.restrictions, op.dest):
+    if not ectx.restrictions.permits(op.dest):
         raise ExecError(
             RESTRICTION_VIOLATION, f"@{op.dest} is outside the allowed universe"
         )
-    if not end_mode_permits(ectx.end_interactions_owner, ectx.sender, op.dest):
+    owner = ectx.end_interactions_owner
+    if owner is not None and not (ectx.sender == owner and op.dest == owner):
         raise ExecError(
             END_INTERACTIONS_VIOLATION,
-            f"end-of-interactions mode permits only @{ectx.end_interactions_owner} self-calls",
+            f"end-of-interactions mode permits only @{owner} self-calls",
         )
     sender_c = env.get(ectx.sender)
     if sender_c is None:
@@ -229,15 +238,16 @@ def _execute_transfer(
         # is checked again because a body may have mutated it in place.
         if not value_typecheck(new_storage, credited.storage_type):
             raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage")
-        return ExecOutcome(emitter=op.dest, emitted=emitted, env_after=env2)
-    try:
-        stored = credited.with_storage(new_storage)
-    except ValueError:
-        raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage") from None
-
-    # Storage commits before any emitted operation runs.
-    env3 = env2.updated(op.dest, stored)
-    return ExecOutcome(emitter=op.dest, emitted=emitted, env_after=env3)
+    else:
+        try:
+            stored = credited.with_storage(new_storage)
+        except ValueError:
+            raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage") from None
+        # Storage commits before any emitted operation runs.
+        env2 = env2.updated(op.dest, stored)
+    if credited.contextual and not features.contexts:
+        raise ExecError(FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
+    return ExecOutcome(op.dest, emitted, env2, ((op.dest, new_storage),), credited.contextual)
 
 
 def _execute_create(
@@ -261,7 +271,7 @@ def _execute_create(
         raise ExecError(UNKNOWN_CODE_KEY, f"no code registered as {op.code_key!r}") from None
     env1 = env.updated(ectx.sender, sender_c.with_balance(sender_c.balance - op.amount))
     env2 = env1.updated(op.addr, contract)
-    return ExecOutcome(emitter=ectx.sender, emitted=(), env_after=env2)
+    return ExecOutcome(ectx.sender, (), env2, ((op.addr, op.storage),), False)
 
 
 def _execute_end_interactions(
@@ -277,7 +287,7 @@ def _execute_end_interactions(
             END_INTERACTIONS_VIOLATION,
             f"mode already owned by @{owner}",
         )
-    return ExecOutcome(emitter=ectx.sender, emitted=(), env_after=env)
+    return ExecOutcome(ectx.sender, (), env, (), False)
 
 
 def execute_operation(

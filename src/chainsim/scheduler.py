@@ -3,10 +3,11 @@
 A transaction seeds one queue frame with its submitted operations. The
 scheduler repeatedly takes the first pending operation of the head frame:
 wrappers (atomic/context/restriction) expand in place without consuming fuel;
-executable operations go to the executor, and their emissions are inserted
-per strategy (BFS appends to the current frame's tail, DFS prepends) or open
-a fresh frame for contextual calls. Any failure reverts the whole transaction
-while the timestamp still advances.
+executable operations go to the executor, which decides whether they may run
+and reports what they changed. Their emissions are inserted per strategy (BFS
+appends to the current frame's tail, DFS prepends) or open a fresh frame when
+the executor says so, for contextual calls. Any failure reverts the whole
+transaction while the timestamp still advances.
 
 `run_transaction` is the only driver: one pass of its loop is one step, and
 the transaction's state (queue frames, fuel, end-of-interactions owner, trace
@@ -29,15 +30,12 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from .core import (
     AtomicBundle,
     ContextBundle,
-    CreateContract,
     EndInteractions,
     Environment,
     ExecutionContext,
     Operation,
     PendingOp,
     Restricted,
-    Transfer,
-    Value,
     render_stack,
 )
 from .executor import (
@@ -49,7 +47,7 @@ from .executor import (
     UNKNOWN_ADDRESS,
     execute_operation,
 )
-from .features import FeatureSet, narrow_restrictions
+from .features import FeatureSet
 from .trace import (
     STATUS_EXECUTED,
     STATUS_EXPANDED,
@@ -143,7 +141,12 @@ def run_transaction(
     caller's job to keep using the original `env` (which this function never
     mutates). The timestamp advances by one either way. `execute` is called
     as execute(ectx, op, env, features, pending); `pending` is a view of the
-    live queue, valid only during that call.
+    live queue, valid only during that call. It must raise `ExecError` when
+    the operation may not run, and otherwise return the `ExecOutcome` that
+    is taken as is: its `commits` become the trace node's, and `opens_frame`
+    puts the emissions in a fresh frame. The loop itself checks only the
+    wrappers it expands and the fuel, so a hook that wraps
+    `execute_operation` and returns normally matches one executed node.
     """
     features = cfg.features
     record = cfg.record_queue_states
@@ -187,7 +190,7 @@ def run_transaction(
                 break
             restrictions = p.restrictions
             if isinstance(op, Restricted):
-                restrictions = narrow_restrictions(restrictions, op.allow, op.block)
+                restrictions = restrictions.narrowed(op)
             members = [PendingOp(o, p.sender, restrictions, node_id) for o in op.ops]
             if isinstance(op, ContextBundle):
                 frames.append(deque(members))
@@ -200,30 +203,18 @@ def run_transaction(
             if fuel_left <= 0:
                 raise ExecError(FUEL_EXHAUSTED, f"fuel cap of {cfg.fuel} operations hit")
             outcome = execute(ectx, op, env, features, pending)
-            open_new_frame = False
-            commits: tuple[tuple[str, Value], ...] = ()
-            if isinstance(op, Transfer):
-                callee = outcome.env_after.get(op.dest)
-                assert callee is not None
-                if callee.contextual:
-                    if not features.contexts:
-                        raise ExecError(
-                            FEATURE_DISABLED, "contexts feature disabled (contextual callee)"
-                        )
-                    open_new_frame = True
-                commits = ((op.dest, callee.storage),)
-            elif isinstance(op, CreateContract):
-                commits = ((op.addr, op.storage),)
         except ExecError as err:
             nodes.append(TraceNode(node_id, p.parent, p.sender, op, STATUS_FAILED))
             failure = (err.kind, err.detail)
             break
 
-        nodes.append(TraceNode(node_id, p.parent, p.sender, op, STATUS_EXECUTED, commits))
+        nodes.append(
+            TraceNode(node_id, p.parent, p.sender, op, STATUS_EXECUTED, outcome.commits)
+        )
         emitted = [
             PendingOp(o, outcome.emitter, p.restrictions, node_id) for o in outcome.emitted
         ]
-        if open_new_frame:
+        if outcome.opens_frame:
             # A contextual call's frame comes instead of, not on top of, frames
             # the call just drained (callee flag wins: one frame, not two).
             while frames and not frames[-1]:

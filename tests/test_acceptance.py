@@ -262,25 +262,24 @@ def test_criterion_9_restrictions():
     ok = ok and blocked.passed
 
     # nested allow-sets only shrink: 500 random narrowing chains
-    from chainsim.core import RestrictionState
-    from chainsim.features import narrow_restrictions, restrictions_permit
+    from chainsim.core import Restricted, RestrictionState
 
     addrs = tuple(f"n{i}" for i in range(10))
     rng = random.Random(905)
     shrink_violations = 0
     for _ in range(500):
         state = RestrictionState()
-        passing = {a for a in addrs if restrictions_permit(state, a)}
+        passing = {a for a in addrs if state.permits(a)}
         for _ in range(rng.randrange(1, 6)):
             if rng.random() < 0.5:
-                state = narrow_restrictions(
-                    state, allow=frozenset(rng.sample(addrs, rng.randrange(0, 10)))
+                state = state.narrowed(
+                    Restricted(allow=frozenset(rng.sample(addrs, rng.randrange(0, 10))))
                 )
             else:
-                state = narrow_restrictions(
-                    state, block=frozenset(rng.sample(addrs, rng.randrange(0, 4)))
+                state = state.narrowed(
+                    Restricted(block=frozenset(rng.sample(addrs, rng.randrange(0, 4))))
                 )
-            now = {a for a in addrs if restrictions_permit(state, a)}
+            now = {a for a in addrs if state.permits(a)}
             if not now <= passing:
                 shrink_violations += 1
             passing = now

@@ -312,6 +312,12 @@ class TestOperations:
         with pytest.raises(ValueError):
             Restricted((), allow=[], block=["b"])
 
+    @pytest.mark.parametrize("entry", ["a b", "", 7, None])
+    def test_restricted_entries_must_be_addresses(self, entry):
+        for kind in ("allow", "block"):
+            with pytest.raises(ValueError):
+                Restricted((), **{kind: frozenset({"ok", entry})})
+
     def test_transfer_validates_fields(self):
         with pytest.raises(ValueError):
             Transfer("bad addr", 1, UNIT_VALUE)

@@ -1,5 +1,6 @@
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -193,19 +194,21 @@ class TestTransfer:
         )
 
     def test_end_mode_gate(self, simple_env):
+        # without an owner any call runs
+        op = Transfer("bob", 1, make_param("default"))
+        out = execute_operation(_ectx("alice"), op, simple_env, FEATURES)
+        assert out.env_after.get("bob").balance == 51
+        # with one, only the owner's calls to itself
         ectx = _ectx("alice", end_interactions_owner="alice")
         ok = Transfer("alice", 1, make_param("default"))
         out = execute_operation(ectx, ok, simple_env, FEATURES)
         assert out.env_after.get("alice").balance == 100
-        bad = Transfer("bob", 1, make_param("default"))
-        _expect_error(
-            END_INTERACTIONS_VIOLATION,
-            execute_operation,
-            ectx,
-            bad,
-            simple_env,
-            FEATURES,
-        )
+        for sender, dest in (("alice", "bob"), ("bob", "alice")):
+            ectx = _ectx(sender, end_interactions_owner="alice")
+            op = Transfer(dest, 1, make_param("default"))
+            _expect_error(
+                END_INTERACTIONS_VIOLATION, execute_operation, ectx, op, simple_env, FEATURES
+            )
 
     def test_credit_visible_to_body(self, simple_env):
         # forwarder records believed balance including the incoming credit
@@ -582,7 +585,7 @@ _PAY_BOB = Transfer("bob", 1, make_param("default"))
         ExecutionContext("alice", "alice"),
         PendingOp(_PAY_BOB, "alice"),
         CallContext("bob", "alice", "alice", 1, 51, 0, UNIT_VALUE, FEATURES),
-        ExecOutcome("bob", (), Environment()),
+        ExecOutcome("bob", (), Environment(), (), False),
         TraceNode(0, None, "alice", _PAY_BOB),
     ],
     ids=lambda r: type(r).__name__,
@@ -668,3 +671,59 @@ class TestStorageWrite:
         assert err.detail == "@breaker returned ill-typed storage"
         assert env.get("alice").balance == 100
         assert env.get("breaker").balance == 0
+
+
+class TestReportedEffects:
+    """The outcome names the storages the trace records as committed and
+    whether the emissions run in a fresh frame. A contextual callee with the
+    contexts feature off reverts only after its body, the emitted-operations
+    check and the storage write, so their failures take precedence."""
+
+    def test_transfer_commits_the_callee_storage(self, simple_env):
+        op = Transfer("fwd", 7, make_param("default"))
+        out = execute_operation(_ectx("alice"), op, simple_env, FEATURES)
+        assert out.commits == (("fwd", NatV(37)),)
+        assert out.opens_frame is False
+
+    def test_create_commits_its_initial_storage(self, simple_env):
+        op = CreateContract("fresh", 5, UNIT_VALUE, "receiver", UNIT_VALUE)
+        out = execute_operation(_ectx("alice"), op, simple_env, FEATURES)
+        assert out.commits == (("fresh", UNIT_VALUE),)
+        assert out.opens_frame is False
+
+    def test_end_interactions_commits_nothing(self, simple_env):
+        out = execute_operation(_ectx("alice"), EndInteractions(), simple_env, ALL_FEATURES)
+        assert out.commits == ()
+        assert out.opens_frame is False
+
+    def test_contextual_callee_opens_a_frame_only_with_contexts(self, vault_env):
+        env = vault_env.updated("vault", replace(vault_env.get("vault"), contextual=True))
+        op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
+        out = execute_operation(_ectx("bad"), op, env, FeatureSet(contexts=True))
+        assert out.opens_frame is True
+        assert out.commits == (("vault", UNIT_VALUE),)
+        assert out.emitted == (Transfer("bad", 5, make_param("default")),)
+        err = _expect_error(FEATURE_DISABLED, execute_operation, _ectx("bad"), op, env, FEATURES)
+        assert err.detail == "contexts feature disabled (contextual callee)"
+
+    def test_body_failure_precedes_the_contexts_check(self, vault_env):
+        env = vault_env.updated("vault", replace(vault_env.get("vault"), contextual=True))
+        op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
+        err = _expect_error(CONTRACT_FAILURE, execute_operation, _ectx("owner"), op, env, FEATURES)
+        assert "not owner" in err.detail
+
+    @pytest.mark.parametrize(
+        "body, kind",
+        [
+            (lambda ctx, p, st: ([], NatV(1)), TYPE_MISMATCH),
+            (lambda ctx, p, st: ([5], st), CONTRACT_CRASH),
+        ],
+        ids=["ill_typed_storage", "emits_int"],
+    )
+    def test_later_checks_precede_the_contexts_check(self, simple_env, request, body, kind):
+        key = f"contextual_{request.node.callspec.id}_for_test"
+        _register_storage_body(key, UNIT, body)
+        callee = registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0, contextual=True)
+        env = simple_env.updated("ctx", callee)
+        op = Transfer("ctx", 1, make_param("default"))
+        _expect_error(kind, execute_operation, _ectx("alice"), op, env, FEATURES)

@@ -15,7 +15,7 @@ from chainsim.core import (
     make_param,
 )
 from chainsim import registry
-from chainsim.executor import CONTRACT_FAILURE, ExecError, ExecOutcome, execute_operation
+from chainsim.executor import CONTRACT_FAILURE, ExecError, execute_operation
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim.harness import (
     DemonicProfile,
@@ -157,7 +157,7 @@ def _skip_debit(ectx, op, env, features, pending=()):
         forged = out.env_after.updated(
             ectx.sender, sender_c.with_balance(sender_c.balance + op.amount)
         )
-        return ExecOutcome(out.emitter, out.emitted, forged)
+        return out._replace(env_after=forged)
     return out
 
 

@@ -1,5 +1,5 @@
-"""Every name a `chainsim` module imports is used in that module, and no
-function recurses without a stated bound.
+"""Every name a `chainsim` module imports is used in that module, no two
+modules import each other, and no function recurses without a stated bound.
 
 `__init__.py` is exempt: its imports are the package's re-exports. A name
 that appears only in a string annotation (or a string inside a subscripted
@@ -57,6 +57,39 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     dead = _imported(tree) - _used(tree) - {"annotations"}
     assert not dead, f"{path.name} imports unused names: {sorted(dead)}"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules `tree` imports (the package imports itself only
+    relatively), wherever the statement sits: under `if TYPE_CHECKING:` too."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import registry
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_module_imports_form_no_cycle():
+    """The module import graph is acyclic: no module imports another that
+    imports it back, directly or through others. A cycle under
+    `TYPE_CHECKING` counts, since it ties the two modules together as much as
+    a run-time one does."""
+    graph = {p.stem: _package_imports(ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES}
+    assert {"core", "executor"} <= graph["scheduler"]
+    # Peel off every module that imports none of the modules left, or that
+    # none of them imports; what is left lies on a cycle.
+    left = dict(graph)
+    while True:
+        imported = set().union(*left.values())
+        ends = [m for m, deps in left.items() if not deps & left.keys() or m not in imported]
+        if not ends:
+            break
+        for m in ends:
+            del left[m]
+    assert not left, f"import cycle among: {sorted(left)}"
 
 
 # The self-recursive functions allowed, each with what bounds its depth.

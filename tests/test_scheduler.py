@@ -22,12 +22,14 @@ from chainsim.core import (
     render_stack,
 )
 from chainsim.executor import (
+    CONTRACT_CRASH,
     CONTRACT_FAILURE,
     FEATURE_DISABLED,
     FUEL_EXHAUSTED,
     RESTRICTION_VIOLATION,
     TYPE_MISMATCH,
     UNKNOWN_ADDRESS,
+    ExecError,
     execute_operation,
     view_storage,
 )
@@ -287,6 +289,29 @@ class TestRunTransaction:
         )
         assert len(tree_to_json(tree)["nodes"]) == 3003
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_emitted_restriction_of_non_addresses_reverts(self, simple_env, record):
+        # A wrapper listing entries that are not address tokens is rejected
+        # when the body builds it, so the run reverts before any queue
+        # snapshot renders it, whether snapshots are recorded or not.
+        key = "non_address_restriction_for_test"
+        if not registry.is_registered(key):
+            def body(ctx, param, storage):
+                t = Transfer("r", 0, make_param("default"))
+                return [t, Restricted((t,), allow=frozenset({"a b", 7}))], storage
+
+            registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
+        env = simple_env.updated("r", registry.implicit_account(0)).updated(
+            "odd", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        )
+        tx = SignedTransaction("alice", (Transfer("odd", 0, make_param("default")),))
+        cfg = SchedulerConfig(
+            features=FeatureSet(restrictions=True), record_queue_states=record
+        )
+        outcome, _, tree = run_transaction(env, tx, cfg, 0)
+        assert isinstance(outcome, Revert) and outcome.kind == CONTRACT_CRASH
+        assert [n.status for n in tree.nodes] == [STATUS_FAILED]
+
     def test_determinism(self, vault_env):
         runs = [run_transaction(vault_env, _rob_tx(), BFS, 7) for _ in range(2)]
         assert runs[0][0] == runs[1][0]
@@ -410,13 +435,29 @@ class TestContexts:
         assert tree.queue_states == CONTEXT_FRAMES
 
     def test_contextual_callee_requires_feature(self):
+        # The executor, not the loop, refuses the call: a hook wrapping it
+        # sees the error, and the call's node is the failed one.
         env = _context_env()
         payer = env.get("a")
         env = env.updated("a", replace(payer, contextual=True))
         cfg = SchedulerConfig(strategy=Strategy.BFS)
-        outcome, _, _ = run_transaction(env, _context_tx(wrap=False), cfg, 0)
+        raised = []
+
+        def execute(ectx, op, env, features, pending):
+            try:
+                return execute_operation(ectx, op, env, features, pending)
+            except ExecError as err:
+                raised.append((op, err.kind, err.detail))
+                raise
+
+        tx = _context_tx(wrap=False)
+        outcome, _, tree = run_transaction(env, tx, cfg, 0, execute)
         assert isinstance(outcome, Revert)
         assert outcome.kind == FEATURE_DISABLED
+        assert raised == [
+            (tx.ops[0], FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
+        ]
+        assert [(n.op, n.status) for n in tree.nodes] == [(tx.ops[0], STATUS_FAILED)]
 
     def test_context_wrapper_requires_feature(self):
         cfg = SchedulerConfig(strategy=Strategy.BFS)
@@ -650,10 +691,13 @@ def _check_driver_run(env, tx, cfg, ts):
     cfg = replace(cfg, record_queue_states=True)
     before = copy.deepcopy(env)
     records = []
+    returned = []
 
     def execute(ectx, op, env, features, pending):
         records.append((PendingOp(op, ectx.sender, ectx.restrictions), tuple(pending)))
-        return execute_operation(ectx, op, env, features, pending)
+        out = execute_operation(ectx, op, env, features, pending)
+        returned.append((ectx.sender, op, out.commits))
+        return out
 
     outcome, ts_after, tree = run_transaction(env, tx, cfg, ts, execute)
     assert ts_after == ts + 1
@@ -661,6 +705,10 @@ def _check_driver_run(env, tx, cfg, ts):
     assert run_transaction(env, tx, cfg, ts) == (outcome, ts_after, tree)
     assert [n.id for n in tree.nodes] == list(range(len(tree.nodes)))
     assert all(n.parent is None or n.parent < n.id for n in tree.nodes)
+    # the executor decides: the calls that returned are the executed nodes
+    assert returned == [
+        (n.sender, n.op, n.commits) for n in tree.nodes if n.status == STATUS_EXECUTED
+    ]
     executed = sum(n.status == STATUS_EXECUTED for n in tree.nodes)
     failed = [n for n in tree.nodes if n.status == STATUS_FAILED]
     if isinstance(outcome, Commit):
