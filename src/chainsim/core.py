@@ -32,6 +32,8 @@ def check_address(token: str) -> str:
 
 
 def check_amount(n: int) -> int:
+    if type(n) is int and 0 <= n <= MAX_MUTEZ:
+        return n
     if not isinstance(n, int) or isinstance(n, bool) or n < 0 or n > MAX_MUTEZ:
         raise AmountError(f"amount out of range: {n!r}")
     return n
@@ -157,6 +159,9 @@ class ListV:
 
 
 Value = Union[UnitV, NatV, IntV, BoolV, StringV, MutezV, AddressV, PairV, ListV]
+
+# The value classes, for `isinstance`; pairs first, as every call parameter is one.
+_VALUE_TYPES = (PairV, UnitV, NatV, IntV, BoolV, StringV, MutezV, AddressV, ListV)
 
 UNIT_VALUE = UnitV()
 
@@ -287,13 +292,7 @@ def make_param(entrypoint: str, *args: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Contract:
-    """An installed contract. Only storage and balance ever change; code_key,
-    the storage type, config and the contextual flag are fixed at creation.
-    The entrypoints live with the code (`registry.ContractDef`). Slots keep
-    the one instance per account small."""
-
+class _ContractFields(NamedTuple):
     storage_type: TypeTag
     storage: Value
     balance: int
@@ -301,17 +300,48 @@ class Contract:
     config: Value
     contextual: bool = False
 
-    def __post_init__(self) -> None:
-        check_amount(self.balance)
-        if not value_typecheck(self.storage, self.storage_type):
-            raise ValueError(
-                f"storage {render_value(self.storage)} does not inhabit its declared type"
-            )
 
-    def with_balance(self, balance: int) -> "Contract":
-        # The storage is unchanged and was typechecked when `self` was built,
-        # so only the new amount needs a check.
-        return self._with(self.storage, check_amount(balance))
+_new_tuple = tuple.__new__
+
+
+class Contract(_ContractFields):
+    """An installed contract. Only storage and balance ever change; code_key,
+    the storage type, config and the contextual flag are fixed at creation.
+    The entrypoints live with the code (`registry.ContractDef`). A tuple
+    keeps the one instance per account small and cheap to copy."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        storage_type: TypeTag,
+        storage: Value,
+        balance: int,
+        code_key: str,
+        config: Value,
+        contextual: bool = False,
+    ) -> "Contract":
+        check_amount(balance)
+        if not value_typecheck(storage, storage_type):
+            raise ValueError(
+                f"storage {render_value(storage)} does not inhabit its declared type"
+            )
+        return _new_tuple(cls, (storage_type, storage, balance, code_key, config, contextual))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Contract":
+        # Checked like construction, so `_replace`, which builds its copy
+        # here, cannot skip the checks either.
+        return cls(*iterable)
+
+    def moved(self, balance: int) -> "Contract":
+        """A copy holding `balance`, unchecked: the executor bounds every
+        amount it moves before it builds one. `_replace(balance=...)` is the
+        checked copy."""
+        storage_type, storage, _, code_key, config, contextual = self
+        return _new_tuple(
+            self.__class__, (storage_type, storage, balance, code_key, config, contextual)
+        )
 
     def with_storage(self, storage: Value) -> "Contract":
         # Only the storage changes, so only it needs a check. The message
@@ -319,19 +349,10 @@ class Contract:
         # from anything.
         if not value_typecheck(storage, self.storage_type):
             raise ValueError("new storage does not inhabit its declared type")
-        return self._with(storage, self.balance)
-
-    def _with(self, storage: Value, balance: int) -> "Contract":
-        # A copy that skips `__post_init__`: the callers checked what changed.
-        clone = object.__new__(type(self))
-        set_field = object.__setattr__
-        set_field(clone, "storage_type", self.storage_type)
-        set_field(clone, "storage", storage)
-        set_field(clone, "balance", balance)
-        set_field(clone, "code_key", self.code_key)
-        set_field(clone, "config", self.config)
-        set_field(clone, "contextual", self.contextual)
-        return clone
+        storage_type, _, balance, code_key, config, contextual = self
+        return _new_tuple(
+            self.__class__, (storage_type, storage, balance, code_key, config, contextual)
+        )
 
 
 class Environment:
@@ -377,11 +398,26 @@ class Environment:
     def addresses(self) -> tuple[str, ...]:
         return tuple(sorted(self.accounts))
 
-    def updated(self, addr: str, contract: Contract) -> "Environment":
+    def updated(
+        self, addr: str, contract: Contract, *more: Union[str, Contract]
+    ) -> "Environment":
+        """This environment with `addr` holding `contract`. `more` holds
+        further address, contract pairs, flat, written in the same update in
+        order, so a later write to an address wins:
+        `env.updated("a", debited, "b", credited)`."""
         base = self._base
-        if addr not in self._top and addr not in base:
+        old = self._top
+        if addr not in old and addr not in base:
             check_address(addr)
-        top = {**self._top, addr: contract}
+        top = {**old, addr: contract}
+        if more:
+            if len(more) % 2:
+                raise TypeError("updated takes address, contract pairs")
+            pairs = iter(more)
+            for addr, contract in zip(pairs, pairs):
+                if addr not in old and addr not in base:
+                    check_address(addr)
+                top[addr] = contract
         if len(top) ** 2 > len(base):
             base = {**base, **top}
             top = {}
@@ -419,6 +455,8 @@ class Transfer:
     def __post_init__(self) -> None:
         check_address(self.dest)
         check_amount(self.amount)
+        if not isinstance(self.param, _VALUE_TYPES):
+            raise ValueError(f"transfer parameter is not a value: {self.param!r}")
 
 
 @dataclass(frozen=True)
@@ -467,6 +505,9 @@ class Restricted:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
+        # A bare string would otherwise list its one-letter addresses.
+        if isinstance(self.allow, str) or isinstance(self.block, str):
+            raise ValueError("a restriction wrapper lists addresses, not one string")
         addrs = frozenset(self.block or ())
         if self.allow is None:
             object.__setattr__(self, "block", addrs)

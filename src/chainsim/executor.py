@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 
 from . import registry
 from .core import (
+    MAX_MUTEZ,
     AmountError,
     CallContext,
     Contract,
@@ -30,7 +31,6 @@ from .core import (
     Transfer,
     Value,
     WRAPPER_OPS,
-    amount_add,
     value_typecheck,
     walk_ops,
 )
@@ -123,17 +123,19 @@ def _call_context(
     features: FeatureSet,
     pending: QueueSnapshot,
 ) -> CallContext:
+    # Positional, in field order: self_addr, sender, source, amount,
+    # self_balance, level, config, features, view, pending_balance.
     return CallContext(
-        self_addr=dest,
-        sender=ectx.sender,
-        source=ectx.source,
-        amount=amount,
-        self_balance=credited.balance,
-        level=ectx.level,
-        config=credited.config,
-        features=features,
-        view=lambda a: view_storage(env, a, features),
-        pending_balance=lambda a: pending_balance(env, a, pending, features),
+        dest,
+        ectx.sender,
+        ectx.source,
+        amount,
+        credited.balance,
+        ectx.level,
+        credited.config,
+        features,
+        lambda a: view_storage(env, a, features),
+        lambda a: pending_balance(env, a, pending, features),
     )
 
 
@@ -180,44 +182,48 @@ def _execute_transfer(
             END_INTERACTIONS_VIOLATION,
             f"end-of-interactions mode permits only @{owner} self-calls",
         )
-    sender_c = env.get(ectx.sender)
+    sender = ectx.sender
+    dest = op.dest
+    amount = op.amount
+    sender_c = env.get(sender)
     if sender_c is None:
-        raise ExecError(UNKNOWN_ADDRESS, f"sender @{ectx.sender} is not on chain")
-    if sender_c.balance < op.amount:
+        raise ExecError(UNKNOWN_ADDRESS, f"sender @{sender} is not on chain")
+    if sender_c.balance < amount:
         raise ExecError(
             INSUFFICIENT_BALANCE,
-            f"@{ectx.sender} holds {sender_c.balance}, cannot send {op.amount}",
+            f"@{sender} holds {sender_c.balance}, cannot send {amount}",
         )
-    dest_c = env.get(op.dest)
+    dest_c = env.get(dest)
     if dest_c is None:
-        raise ExecError(UNKNOWN_ADDRESS, f"destination @{op.dest} is not on chain")
+        raise ExecError(UNKNOWN_ADDRESS, f"destination @{dest} is not on chain")
     try:
         defn = registry.resolve(dest_c.code_key)
     except registry.RegistryError:
         raise ExecError(
-            UNKNOWN_CODE_KEY, f"@{op.dest} references code {dest_c.code_key!r}"
+            UNKNOWN_CODE_KEY, f"@{dest} references code {dest_c.code_key!r}"
         ) from None
-    _check_call(op.dest, defn, op.param)
+    _check_call(dest, defn, op.param)
 
     # Funds move now, at execution time; the emission that produced this op
     # moved nothing. The callee body observes its balance with the incoming
-    # amount already credited.
-    env1 = env.updated(ectx.sender, sender_c.with_balance(sender_c.balance - op.amount))
-    dest_mid = env1.get(op.dest)
-    assert dest_mid is not None
-    try:
-        credited = dest_mid.with_balance(amount_add(dest_mid.balance, op.amount))
-    except AmountError:
-        raise ExecError(OVERFLOW, f"credit overflows @{op.dest}") from None
-    env2 = env1.updated(op.dest, credited)
+    # amount already credited. Both amounts are in range by the checks made
+    # here: the debit leaves at least 0, and a credit that would pass
+    # MAX_MUTEZ reverts. A self-transfer credits the debited contract.
+    debited = sender_c.moved(sender_c.balance - amount)
+    if dest == sender:
+        dest_c = debited
+    if dest_c.balance > MAX_MUTEZ - amount:
+        raise ExecError(OVERFLOW, f"credit overflows @{dest}")
+    credited = dest_c.moved(dest_c.balance + amount)
+    env2 = env.updated(sender, debited, dest, credited)
 
-    cctx = _call_context(ectx, op.dest, op.amount, credited, env2, features, pending)
+    cctx = _call_context(ectx, dest, amount, credited, env2, features, pending)
     try:
         result = defn.body(cctx, op.param, credited.storage)
         if not (isinstance(result, tuple) and len(result) == 2):
             raise ExecError(
                 CONTRACT_CRASH,
-                f"@{op.dest} returned {type(result).__name__}, not (operations, storage)",
+                f"@{dest} returned {type(result).__name__}, not (operations, storage)",
             )
         ops, new_storage = result
         emitted = tuple(ops)
@@ -226,28 +232,29 @@ def _execute_transfer(
     except ContractFail as failure:
         raise ExecError(CONTRACT_FAILURE, failure.message) from None
     except AmountError as err:
-        raise ExecError(OVERFLOW, f"@{op.dest} overflows: {err}") from None
+        raise ExecError(OVERFLOW, f"@{dest} overflows: {err}") from None
     except Exception as err:
         # A body is foreign code: whatever else it raises reverts, typed.
         raise ExecError(
-            CONTRACT_CRASH, f"@{op.dest} raised {type(err).__name__}: {err}"
+            CONTRACT_CRASH, f"@{dest} raised {type(err).__name__}: {err}"
         ) from None
-    _check_emitted(op.dest, emitted)
+    if emitted:
+        _check_emitted(dest, emitted)
     if new_storage is credited.storage:
         # The callee kept its storage object, which `env2` already holds. It
         # is checked again because a body may have mutated it in place.
         if not value_typecheck(new_storage, credited.storage_type):
-            raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage")
+            raise ExecError(TYPE_MISMATCH, f"@{dest} returned ill-typed storage")
     else:
         try:
             stored = credited.with_storage(new_storage)
         except ValueError:
-            raise ExecError(TYPE_MISMATCH, f"@{op.dest} returned ill-typed storage") from None
+            raise ExecError(TYPE_MISMATCH, f"@{dest} returned ill-typed storage") from None
         # Storage commits before any emitted operation runs.
-        env2 = env2.updated(op.dest, stored)
+        env2 = env2.updated(dest, stored)
     if credited.contextual and not features.contexts:
         raise ExecError(FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
-    return ExecOutcome(op.dest, emitted, env2, ((op.dest, new_storage),), credited.contextual)
+    return ExecOutcome(dest, emitted, env2, ((dest, new_storage),), credited.contextual)
 
 
 def _execute_create(
@@ -269,8 +276,8 @@ def _execute_create(
         if registry.is_registered(op.code_key):
             raise ExecError(TYPE_MISMATCH, str(err)) from None
         raise ExecError(UNKNOWN_CODE_KEY, f"no code registered as {op.code_key!r}") from None
-    env1 = env.updated(ectx.sender, sender_c.with_balance(sender_c.balance - op.amount))
-    env2 = env1.updated(op.addr, contract)
+    debited = sender_c.moved(sender_c.balance - op.amount)
+    env2 = env.updated(ectx.sender, debited, op.addr, contract)
     return ExecOutcome(ectx.sender, (), env2, ((op.addr, op.storage),), False)
 
 

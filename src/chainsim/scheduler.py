@@ -150,6 +150,7 @@ def run_transaction(
     """
     features = cfg.features
     record = cfg.record_queue_states
+    bfs = cfg.strategy is Strategy.BFS
     # The submitted ops form one frame sent by the author. Frames are deques
     # with the head frame last in the list.
     frames = [deque(PendingOp(op, tx.author) for op in tx.ops)]
@@ -211,21 +212,26 @@ def run_transaction(
         nodes.append(
             TraceNode(node_id, p.parent, p.sender, op, STATUS_EXECUTED, outcome.commits)
         )
-        emitted = [
-            PendingOp(o, outcome.emitter, p.restrictions, node_id) for o in outcome.emitted
-        ]
-        if outcome.opens_frame:
-            # A contextual call's frame comes instead of, not on top of, frames
-            # the call just drained (callee flag wins: one frame, not two).
-            while frames and not frames[-1]:
-                frames.pop()
-            frames.append(deque(emitted))
-        elif cfg.strategy is Strategy.BFS:
-            # The head frame stays even if the call drained it: it owns the
-            # emissions.
-            frame.extend(emitted)
-        else:
-            frame.extendleft(reversed(emitted))
+        if outcome.emitted:
+            emitted = [
+                PendingOp(o, outcome.emitter, p.restrictions, node_id) for o in outcome.emitted
+            ]
+            if outcome.opens_frame:
+                # A contextual call's frame comes instead of, not on top of,
+                # frames the call just drained (callee flag wins: one frame,
+                # not two).
+                while frames and not frames[-1]:
+                    frames.pop()
+                frames.append(deque(emitted))
+            elif bfs:
+                # The head frame stays even if the call drained it: it owns
+                # the emissions.
+                frame.extend(emitted)
+            else:
+                frame.extendleft(reversed(emitted))
+            # From here the queue alone holds the entries, so each is freed
+            # once it has run, not when the transaction ends.
+            del emitted
         env = outcome.env_after
         fuel_left -= 1
         if isinstance(op, EndInteractions):

@@ -54,18 +54,23 @@ class TraceNode(NamedTuple):
     @property
     def deltas(self) -> tuple[tuple[str, int], ...]:
         """Balance moves of an executed node, computed from its operation
-        rather than from the environment it produced."""
+        rather than from the environment it produced: none for a zero amount
+        or a self-move, else the debit and the credit ordered by address."""
         if self.status != STATUS_EXECUTED:
             return ()
         op = self.op
-        moves: dict[str, int] = {}
         if isinstance(op, Transfer):
-            moves[self.sender] = moves.get(self.sender, 0) - op.amount
-            moves[op.dest] = moves.get(op.dest, 0) + op.amount
+            dest = op.dest
         elif isinstance(op, CreateContract):
-            moves[self.sender] = moves.get(self.sender, 0) - op.amount
-            moves[op.addr] = moves.get(op.addr, 0) + op.amount
-        return tuple(sorted((a, d) for a, d in moves.items() if d != 0))
+            dest = op.addr
+        else:
+            return ()
+        amount, sender = op.amount, self.sender
+        if not amount or sender == dest:
+            return ()
+        if sender < dest:
+            return ((sender, -amount), (dest, amount))
+        return ((dest, amount), (sender, -amount))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -191,6 +190,20 @@ class TestEnvironment:
             with pytest.raises(ValueError):
                 env.updated(bad, registry.implicit_account(1))
 
+    def test_one_update_writes_every_pair_in_order(self):
+        env = Environment({f"a{i}": registry.implicit_account(i) for i in range(20)})
+        one, two = registry.implicit_account(1), registry.implicit_account(2)
+        fused = env.updated("a0", one, "new", two)
+        assert fused == env.updated("a0", one).updated("new", two)
+        assert fused.get("a0") is one and fused.get("new") is two
+        # A later write to the same address wins, as in two updates.
+        assert env.updated("a3", one, "a3", two).get("a3") is two
+        assert env.get("a0").balance == 0 and "new" not in env
+        with pytest.raises(ValueError):
+            env.updated("a0", one, "a b", two)
+        with pytest.raises(TypeError):
+            env.updated("a0", one, "a1")
+
     def test_present_address_is_not_checked_again(self, monkeypatch):
         env = Environment({f"a{i}": registry.implicit_account(i) for i in range(100)})
         env = env.updated("new", registry.implicit_account(0))
@@ -203,6 +216,9 @@ class TestEnvironment:
         for addr in ("a0", "new", "a0", "new"):
             env = env.updated(addr, registry.implicit_account(7))
         assert env.get("a0").balance == env.get("new").balance == 7
+        eight, nine = registry.implicit_account(8), registry.implicit_account(9)
+        env = env.updated("new", eight, "a0", nine)
+        assert (env.get("new").balance, env.get("a0").balance) == (8, 9)
 
 
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 100)), max_size=8))
@@ -236,10 +252,16 @@ def test_layered_environment_matches_a_dict_model(start, script):
     model = {a: registry.implicit_account(k) for k, a in enumerate(_MODEL_ADDRS[:start])}
     history = [(Environment(dict(model)), model)]
     for branch, addr, balance in script:
-        # Mostly extend the newest snapshot; every fourth step branches.
+        # Mostly extend the newest snapshot; every fourth step branches, and
+        # every third writes a second address in the same update.
         env, model = history[-1 if branch % 4 else branch % len(history)]
         model = {**model, addr: registry.implicit_account(balance)}
-        history.append((env.updated(addr, model[addr]), model))
+        if branch % 3:
+            history.append((env.updated(addr, model[addr]), model))
+            continue
+        other = _MODEL_ADDRS[branch % len(_MODEL_ADDRS)]
+        model = {**model, other: registry.implicit_account(branch)}
+        history.append((env.updated(addr, model[addr], other, model[other]), model))
     for env, model in history:
         for addr in _MODEL_ADDRS + ["absent"]:
             assert env.get(addr) is model.get(addr)
@@ -266,26 +288,58 @@ class TestContract:
         with pytest.raises(AmountError):
             registry.implicit_account(-1)
 
-    def test_with_balance_checks_only_the_amount(self):
+    def test_moved_changes_only_the_balance(self):
         contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
-        moved = contract.with_balance(MAX_MUTEZ)
+        moved = contract.moved(MAX_MUTEZ)
+        assert type(moved) is Contract
         assert moved.balance == MAX_MUTEZ
-        assert moved == dataclasses.replace(contract, balance=MAX_MUTEZ)
-        assert hash(moved) == hash(dataclasses.replace(contract, balance=MAX_MUTEZ))
+        assert moved == contract._replace(balance=MAX_MUTEZ)
+        assert hash(moved) == hash(contract._replace(balance=MAX_MUTEZ))
+        assert moved.storage is contract.storage
         assert contract.balance == 3
         for bad in (-1, MAX_MUTEZ + 1, True):
             with pytest.raises(AmountError):
-                contract.with_balance(bad)
+                contract._replace(balance=bad)
 
     def test_with_storage_checks_only_the_storage(self):
         contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
         stored = contract.with_storage(NatV(9))
-        assert stored == dataclasses.replace(contract, storage=NatV(9))
-        assert hash(stored) == hash(dataclasses.replace(contract, storage=NatV(9)))
+        assert type(stored) is Contract
+        assert stored == contract._replace(storage=NatV(9))
+        assert hash(stored) == hash(contract._replace(storage=NatV(9)))
         assert contract.storage == NatV(3)
         for bad in (UNIT_VALUE, IntV(9), 9):
             with pytest.raises(ValueError):
                 contract.with_storage(bad)
+
+    def test_fields_cannot_be_assigned(self):
+        contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
+        for name in contract._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(contract, name, 5)
+        assert contract == registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
+
+    def test_replace_checks_like_construction(self):
+        contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
+        assert contract._replace(contextual=True).contextual is True
+        assert type(contract._replace(balance=4)) is Contract
+        for bad in (-1, MAX_MUTEZ + 1, True):
+            with pytest.raises(AmountError):
+                contract._replace(balance=bad)
+        with pytest.raises(ValueError, match=r"^storage unit does not inhabit"):
+            contract._replace(storage=UNIT_VALUE)
+        with pytest.raises(ValueError):
+            contract._replace(owner="bad")
+        with pytest.raises(AmountError):
+            Contract._make(contract[:2] + (-1,) + contract[3:])
+        assert contract.balance == 3 and contract.storage == NatV(3)
+
+    def test_repr_names_every_field(self):
+        contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
+        assert repr(contract) == (
+            "Contract(storage_type=TypeTag(kind='nat', args=()), storage=NatV(n=3), "
+            "balance=3, code_key='forwarder', config=UnitV(), contextual=False)"
+        )
 
 
 class TestOperations:
@@ -323,6 +377,18 @@ class TestOperations:
             Transfer("bad addr", 1, UNIT_VALUE)
         with pytest.raises(AmountError):
             Transfer("ok", -1, UNIT_VALUE)
+        for bad in (5, "default", None, (StringV("default"), UNIT_VALUE)):
+            with pytest.raises(ValueError, match="not a value"):
+                Transfer("ok", 1, bad)
+        for value in (UNIT_VALUE, NatV(5), make_param("f", ListV(()))):
+            assert Transfer("ok", 1, value).param == value
+
+    @pytest.mark.parametrize("kind", ["allow", "block"])
+    def test_restricted_refuses_a_bare_string(self, kind):
+        # "vault" is not five one-letter addresses.
+        with pytest.raises(ValueError):
+            Restricted((), **{kind: "vault"})
+        assert getattr(Restricted((), **{kind: ["vault"]}), kind) == frozenset({"vault"})
 
 
 class TestRendering:

@@ -1,11 +1,11 @@
 import copy
 import random
-from dataclasses import replace
 
 import pytest
 
 from chainsim.core import (
     NAT,
+    AddressV,
     AtomicBundle,
     CallContext,
     Contract,
@@ -230,6 +230,23 @@ class TestTransfer:
         assert env == snapshot
         assert env.get("alice").balance == 100
         assert env.get("full").balance == 0
+
+    def test_credit_overflow_reverts_before_the_body(self, simple_env):
+        env = simple_env.updated("full", registry.implicit_account(MAX_MUTEZ))
+        snapshot = copy.deepcopy(env)
+        op = Transfer("full", 1, make_param("default"))
+        err = _expect_error(OVERFLOW, execute_operation, _ectx("alice"), op, env, FEATURES)
+        assert err.detail == "credit overflows @full"
+        assert env == snapshot
+        assert env.get("alice").balance == 100
+        assert env.get("full").balance == MAX_MUTEZ
+        # Filling the destination exactly up to MAX_MUTEZ is no overflow.
+        for amount, full in ((0, "full"), (1, "nearly")):
+            env = env.updated("nearly", registry.implicit_account(MAX_MUTEZ - 1))
+            op = Transfer(full, amount, make_param("default"))
+            out = execute_operation(_ectx("alice"), op, env, FEATURES)
+            assert out.env_after.get(full).balance == MAX_MUTEZ
+            assert out.env_after.get("alice").balance == 100 - amount
 
     @pytest.mark.parametrize("returned", [NatV(1), 1], ids=["nat", "not_a_value"])
     def test_ill_typed_body_storage_is_type_mismatch(self, simple_env, returned):
@@ -610,13 +627,14 @@ def _register_storage_body(key, storage_type, body):
 
 
 def _count_updates(monkeypatch):
-    """Record the address of every `Environment.updated` call from now on."""
+    """Record, per `Environment.updated` call from now on, the addresses it
+    writes, in order."""
     calls = []
     original = Environment.updated
 
-    def counted(self, addr, contract):
-        calls.append(addr)
-        return original(self, addr, contract)
+    def counted(self, addr, contract, *more):
+        calls.append((addr, *more[::2]))
+        return original(self, addr, contract, *more)
 
     monkeypatch.setattr(Environment, "updated", counted)
     return calls
@@ -630,8 +648,9 @@ class TestStorageWrite:
         kept = simple_env.get("bob").storage
         calls = _count_updates(monkeypatch)
         out = execute_operation(_ectx("alice"), _PAY_BOB, simple_env, FEATURES)
-        # The sender's debit and the callee's credit; no storage write.
-        assert calls == ["alice", "bob"]
+        # The sender's debit and the callee's credit in one write; no
+        # storage write.
+        assert calls == [("alice", "bob")]
         assert out.env_after.get("bob").storage is kept
         assert out.env_after.get("bob").balance == 51
 
@@ -647,10 +666,26 @@ class TestStorageWrite:
         out = execute_operation(
             _ectx("alice"), Transfer("copier", 1, make_param("default")), env, FEATURES
         )
-        assert calls == ["alice", "copier", "copier"]
+        assert calls == [("alice", "copier"), ("copier",)]
         committed = out.env_after.get("copier").storage
         assert committed == before and committed is not before
         assert out.env_after.get("copier").balance == 1
+
+    def test_self_transfer_credits_the_debited_contract(self, simple_env, monkeypatch):
+        # @fwd accounts its payment to itself when it emits it, and its own
+        # credit when it receives it, so storage and balance agree after.
+        op = Transfer("fwd", 0, make_param("invoke", AddressV("fwd"), NatV(10)))
+        out = execute_operation(_ectx("alice"), op, simple_env, FEATURES)
+        assert out.emitted == (Transfer("fwd", 10, make_param("default")),)
+        assert out.env_after.get("fwd").storage == NatV(20)
+        calls = _count_updates(monkeypatch)
+        out = execute_operation(_ectx("fwd"), out.emitted[0], out.env_after, FEATURES)
+        fwd = out.env_after.get("fwd")
+        assert (fwd.balance, fwd.storage) == (30, NatV(30))
+        # One write moves the funds: the debit, then the credit computed
+        # from it. The forwarder returns a new storage object, written next.
+        assert calls == [("fwd", "fwd"), ("fwd",)]
+        assert simple_env.get("fwd").balance == 30
 
     def test_kept_storage_mutated_ill_typed_is_type_mismatch(self, simple_env):
         # The body returns its own storage object after breaking its type in
@@ -697,7 +732,7 @@ class TestReportedEffects:
         assert out.opens_frame is False
 
     def test_contextual_callee_opens_a_frame_only_with_contexts(self, vault_env):
-        env = vault_env.updated("vault", replace(vault_env.get("vault"), contextual=True))
+        env = vault_env.updated("vault", vault_env.get("vault")._replace(contextual=True))
         op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
         out = execute_operation(_ectx("bad"), op, env, FeatureSet(contexts=True))
         assert out.opens_frame is True
@@ -707,7 +742,7 @@ class TestReportedEffects:
         assert err.detail == "contexts feature disabled (contextual callee)"
 
     def test_body_failure_precedes_the_contexts_check(self, vault_env):
-        env = vault_env.updated("vault", replace(vault_env.get("vault"), contextual=True))
+        env = vault_env.updated("vault", vault_env.get("vault")._replace(contextual=True))
         op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
         err = _expect_error(CONTRACT_FAILURE, execute_operation, _ectx("owner"), op, env, FEATURES)
         assert "not owner" in err.detail

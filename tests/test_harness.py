@@ -155,7 +155,7 @@ def _skip_debit(ectx, op, env, features, pending=()):
     if isinstance(op, Transfer) and op.amount > 0 and ectx.sender != op.dest:
         sender_c = out.env_after.get(ectx.sender)
         forged = out.env_after.updated(
-            ectx.sender, sender_c.with_balance(sender_c.balance + op.amount)
+            ectx.sender, sender_c._replace(balance=sender_c.balance + op.amount)
         )
         return out._replace(env_after=forged)
     return out

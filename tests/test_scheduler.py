@@ -65,7 +65,7 @@ def _first_step(strategy, contextual_payer=False):
     the second submitted operation and the two operations the payer emits."""
     env = _context_env()
     if contextual_payer:
-        env = env.updated("a", replace(env.get("a"), contextual=True))
+        env = env.updated("a", env.get("a")._replace(contextual=True))
     cfg = SchedulerConfig(
         strategy=strategy, features=FeatureSet(contexts=True), record_queue_states=True
     )
@@ -312,6 +312,27 @@ class TestRunTransaction:
         assert isinstance(outcome, Revert) and outcome.kind == CONTRACT_CRASH
         assert [n.status for n in tree.nodes] == [STATUS_FAILED]
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_emitted_transfer_of_a_non_value_reverts(self, simple_env, record):
+        # A transfer whose parameter is not a value is rejected when the body
+        # builds it, before the callee's parameter check or a queue snapshot
+        # could see it.
+        key = "non_value_param_for_test"
+        if not registry.is_registered(key):
+            def body(ctx, param, storage):
+                return [Transfer("r", 0, 5)], storage
+
+            registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
+        env = simple_env.updated("r", registry.implicit_account(0)).updated(
+            "odd", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        )
+        tx = SignedTransaction("alice", (Transfer("odd", 0, make_param("default")),))
+        cfg = SchedulerConfig(record_queue_states=record)
+        outcome, _, tree = run_transaction(env, tx, cfg, 0)
+        assert isinstance(outcome, Revert) and outcome.kind == CONTRACT_CRASH
+        assert outcome.detail == "@odd raised ValueError: transfer parameter is not a value: 5"
+        assert [n.status for n in tree.nodes] == [STATUS_FAILED]
+
     def test_determinism(self, vault_env):
         runs = [run_transaction(vault_env, _rob_tx(), BFS, 7) for _ in range(2)]
         assert runs[0][0] == runs[1][0]
@@ -404,7 +425,7 @@ class TestContexts:
     def test_callee_contextual_flag_opens_frame(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", replace(payer, contextual=True))
+        env = env.updated("a", payer._replace(contextual=True))
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -423,7 +444,7 @@ class TestContexts:
     def test_callee_flag_wins_when_combined(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", replace(payer, contextual=True))
+        env = env.updated("a", payer._replace(contextual=True))
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -439,7 +460,7 @@ class TestContexts:
         # sees the error, and the call's node is the failed one.
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", replace(payer, contextual=True))
+        env = env.updated("a", payer._replace(contextual=True))
         cfg = SchedulerConfig(strategy=Strategy.BFS)
         raised = []
 
@@ -624,7 +645,7 @@ def test_view_between_steps_sees_committed_storage():
 
 def _mixed_env():
     payer = registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 10)
-    env = _context_env().updated("c", replace(payer, contextual=True))
+    env = _context_env().updated("c", payer._replace(contextual=True))
     return env.updated("fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5))
 
 

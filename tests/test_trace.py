@@ -27,6 +27,7 @@ from chainsim.scheduler import (
     run_transaction,
 )
 from chainsim.trace import (
+    TraceNode,
     TransactionTree,
     tree_to_json,
     validate_atomic_bundles,
@@ -235,6 +236,45 @@ class TestReplay:
         _, _, tree = run_transaction(env, tx, cfg, 0)
         wrappers = [n for n in tree.nodes if n.kind == "atomic"]
         assert wrappers and all(n.deltas == () and n.commits == () for n in wrappers)
+
+
+def _summed_moves(node):
+    """Reference deltas: every debit and credit summed per address, zeros
+    dropped, sorted."""
+    op = node.op
+    if node.status != "executed" or not isinstance(op, (Transfer, CreateContract)):
+        return ()
+    dest = op.dest if isinstance(op, Transfer) else op.addr
+    moves = {}
+    moves[node.sender] = moves.get(node.sender, 0) - op.amount
+    moves[dest] = moves.get(dest, 0) + op.amount
+    return tuple(sorted((a, d) for a, d in moves.items() if d != 0))
+
+
+_DELTA_OPS = [
+    Transfer("b", 3, make_param("default")),
+    Transfer("a", 3, make_param("default")),
+    Transfer("m", 3, make_param("default")),
+    Transfer("b", 0, make_param("default")),
+    CreateContract("z", 4, UNIT_VALUE, "receiver", UNIT_VALUE),
+    CreateContract("a", 4, UNIT_VALUE, "receiver", UNIT_VALUE),
+    CreateContract("c", 0, UNIT_VALUE, "receiver", UNIT_VALUE),
+    AtomicBundle((Transfer("b", 3, make_param("default")),)),
+    ContextBundle(()),
+    Restricted((), allow=frozenset({"b"})),
+    EndInteractions(),
+]
+
+
+@pytest.mark.parametrize("status", ["executed", "expanded", "failed"])
+@pytest.mark.parametrize("op", _DELTA_OPS, ids=lambda op: type(op).__name__)
+def test_deltas_equal_summed_moves(op, status):
+    # Senders on both sides of the destination and equal to it.
+    for sender in ("a", "m", "z"):
+        node = TraceNode(0, None, sender, op, status)
+        assert node.deltas == _summed_moves(node)
+        assert type(node.deltas) is tuple
+        assert all(type(move) is tuple for move in node.deltas)
 
 
 class TestJson:
