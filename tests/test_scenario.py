@@ -1,4 +1,5 @@
 import glob
+import json
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from chainsim.scenario import (
 )
 from chainsim.scheduler import SignedTransaction, Strategy
 
+import parse_corpus
 from conftest import SCENARIO_DIR, scenario_text
 from scenario_gen import random_scenario, random_value
 
@@ -221,6 +223,14 @@ class TestParseErrors:
             parse_scenario('scenario "x"\nfeatures warp')
         assert (err.value.line, err.value.column) == (2, 10)
         assert "feature name" in err.value.expected
+
+    def test_golden_corpus(self):
+        lines = parse_corpus.GOLDEN.read_text(encoding="utf-8").splitlines()
+        recorded = [json.loads(line) for line in lines]
+        answers = [case.pop("answer") for case in recorded]
+        assert recorded == list(parse_corpus.cases())
+        for case, want in zip(recorded, answers):
+            assert parse_corpus.answer(parse_corpus.case_text(case)) == want, case
 
     def test_heterogeneous_list(self):
         with pytest.raises(ScenarioParseError) as err:
