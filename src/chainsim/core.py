@@ -150,11 +150,15 @@ class ListV:
     items: tuple["Value", ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        if self.items:
-            head = value_type(self.items[0])
-            for item in self.items[1:]:
-                if value_type(item) != head:
+        items = tuple(self.items)
+        object.__setattr__(self, "items", items)
+        if items:
+            head = value_type(items[0])
+            # Items of one leaf class share its type; only pairs and lists
+            # need their type worked out.
+            leaf = None if isinstance(items[0], (PairV, ListV)) else type(items[0])
+            for item in items[1:]:
+                if type(item) is not leaf and value_type(item) != head:
                     raise ValueError("list elements must share one type")
 
 
@@ -425,6 +429,18 @@ class Environment:
         env._base = base
         env._top = top
         return env
+
+    def changed_since(self, earlier: "Environment") -> set[str]:
+        """The addresses whose contract object differs from `earlier`'s,
+        counting one present on only one side. Neither dict is mutated once
+        held, so when both environments hold the same base only addresses in
+        either top can differ; otherwise every address is compared."""
+        if self._base is earlier._base:
+            candidates = self._top.keys() | earlier._top.keys()
+            return {addr for addr in candidates if self.get(addr) is not earlier.get(addr)}
+        mine = {**self._base, **self._top} if self._top else self._base
+        theirs = {**earlier._base, **earlier._top} if earlier._top else earlier._base
+        return {addr for addr in mine.keys() | theirs.keys() if mine.get(addr) is not theirs.get(addr)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Environment):

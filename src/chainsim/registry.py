@@ -100,13 +100,11 @@ def instantiate(
         raise RegistryError(
             f"storage {render_value(storage)} does not fit contract {code_key!r}"
         )
-    return Contract(
-        storage_type=defn.storage_type,
-        storage=storage,
-        balance=check_amount(balance),
-        code_key=code_key,
-        config=config,
-        contextual=contextual,
+    # Built unchecked, as Contract.moved builds its copies: the storage and
+    # balance were checked above, and Contract() would check both again.
+    return tuple.__new__(
+        Contract,
+        (defn.storage_type, storage, check_amount(balance), code_key, config, contextual),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NoReturn, Optional, Union
 
 from . import registry
 from .core import (
@@ -141,57 +141,58 @@ _STRING_PREFIX = re.compile(_STRING)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
-# Every token kind, the layout between tokens, and `error` for any other
-# character. `\d` is a Unicode decimal digit, exactly what int() accepts.
-# The alternatives start with disjoint characters, so only `error` must come
-# last; the rest are tried most frequent first, which roughly halves the
-# time spent matching.
+# The layout before a token (blanks and newlines, each comment with the blanks
+# after it) and the token itself: one match per token. `eof` matches at the
+# end of the text and `error` any other character; after the layout, one of
+# the two always matches, so the layout loop never backtracks. `\d` is a Unicode decimal digit, exactly what
+# int() accepts. The alternatives start with disjoint characters, so only
+# `eof` and `error` must come last; the rest are tried most frequent first.
 _TOKEN = re.compile(
-    "|".join(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
+    + "|".join(
         f"(?P<{kind}>{pattern})"
         for kind, pattern in (
-            ("skip", r"[ \t\r]+|#[^\n]*"),
-            ("newline", r"\n"),
             ("ident", "[A-Za-z_][A-Za-z0-9_]*"),
             ("nat", r"\d+"),
             ("punct", r"[{}\[\]()=<>,]"),
             ("address", "@[A-Za-z_][A-Za-z0-9_]*"),
             ("int", r"-\d+"),
             ("string", _STRING + '"'),
+            ("eof", r"\Z"),
             ("error", "."),
         )
     )
+    + ")"
 )
 
 
-class Token(NamedTuple):
-    kind: str  # ident | nat | int | string | address | punct | eof
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _describe(tok: Token) -> str:
-    if tok.kind == "eof":
+def _describe(kind: str, text: str) -> str:
+    if kind == "eof":
         return "end of input"
-    if tok.kind == "address":
-        return f"'@{tok.text}'"
-    if tok.kind == "string":
-        return f'string "{tok.text}"'
-    return f"'{tok.text}'"
+    if kind == "address":
+        return f"'@{text}'"
+    if kind == "string":
+        return f'string "{text}"'
+    return f"'{text}'"
 
 
-def _lex_error(text: str, i: int, line: int, col: int) -> ScenarioParseError:
+def _lex_error(text: str, i: int) -> ScenarioParseError:
     """The error for text[i], a character that starts no token."""
     c = text[i]
     if c == '"':
         j = _STRING_PREFIX.match(text, i).end()
         if text.startswith("\\", j):
-            found = f"'{text[j:j + 2]}'"
-            return ScenarioParseError(line, col + j - i, "valid escape sequence", found)
-        return ScenarioParseError(line, col, "closing '\"'", "end of line")
+            return ScenarioParseError(
+                *_position(text, j), "valid escape sequence", f"'{text[j:j + 2]}'"
+            )
+        return ScenarioParseError(*_position(text, i), "closing '\"'", "end of line")
     expected = {"@": "address after '@'", "-": "a digit after '-'"}.get(c, "a token")
-    return ScenarioParseError(line, col, expected, f"'{c}'")
+    return ScenarioParseError(*_position(text, i), expected, f"'{c}'")
 
 
 _DECL_KEYWORDS = ("account", "contract", "strategy", "features", "fuel")
@@ -203,149 +204,139 @@ MAX_NESTING = 100
 
 
 class _Stream:
-    """The tokens of `text`, each scanned when the parser first looks at it,
-    so a scan error is reported only if the parse gets that far."""
+    """The current token of `source` as plain attributes: `kind` (ident, nat,
+    int, string, address, punct, eof or error), `text` (an address without
+    its `@`, a string unescaped) and the match `m` it came from. Each
+    advance scans the next token with one match. A character that starts no
+    token becomes an `error` token, which no expectation accepts, so its
+    scan error is raised only when the parser fails at it: an error in the
+    grammar before it is reported first."""
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.matches = _TOKEN.finditer(text)
-        self.line = 1
-        self.line_start = 0  # offset of the current line's first character
-        self.tok: Optional[Token] = None
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.match = _TOKEN.match
+        self.end = 0  # where the next token's layout starts
         self.depth = 0
+        self.text = ""
+        self.advance()
 
-    def _scan(self) -> Token:
-        for m in self.matches:
-            kind = m.lastgroup
-            if kind == "skip":
-                continue
-            if kind == "newline":
-                self.line += 1
-                self.line_start = m.end()
-                continue
-            col = m.start() - self.line_start + 1
-            if kind == "error":
-                raise _lex_error(self.text, m.start(), self.line, col)
-            text = m.group()
-            if kind == "string":
-                text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
-            elif kind == "address":
-                text = text[1:]
-            return Token(kind, text, self.line, col)
-        return Token("eof", "", self.line, len(self.text) - self.line_start + 1)
+    def advance(self) -> str:
+        """Step past the current token, which is not `eof`; return its text."""
+        text = self.text
+        m = self.m = self.match(self.source, self.end)
+        self.end = m.end()
+        kind = self.kind = m.lastgroup
+        token = m[kind]
+        if kind == "address":
+            token = token[1:]
+        elif kind == "string":
+            token = token[1:-1]
+            if "\\" in token:
+                token = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], token)
+        self.text = token
+        return text
 
-    def peek(self) -> Token:
-        if self.tok is None:
-            self.tok = self._scan()
-        return self.tok
+    def start(self) -> int:
+        """The current token's offset in `source`."""
+        return self.m.start(self.kind)
 
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.tok = None
-        return tok
+    def fail(self, expected: str, at: Optional[int] = None, found: str = "") -> NoReturn:
+        """Raise the error for the current token, or for `found` at offset
+        `at`; a current `error` token raises its scan error instead."""
+        if at is None:
+            if self.kind == "error":
+                raise _lex_error(self.source, self.start())
+            at, found = self.start(), _describe(self.kind, self.text)
+        raise ScenarioParseError(*_position(self.source, at), expected, found)
 
-    def fail(self, expected: str, tok: Optional[Token] = None) -> ScenarioParseError:
-        tok = tok or self.peek()
-        raise ScenarioParseError(tok.line, tok.col, expected, _describe(tok))
-
-    def expect_ident(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
+    def expect_ident(self, word: str) -> None:
+        if self.kind != "ident" or self.text != word:
             self.fail(f"'{word}'")
-        return self.advance()
+        self.advance()
 
-    def expect_kind(self, kind: str, expected: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect_kind(self, kind: str, expected: str) -> str:
+        if self.kind != kind:
             self.fail(expected)
         return self.advance()
 
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != ch:
-            self.fail(f"'{ch}'")
+    def address(self) -> str:
+        """The current token's address, stepping past it."""
+        if self.kind != "address":
+            self.fail("an address ('@name')")
         return self.advance()
 
+    def expect_punct(self, ch: str) -> None:
+        if self.kind != "punct" or self.text != ch:
+            self.fail(f"'{ch}'")
+        self.advance()
+
     def open(self, ch: str) -> None:
-        tok = self.expect_punct(ch)
+        if self.depth == MAX_NESTING and self.at_punct(ch):
+            self.fail(f"at most {MAX_NESTING} nested brackets")
+        self.expect_punct(ch)
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"at most {MAX_NESTING} nested brackets", tok)
 
     def close(self, ch: str) -> None:
         self.expect_punct(ch)
         self.depth -= 1
 
     def at_ident(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text in words
+        return self.kind == "ident" and self.text in words
 
     def at_punct(self, *chars: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text in chars
+        return self.kind == "punct" and self.text in chars
 
 
 def _parse_nat(ts: _Stream, what: str) -> int:
     """A NAT the grammar names (amount, balance, total, fuel): at most 2^64-1."""
-    tok = ts.expect_kind("nat", what)
-    if int(tok.text) > MAX_MUTEZ:
-        ts.fail(f"{what} of at most {MAX_MUTEZ}", tok)
-    return int(tok.text)
-
-
-def _parse_address(ts: _Stream) -> str:
-    tok = ts.expect_kind("address", "an address ('@name')")
-    return tok.text
+    if ts.kind != "nat":
+        ts.fail(what)
+    n = int(ts.text)
+    if n > MAX_MUTEZ:
+        ts.fail(f"{what} of at most {MAX_MUTEZ}")
+    ts.advance()
+    return n
 
 
 def _parse_value(ts: _Stream) -> Value:
-    tok = ts.peek()
-    if tok.kind == "nat":
-        ts.advance()
-        return NatV(int(tok.text))
-    if tok.kind == "int":
-        ts.advance()
-        return IntV(int(tok.text))
-    if tok.kind == "string":
-        ts.advance()
-        return StringV(tok.text)
-    if tok.kind == "address":
-        ts.advance()
-        return AddressV(tok.text)
-    if tok.kind == "ident":
-        if tok.text == "true":
-            ts.advance()
-            return BoolV(True)
-        if tok.text == "false":
-            ts.advance()
-            return BoolV(False)
-        if tok.text == "unit":
+    kind = ts.kind
+    if kind == "nat":
+        return NatV(int(ts.advance()))
+    if kind == "address":
+        return AddressV(ts.advance())
+    if kind == "int":
+        return IntV(int(ts.advance()))
+    if kind == "string":
+        return StringV(ts.advance())
+    if kind == "ident":
+        word = ts.text
+        if word == "unit":
             ts.advance()
             return UNIT_VALUE
-        if tok.text == "mutez":
+        if word == "true" or word == "false":
+            ts.advance()
+            return BoolV(word == "true")
+        if word == "mutez":
             ts.advance()
             return MutezV(_parse_nat(ts, "a mutez amount"))
-        ts.fail("a value")
-    if ts.at_punct("("):
-        ts.open("(")
-        ts.expect_ident("pair")
-        left = _parse_value(ts)
-        right = _parse_value(ts)
-        ts.close(")")
-        return PairV(left, right)
-    if ts.at_punct("["):
-        ts.open("[")
-        items = _parse_values(ts, "]")
-        ts.close("]")
-        try:
-            return ListV(tuple(items))
-        except ValueError:
-            raise ScenarioParseError(
-                tok.line, tok.col, "homogeneous list elements", "mixed element types"
-            ) from None
+    elif kind == "punct":
+        if ts.text == "(":
+            ts.open("(")
+            ts.expect_ident("pair")
+            left = _parse_value(ts)
+            right = _parse_value(ts)
+            ts.close(")")
+            return PairV(left, right)
+        if ts.text == "[":
+            start = ts.start()
+            ts.open("[")
+            items = _parse_values(ts, "]")
+            ts.close("]")
+            try:
+                return ListV(tuple(items))
+            except ValueError:
+                ts.fail("homogeneous list elements", start, "mixed element types")
     ts.fail("a value")
-    raise AssertionError("unreachable")
 
 
 def _parse_values(ts: _Stream, close: str) -> list[Value]:
@@ -361,9 +352,9 @@ def _parse_values(ts: _Stream, close: str) -> list[Value]:
 
 def _parse_contract(ts: _Stream) -> tuple[str, str, Value, Value, int]:
     """`@A code K config v storage v balance N` of `contract` and `create`."""
-    addr = _parse_address(ts)
+    addr = ts.address()
     ts.expect_ident("code")
-    code_key = ts.expect_kind("ident", "a code key").text
+    code_key = ts.expect_kind("ident", "a code key")
     ts.expect_ident("config")
     config = _parse_value(ts)
     ts.expect_ident("storage")
@@ -373,54 +364,51 @@ def _parse_contract(ts: _Stream) -> tuple[str, str, Value, Value, int]:
 
 
 def _parse_op(ts: _Stream) -> Operation:
-    tok = ts.peek()
-    if tok.kind != "ident":
-        ts.fail("an operation")
-    if tok.text == "transfer":
+    word = ts.text if ts.kind == "ident" else ""
+    if word == "transfer":
         ts.advance()
         amount = _parse_nat(ts, "an amount (nat)")
         ts.expect_ident("to")
-        dest = _parse_address(ts)
+        dest = ts.address()
         param = make_param("default")
         if ts.at_ident("call"):
             ts.advance()
-            name = ts.expect_kind("ident", "an entrypoint name").text
+            name = ts.expect_kind("ident", "an entrypoint name")
             ts.expect_punct("(")
             args = _parse_values(ts, ")")
             ts.expect_punct(")")
             param = make_param(name, *args)
         return Transfer(dest, amount, param)
-    if tok.text == "create":
+    if word == "create":
         ts.advance()
         addr, code_key, config, storage, balance = _parse_contract(ts)
         return CreateContract(addr, balance, storage, code_key, config)
-    if tok.text in ("atomic", "context"):
+    if word in ("atomic", "context"):
         ts.advance()
         ops = _parse_block(ts)
-        return AtomicBundle(ops) if tok.text == "atomic" else ContextBundle(ops)
-    if tok.text in ("allow", "block"):
+        return AtomicBundle(ops) if word == "atomic" else ContextBundle(ops)
+    if word in ("allow", "block"):
         ts.advance()
         ts.expect_punct("[")
         addrs: list[str] = []
-        while ts.peek().kind == "address":
-            addrs.append(_parse_address(ts))
+        while ts.kind == "address":
+            addrs.append(ts.advance())
         ts.expect_punct("]")
         ops = _parse_block(ts)
-        if tok.text == "allow":
+        if word == "allow":
             return Restricted(ops, allow=frozenset(addrs))
         return Restricted(ops, block=frozenset(addrs))
-    if tok.text == "end_interactions":
+    if word == "end_interactions":
         ts.advance()
         return EndInteractions()
     ts.fail("an operation")
-    raise AssertionError("unreachable")
 
 
 def _parse_block(ts: _Stream) -> tuple[Operation, ...]:
     ts.open("{")
     ops: list[Operation] = []
     while not ts.at_punct("}"):
-        if ts.peek().kind == "eof":
+        if ts.kind == "eof":
             ts.fail("an operation or '}'")
         ops.append(_parse_op(ts))
     ts.close("}")
@@ -429,81 +417,78 @@ def _parse_block(ts: _Stream) -> tuple[Operation, ...]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioParseError at the first offending
-    token in text order. Tokens are scanned as the parse reaches them."""
+    token in text order."""
     ts = _Stream(text)
     ts.expect_ident("scenario")
-    name = ts.expect_kind("string", "a scenario name (string)").text
+    name = ts.expect_kind("string", "a scenario name (string)")
 
     decls: list[Decl] = []
     settings: dict = {}  # SchedulerConfig fields; each declared at most once
-    while ts.at_ident(*_DECL_KEYWORDS):
-        tok = ts.advance()
-        if tok.text in settings:
-            ts.fail(f"at most one {tok.text} declaration", tok)
-        if tok.text == "account":
-            addr = _parse_address(ts)
+    while ts.kind == "ident" and ts.text in _DECL_KEYWORDS:
+        keyword = ts.text
+        if keyword in settings:
+            ts.fail(f"at most one {keyword} declaration")
+        ts.advance()
+        if keyword == "account":
+            addr = ts.address()
             ts.expect_ident("balance")
             decls.append(AccountDecl(addr, _parse_nat(ts, "a balance (nat)")))
-        elif tok.text == "contract":
+        elif keyword == "contract":
             fields = _parse_contract(ts)
-            contextual = False
-            if ts.at_ident("contextual"):
+            contextual = ts.at_ident("contextual")
+            if contextual:
                 ts.advance()
-                contextual = True
             decls.append(ContractDecl(*fields, contextual))
-        elif tok.text == "strategy":
+        elif keyword == "strategy":
             if not ts.at_ident("bfs", "dfs"):
                 ts.fail("'bfs' or 'dfs'")
-            settings["strategy"] = Strategy(ts.advance().text)
-        elif tok.text == "features":
+            settings["strategy"] = Strategy(ts.advance())
+        elif keyword == "features":
             if not ts.at_ident(*FEATURE_NAMES):
                 ts.fail("a feature name")
             names: list[str] = []
             while ts.at_ident(*FEATURE_NAMES):
-                names.append(ts.advance().text)
+                names.append(ts.advance())
             settings["features"] = FeatureSet.from_names(names)
         else:  # fuel
-            fuel_tok = ts.peek()
+            if ts.kind == "nat" and int(ts.text) < 1:
+                ts.fail("a fuel bound of at least 1")
             settings["fuel"] = _parse_nat(ts, "a fuel bound (nat)")
-            if settings["fuel"] < 1:
-                ts.fail("a fuel bound of at least 1", fuel_tok)
 
     transactions: list[SignedTransaction] = []
     while ts.at_ident("transaction"):
         ts.advance()
         ts.expect_ident("from")
-        author = _parse_address(ts)
+        author = ts.address()
         transactions.append(SignedTransaction(author, _parse_block(ts)))
 
     expectations: list[Expectation] = []
     while ts.at_ident("expect"):
         ts.advance()
-        tok = ts.peek()
-        if tok.kind != "ident":
-            ts.fail("'balance', 'storage', 'commit', 'revert', or 'total'")
-        if tok.text == "balance":
+        word = ts.text if ts.kind == "ident" else ""
+        if word == "balance":
             ts.advance()
-            addr = _parse_address(ts)
+            addr = ts.address()
             if not ts.at_punct("=", "<", ">"):
                 ts.fail("'=', '<', or '>'")
-            rel = ts.advance().text
+            rel = ts.advance()
             expectations.append(ExpectBalance(addr, rel, _parse_nat(ts, "a balance (nat)")))
-        elif tok.text == "storage":
+        elif word == "storage":
             ts.advance()
-            addr = _parse_address(ts)
+            addr = ts.address()
             ts.expect_punct("=")
             expectations.append(ExpectStorage(addr, _parse_value(ts)))
-        elif tok.text in ("commit", "revert"):
+        elif word in ("commit", "revert"):
             ts.advance()
-            expectations.append(ExpectOutcome(tok.text))
-        elif tok.text == "total":
+            expectations.append(ExpectOutcome(word))
+        elif word == "total":
             ts.advance()
             ts.expect_punct("=")
             expectations.append(ExpectTotal(_parse_nat(ts, "a total (nat)")))
         else:
             ts.fail("'balance', 'storage', 'commit', 'revert', or 'total'")
 
-    if ts.peek().kind != "eof":
+    if ts.kind != "eof":
         ts.fail("a declaration, transaction, expectation, or end of input")
     return Scenario(
         name,

@@ -130,7 +130,7 @@ class ValidationReport:
 
 def _balance_diff(env_before: Environment, env_after: Environment) -> dict[str, int]:
     diff: dict[str, int] = {}
-    for addr in set(env_before.accounts) | set(env_after.accounts):
+    for addr in env_after.changed_since(env_before):
         before = env_before.get(addr)
         after = env_after.get(addr)
         b = before.balance if before is not None else 0
@@ -230,7 +230,7 @@ def validate_atomic_bundles(
 
 def validate_conservation(env_before: Environment, env_after: Environment) -> bool:
     """No mint, no burn: combined funds are constant."""
-    return env_before.total_balance() == env_after.total_balance()
+    return sum(_balance_diff(env_before, env_after).values()) == 0
 
 
 def validate_replay(
@@ -238,28 +238,33 @@ def validate_replay(
 ) -> ValidationReport:
     """Replaying recorded deltas and storage commits over env_before must
     reproduce every balance and storage of env_after (code is checked by the
-    executor's immutability rules, not here)."""
+    executor's immutability rules, not here). Only the addresses the trace
+    names or the environments differ on are compared: every other one holds
+    the same contract before and after."""
     if not tree.committed:
         raise ValueError("replay applies to committed transactions")
-    balances = {addr: c.balance for addr, c in env_before.accounts.items()}
-    storages = {addr: c.storage for addr, c in env_before.accounts.items()}
+    moved: dict[str, int] = {}
+    storages: dict[str, Value] = {}
     for node in tree.nodes:
         for addr, delta in node.deltas:
-            balances[addr] = balances.get(addr, 0) + delta
+            moved[addr] = moved.get(addr, 0) + delta
         for addr, value in node.commits:
             # A commit on an unseen address is a zero-endowment creation.
-            balances.setdefault(addr, 0)
+            moved.setdefault(addr, 0)
             storages[addr] = value
     violations = []
-    for addr in sorted(set(balances) | set(env_after.accounts)):
+    for addr in sorted(moved.keys() | env_after.changed_since(env_before)):
+        before = env_before.get(addr)
         after = env_after.get(addr)
         if after is None:
             violations.append(f"@{addr}: replay creates an address the chain lacks")
             continue
-        if balances.get(addr) != after.balance:
-            violations.append(
-                f"@{addr}: replayed balance {balances.get(addr)} != {after.balance}"
-            )
-        if storages.get(addr, after.storage) != after.storage:
+        balance = None if before is None else before.balance
+        if addr in moved:
+            balance = (balance or 0) + moved[addr]
+        if balance != after.balance:
+            violations.append(f"@{addr}: replayed balance {balance} != {after.balance}")
+        storage = storages.get(addr, after.storage if before is None else before.storage)
+        if storage != after.storage:
             violations.append(f"@{addr}: replayed storage differs")
     return ValidationReport("trace_replay", not violations, tuple(violations))

@@ -49,13 +49,17 @@ def case_text(case: dict) -> str:
     return text[:at] + case["char"] + text[at + 1 :]
 
 
+def fixture_token_ends(text: str) -> list[int]:
+    """The offset after each token of a well-formed fixture."""
+    return [m.end() for m in _FIXTURE_TOKEN.finditer(text) if m[1]]
+
+
 def cases():
     """Case descriptions, in the golden file's order."""
     for path in sorted(SCENARIO_DIR.glob("*.msc")):
         text = path.read_text(encoding="utf-8")
-        for m in _FIXTURE_TOKEN.finditer(text):
-            if m[1]:  # not a comment
-                yield {"fixture": path.name, "cut": m.end()}
+        for end in fixture_token_ends(text):
+            yield {"fixture": path.name, "cut": end}
         rng = random.Random(path.name)
         for _ in range(SUBSTITUTIONS_PER_FIXTURE):
             yield {

@@ -102,6 +102,21 @@ def test_value_constructors_enforce_invariants():
         ListV((NatV(1), IntV(1)))
 
 
+@pytest.mark.parametrize(
+    "items",
+    [
+        (NatV(1), NatV(2), IntV(1)),
+        (PairV(NatV(1), NatV(2)), PairV(NatV(1), IntV(2))),
+        (ListV((NatV(1),)), ListV((IntV(1),))),
+        (ListV(()), ListV((NatV(1),))),
+    ],
+)
+def test_list_items_of_one_class_may_differ_in_type(items):
+    with pytest.raises(ValueError):
+        ListV(items)
+    assert ListV(items[:1] * 3).items == items[:1] * 3
+
+
 @given(st.text(st.sampled_from("ab \t\n\x1c\x85\xa0\u2028\u3000\u200b")) | st.text())
 def test_address_is_non_empty_without_whitespace(token):
     valid = bool(token) and not any(c.isspace() for c in token)
@@ -271,6 +286,43 @@ def test_layered_environment_matches_a_dict_model(start, script):
         assert env.addresses() == tuple(sorted(model))
         assert env.total_balance() == sum(c.balance for c in model.values())
         assert Environment(dict(env.accounts)) == env
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 30),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["update", "keep", "branch", "read"]),
+            st.integers(0, 10**6),
+            st.sampled_from(_MODEL_ADDRS[:40]),
+        ),
+        max_size=120,
+    ),
+)
+def test_changed_since_matches_a_brute_force_diff(start, script):
+    """Across updates (some folding top into base), branches from older
+    snapshots, rewrites of an address with its own contract, and `.accounts`
+    reads that fold in place, `changed_since` is the set of addresses whose
+    contract object differs."""
+    history = [Environment({a: registry.implicit_account(1) for a in _MODEL_ADDRS[:start]})]
+    env = history[0]
+    for action, n, addr in script:
+        if action == "update":
+            env = env.updated(addr, registry.implicit_account(n % 7))
+        elif action == "keep" and addr in env:
+            env = env.updated(addr, env.get(addr))
+        elif action == "branch":
+            env = history[n % len(history)]
+        elif action == "read":
+            history[n % len(history)].accounts
+        history.append(env)
+    pairs = [(history[i], history[j]) for i in range(len(history)) for j in (0, i // 2, -1)]
+    # Every answer first: the brute force reads `.accounts`, which folds.
+    answers = [(later, earlier, later.changed_since(earlier)) for later, earlier in pairs]
+    for later, earlier, changed in answers:
+        names = later.accounts.keys() | earlier.accounts.keys()
+        assert changed == {a for a in names if later.get(a) is not earlier.get(a)}
 
 
 class TestContract:

@@ -67,6 +67,23 @@ class TestRegistration:
         assert c.balance == 15
         assert c.storage == UNIT_VALUE
 
+    def test_instantiate_checks_config_and_storage_once(self, monkeypatch):
+        from chainsim import core
+
+        calls = []
+
+        def counting(value, tag):
+            calls.append(tag)
+            return typecheck(value, tag)
+
+        typecheck = core.value_typecheck
+        monkeypatch.setattr(core, "value_typecheck", counting)
+        monkeypatch.setattr(registry, "value_typecheck", counting)
+        c = registry.instantiate("receiver", UNIT_VALUE, UNIT_VALUE, 15, contextual=True)
+        assert calls == [UNIT, UNIT]  # config, storage; unit values do not recurse
+        assert type(c) is core.Contract
+        assert c == core.Contract(UNIT, UNIT_VALUE, 15, "receiver", UNIT_VALUE, True)
+
     def test_receiver_implicit_account(self):
         c = registry.implicit_account(0)
         assert c.balance == 0

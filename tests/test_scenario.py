@@ -1,8 +1,10 @@
 import glob
 import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainsim.core import (
     MAX_MUTEZ,
@@ -18,6 +20,7 @@ from chainsim.core import (
     render_value,
     split_param,
 )
+from chainsim import scenario
 from chainsim.scenario import (
     AccountDecl,
     ContractDecl,
@@ -111,6 +114,16 @@ MALFORMED = [
 ]
 
 
+def _mutated_fixture(case) -> str:
+    """A fixture with each (offset, replacement) splice applied in turn."""
+    path, splices = case
+    text = path.read_text(encoding="utf-8")
+    for at, new in splices:
+        at %= len(text) + 1
+        text = text[:at] + new + text[at + 1 :]
+    return text
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("text,line,col,expected,found", MALFORMED)
     def test_position_points_at_first_offending_token(
@@ -179,11 +192,14 @@ class TestParseErrors:
             ('scenario "x"\naccount @a balance 5 5 "\\q"', 2, 22, "a declaration"),
             (f'scenario "x"\naccount @a balance {MAX_MUTEZ + 1} @', 2, 20, "a balance"),
             ('scenario "x"\nstrategy bfs\nstrategy dfs -', 3, 1, "at most one strategy"),
+            ('scenario "x"\nfuel 0 $', 2, 6, "a fuel bound of at least 1"),
+            ('scenario "x"\nstrategy bfs strategy $', 2, 14, "at most one strategy"),
+            ('scenario "x"\ncontract @v code bank config [1, @a] $', 2, 30, "homogeneous list elements"),
         ],
     )
     def test_first_error_in_text_order(self, text, line, col, expected):
-        # A token is scanned only when the parse reaches it, so an error
-        # before a character that starts no token is the one reported.
+        # A character that starts no token is reported only when the parse
+        # fails at it, so an error in the grammar before it comes first.
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
         assert (err.value.line, err.value.column) == (line, col)
@@ -231,6 +247,37 @@ class TestParseErrors:
         assert recorded == list(parse_corpus.cases())
         for case, want in zip(recorded, answers):
             assert parse_corpus.answer(parse_corpus.case_text(case)) == want, case
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.tuples(
+                st.sampled_from(sorted(SCENARIO_DIR.glob("*.msc"))),
+                st.lists(st.tuples(st.integers(0, 800), st.text(max_size=3)), max_size=4),
+            ).map(_mutated_fixture),
+        )
+    )
+    def test_every_text_gets_a_scenario_or_a_positioned_error(self, text):
+        try:
+            parse_scenario(text)
+        except ScenarioParseError as err:
+            assert err.line >= 1 and err.column >= 1
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(str(SCENARIO_DIR / "*.msc"))))
+    def test_one_match_per_token(self, path, monkeypatch):
+        class Counting:
+            calls = 0
+
+            def match(self, text, pos):
+                Counting.calls += 1
+                return token.match(text, pos)
+
+        token = scenario._TOKEN
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        monkeypatch.setattr(scenario, "_TOKEN", Counting())
+        parse_scenario(text)
+        assert Counting.calls == len(parse_corpus.fixture_token_ends(text)) + 1
 
     def test_heterogeneous_list(self):
         with pytest.raises(ScenarioParseError) as err:

@@ -18,6 +18,8 @@ from chainsim.core import (
 )
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim import registry
+from chainsim.executor import execute_operation
+from chainsim.harness import check_transaction
 from chainsim.scheduler import (
     Commit,
     Revert,
@@ -228,6 +230,36 @@ class TestReplay:
     def test_replay_reproduces_attack(self, attack_run):
         before, after, tree = attack_run
         assert validate_replay(tree, before, after).ok
+
+    def test_one_transfer_commit_is_validated_without_reading_every_account(
+        self, monkeypatch
+    ):
+        env = Environment({f"u{i}": registry.implicit_account(5) for i in range(10_000)})
+        tx = SignedTransaction("u1", (Transfer("u2", 3, make_param("default")),))
+        outcome, _, tree = run_transaction(env, tx, BFS, 0)
+
+        def unread(self):
+            raise AssertionError("a validator read every account")
+
+        monkeypatch.setattr(Environment, "accounts", property(unread))
+        assert validate_conservation(env, outcome.env)
+        assert validate_no_double_spend(tree, env, outcome.env).ok
+        assert validate_replay(tree, env, outcome.env).ok
+
+    @pytest.mark.parametrize("accounts", [3, 10_000])
+    def test_an_account_no_node_names_fails_replay(self, accounts):
+        env = Environment({f"u{i}": registry.implicit_account(5) for i in range(accounts)})
+
+        def add_account(ectx, op, env, features, pending=()):
+            out = execute_operation(ectx, op, env, features, pending)
+            ghost = out.env_after.updated("ghost", registry.implicit_account(0))
+            return out._replace(env_after=ghost)
+
+        tx = SignedTransaction("u1", (Transfer("u2", 3, make_param("default")),))
+        invariants = ("conservation", "no_double_spend", "transfer_correctness")
+        assert check_transaction(env, tx, BFS, invariants, add_account) == [
+            "transfer_correctness"
+        ]
 
     def test_wrapper_nodes_carry_no_deltas(self):
         env = _bundle_env()
