@@ -27,6 +27,7 @@ from .core import (
     CreateContract,
     EndInteractions,
     Environment,
+    ExecError,
     ExecutionContext,
     IntV,
     ListV,
@@ -46,11 +47,13 @@ from .core import (
     list_t,
     make_param,
     pair_t,
+    pending_balance,
     render_value,
     value_type,
     value_typecheck,
+    view_storage,
 )
-from .executor import ExecError, ExecOutcome, execute_operation, pending_balance, view_storage
+from .executor import ExecOutcome, execute_operation
 from .features import FeatureSet
 from .harness import (
     DemonicProfile,

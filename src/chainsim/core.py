@@ -1,4 +1,5 @@
-"""Core domain types: values, type tags, contracts, environments, operations.
+"""Core domain types: values, type tags, contracts, environments, operations,
+and the call context through which a contract body reads the chain.
 
 Everything here is an immutable value. State changes are expressed by
 building new values (`Environment.updated`, `Contract.with_storage`), so any
@@ -9,7 +10,11 @@ old environment".
 from __future__ import annotations
 
 import re
+import weakref
+from collections import _tuplegetter, deque  # _tuplegetter: namedtuple's field accessor
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .features import FeatureSet
@@ -20,6 +25,22 @@ MAX_MUTEZ = 2**64 - 1
 
 class AmountError(ValueError):
     """Checked mutez arithmetic went out of the 64-bit unsigned range."""
+
+
+class ExecError(Exception):
+    """An operation could not execute; aborts (reverts) the transaction.
+    `kind` names the precondition that failed (see `executor` for the rest
+    of the kinds)."""
+
+    def __init__(self, kind: str, detail: str) -> None:
+        super().__init__(f"{kind}: {detail}")
+        self.kind = kind
+        self.detail = detail
+
+
+# The error kinds a contract body's reads of the chain can raise.
+UNKNOWN_ADDRESS = "unknown_address"
+FEATURE_DISABLED = "feature_disabled"
 
 
 _ADDRESS = re.compile(r"\S+")
@@ -48,16 +69,70 @@ def amount_add(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TypeTag:
     """Structural type of a runtime value.
 
     `kind` is one of unit/nat/int/bool/string/mutez/address/pair/list;
-    pair takes two args, list one.
+    pair takes two args, list one. Tags are interned: building a structure
+    returns the one tag that exists for it, so two tags are equal exactly
+    when they are the same object. The intern table holds tags weakly, so a
+    tag that no value, contract or declaration uses any more leaves it.
     """
 
+    __slots__ = ("kind", "args", "__weakref__")
     kind: str
-    args: tuple["TypeTag", ...] = ()
+    args: tuple["TypeTag", ...]
+
+    def __new__(cls, kind: str, args: Iterable["TypeTag"] = ()) -> "TypeTag":
+        return _interned((kind, *args))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"TypeTag(kind={self.kind!r}, args={self.args!r})"
+
+    def __reduce__(self) -> tuple:
+        return TypeTag, (self.kind, self.args)
+
+    def __deepcopy__(self, memo: dict) -> "TypeTag":
+        return self
+
+
+# (kind, *args) -> a weak reference to the one tag for it. A plain dict, read
+# on every pair or list built, with each entry removed when its tag dies.
+# The last _RECENT_TAGS tags made are also held strongly, so the type of a
+# value that is built and dropped over and over, such as a generated call
+# parameter, is not made anew each time; the table therefore holds at most
+# the tags in use plus those.
+_TAGS: dict[tuple, "weakref.ref[TypeTag]"] = {}
+_RECENT_TAGS = 256
+_recent: deque[TypeTag] = deque(maxlen=_RECENT_TAGS)
+
+
+def _interned(key: tuple) -> TypeTag:
+    """The tag for `key`, (kind, *args), made if it does not exist."""
+    ref = _TAGS.get(key)
+    if ref is not None:
+        tag = ref()
+        if tag is not None:
+            return tag
+    tag = object.__new__(TypeTag)
+    object.__setattr__(tag, "kind", key[0])
+    object.__setattr__(tag, "args", key[1:])
+    _TAGS[key] = weakref.ref(tag, partial(_forget_tag, key))
+    _recent.append(tag)
+    return tag
+
+
+def _forget_tag(key: tuple, ref: "weakref.ref[TypeTag]", tags: dict = _TAGS) -> None:
+    # `tags` is bound here, so a tag that dies while the interpreter shuts
+    # down still finds its table.
+    if tags.get(key) is ref:
+        del tags[key]
 
 
 UNIT = TypeTag("unit")
@@ -67,14 +142,101 @@ BOOL = TypeTag("bool")
 STRING = TypeTag("string")
 MUTEZ = TypeTag("mutez")
 ADDRESS = TypeTag("address")
+_LEAF_KINDS = frozenset(("unit", "nat", "int", "bool", "string", "mutez", "address"))
 
 
 def pair_t(left: TypeTag, right: TypeTag) -> TypeTag:
-    return TypeTag("pair", (left, right))
+    return _interned(("pair", left, right))
 
 
 def list_t(elem: TypeTag) -> TypeTag:
-    return TypeTag("list", (elem,))
+    return _interned(("list", elem))
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_new_tuple = tuple.__new__
+
+
+class _Record(tuple):
+    """An immutable record backed by a tuple, so no caller can change one in
+    place, not even with `object.__setattr__`.
+
+    A subclass lists its fields in `_fields`; they sit after its `_HIDDEN`
+    leading slots, and each gets a read-only accessor. It validates and
+    builds its instances in `__new__`. A record is read by field name:
+    iterating one is refused, as for any object that is not a container.
+    Records of different classes never compare equal, and no record equals
+    a plain tuple. An operation's hash is worked out from its fields when
+    asked for; a value carries its own (see `Value`).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _HIDDEN = 0
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for i, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, _tuplegetter(cls._HIDDEN + i, f"Field {name!r}"))
+
+    def __iter__(self) -> Iterator[object]:
+        raise TypeError(f"{type(self).__name__!r} object is not iterable")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False if isinstance(other, tuple) else NotImplemented
+        return _records_equal(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple.__hash__(self)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={self[self._HIDDEN + i]!r}" for i, name in enumerate(self._fields)
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self[self._HIDDEN :]
+
+    def __deepcopy__(self, memo: dict) -> "_Record":
+        return self
+
+
+def _records_equal(a: _Record, b: _Record) -> bool:
+    """`a == b` for two records of one class: the same hash for values,
+    then the same fields, nested records and tuples of them compared from
+    an explicit stack, so nesting depth is bounded by memory."""
+    todo: list[tuple[object, object]] = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if not isinstance(a, _Record):
+            if a != b:
+                return False
+            continue
+        if type(a) is not type(b) or (isinstance(a, Value) and a._hash != b._hash):
+            return False
+        for x, y in zip(a[a._HIDDEN :], b[a._HIDDEN :]):
+            if isinstance(x, _Record):
+                todo.append((x, y))
+            elif type(x) is tuple and type(y) is tuple:
+                if len(x) != len(y):
+                    return False
+                todo += zip(x, y)
+            elif x != y:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -82,144 +244,185 @@ def list_t(elem: TypeTag) -> TypeTag:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitV:
-    pass
+class Value(_Record):
+    """A runtime value. Each carries its interned type tag and its hash in
+    two leading slots, computed once at construction from its payload or
+    its children's, so neither needs a walk. A leaf's hash is its payload's:
+    `NatV(1)` and `IntV(1)` share a hash, and `==` tells them apart."""
+
+    __slots__ = ()
+    _HIDDEN = 2
+    _tag = _tuplegetter(0, "The value's interned type tag.")
+    _hash = _tuplegetter(1, "The value's hash.")
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class NatV:
+class UnitV(Value):
+    __slots__ = ()
+
+    def __new__(cls) -> "UnitV":
+        return _new_tuple(cls, (UNIT, hash(cls)))
+
+
+class NatV(Value):
+    __slots__ = ()
+    _fields = ("n",)
     n: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(f"nat payload must be a non-negative int: {self.n!r}")
+    def __new__(cls, n: int) -> "NatV":
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"nat payload must be a non-negative int: {n!r}")
+        return _new_tuple(cls, (NAT, hash(n), n))
 
 
-@dataclass(frozen=True)
-class IntV:
+class IntV(Value):
+    __slots__ = ()
+    _fields = ("i",)
     i: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.i, int) or isinstance(self.i, bool):
-            raise ValueError(f"int payload must be an int: {self.i!r}")
+    def __new__(cls, i: int) -> "IntV":
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ValueError(f"int payload must be an int: {i!r}")
+        return _new_tuple(cls, (INT, hash(i), i))
 
 
-@dataclass(frozen=True)
-class BoolV:
+class BoolV(Value):
+    __slots__ = ()
+    _fields = ("b",)
     b: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.b, bool):
-            raise ValueError(f"bool payload must be a bool: {self.b!r}")
+    def __new__(cls, b: bool) -> "BoolV":
+        if not isinstance(b, bool):
+            raise ValueError(f"bool payload must be a bool: {b!r}")
+        return _new_tuple(cls, (BOOL, hash(b), b))
 
 
-@dataclass(frozen=True)
-class StringV:
+class StringV(Value):
+    __slots__ = ()
+    _fields = ("s",)
     s: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.s, str):
-            raise ValueError(f"string payload must be a str: {self.s!r}")
+    def __new__(cls, s: str) -> "StringV":
+        if not isinstance(s, str):
+            raise ValueError(f"string payload must be a str: {s!r}")
+        return _new_tuple(cls, (STRING, hash(s), s))
 
 
-@dataclass(frozen=True)
-class MutezV:
+class MutezV(Value):
+    __slots__ = ()
+    _fields = ("mutez",)
     mutez: int
 
-    def __post_init__(self) -> None:
-        check_amount(self.mutez)
+    def __new__(cls, mutez: int) -> "MutezV":
+        check_amount(mutez)
+        return _new_tuple(cls, (MUTEZ, hash(mutez), mutez))
 
 
-@dataclass(frozen=True)
-class AddressV:
+class AddressV(Value):
+    __slots__ = ()
+    _fields = ("addr",)
     addr: str
 
-    def __post_init__(self) -> None:
-        check_address(self.addr)
+    def __new__(cls, addr: str) -> "AddressV":
+        check_address(addr)
+        return _new_tuple(cls, (ADDRESS, hash(addr), addr))
 
 
-@dataclass(frozen=True)
-class PairV:
-    left: "Value"
-    right: "Value"
+def _not_a_value(v: object) -> TypeError:
+    return TypeError(f"not a value: {v!r}")
 
 
-@dataclass(frozen=True)
-class ListV:
-    items: tuple["Value", ...] = ()
+class PairV(Value):
+    __slots__ = ()
+    _fields = ("left", "right")
+    left: Value
+    right: Value
 
-    def __post_init__(self) -> None:
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        if items:
-            head = value_type(items[0])
-            # Items of one leaf class share its type; only pairs and lists
-            # need their type worked out.
-            leaf = None if isinstance(items[0], (PairV, ListV)) else type(items[0])
-            for item in items[1:]:
-                if type(item) is not leaf and value_type(item) != head:
+    def __new__(cls, left: Value, right: Value) -> "PairV":
+        if not isinstance(left, Value):
+            raise _not_a_value(left)
+        if not isinstance(right, Value):
+            raise _not_a_value(right)
+        tag = _interned(("pair", left._tag, right._tag))
+        return _new_tuple(cls, (tag, hash((cls, left._hash, right._hash)), left, right))
+
+
+# The classes whose instances all have one tag, the class's own.
+_LEAF_VALUE_TYPES = frozenset((UnitV, NatV, IntV, BoolV, StringV, MutezV, AddressV))
+_hash_of = itemgetter(1)
+
+
+class ListV(Value):
+    """A list whose items all have one type tag; an empty list's is list
+    unit."""
+
+    __slots__ = ()
+    _fields = ("items",)
+    items: tuple[Value, ...]
+
+    def __new__(cls, items: Iterable[Value] = ()) -> "ListV":
+        items = tuple(items)
+        head = value_type(items[0]) if items else UNIT
+        classes = set(map(type, items))
+        # Items of one leaf class share its tag; any others are checked one
+        # by one.
+        if len(classes) > 1 or not classes <= _LEAF_VALUE_TYPES:
+            for item in items:
+                if not isinstance(item, Value):
+                    raise _not_a_value(item)
+                if item._tag is not head:
                     raise ValueError("list elements must share one type")
+        hashed = hash((cls, tuple(map(_hash_of, items))))
+        return _new_tuple(cls, (_interned(("list", head)), hashed, items))
 
-
-Value = Union[UnitV, NatV, IntV, BoolV, StringV, MutezV, AddressV, PairV, ListV]
-
-# The value classes, for `isinstance`; pairs first, as every call parameter is one.
-_VALUE_TYPES = (PairV, UnitV, NatV, IntV, BoolV, StringV, MutezV, AddressV, ListV)
 
 UNIT_VALUE = UnitV()
 
 
 def value_type(v: Value) -> TypeTag:
     """Most specific tag inhabited by `v`. Empty lists infer as list unit."""
-    if isinstance(v, UnitV):
-        return UNIT
-    if isinstance(v, NatV):
-        return NAT
-    if isinstance(v, IntV):
-        return INT
-    if isinstance(v, BoolV):
-        return BOOL
-    if isinstance(v, StringV):
-        return STRING
-    if isinstance(v, MutezV):
-        return MUTEZ
-    if isinstance(v, AddressV):
-        return ADDRESS
-    if isinstance(v, PairV):
-        return pair_t(value_type(v.left), value_type(v.right))
-    if isinstance(v, ListV):
-        return list_t(value_type(v.items[0]) if v.items else UNIT)
-    raise TypeError(f"not a value: {v!r}")
+    if isinstance(v, Value):
+        return v._tag
+    raise _not_a_value(v)
 
 
 def value_typecheck(v: Value, t: TypeTag) -> bool:
-    """True iff `v` structurally inhabits `t`. Total; never raises on values."""
-    if t.kind == "unit":
-        return isinstance(v, UnitV)
-    if t.kind == "nat":
-        return isinstance(v, NatV)
-    if t.kind == "int":
-        return isinstance(v, IntV)
-    if t.kind == "bool":
-        return isinstance(v, BoolV)
-    if t.kind == "string":
-        return isinstance(v, StringV)
-    if t.kind == "mutez":
-        return isinstance(v, MutezV)
-    if t.kind == "address":
-        return isinstance(v, AddressV)
-    if t.kind == "pair":
-        return (
-            isinstance(v, PairV)
-            and value_typecheck(v.left, t.args[0])
-            and value_typecheck(v.right, t.args[1])
-        )
-    if t.kind == "list":
-        return isinstance(v, ListV) and all(
-            value_typecheck(item, t.args[0]) for item in v.items
-        )
-    raise ValueError(f"unknown type tag kind: {t.kind!r}")
+    """True iff `v` structurally inhabits `t`. Total; never raises on values.
+
+    A value inhabits its own tag, which is the common case and an identity
+    test. Otherwise `v` may still inhabit `t` through an empty list, which
+    inhabits every list type, so the structure is compared."""
+    if isinstance(v, Value) and v._tag is t:
+        return True
+    return _inhabits(v, t)
+
+
+def _inhabits(v: object, t: TypeTag) -> bool:
+    """The structural check behind `value_typecheck`, from an explicit stack.
+    The items of one list share a tag, so when the first matches the element
+    type every item does."""
+    todo = [(v, t)]
+    while todo:
+        v, t = todo.pop()
+        if isinstance(v, Value) and v._tag is t:
+            continue
+        if t.kind == "pair":
+            if not isinstance(v, PairV):
+                return False
+            todo += ((v.right, t.args[1]), (v.left, t.args[0]))
+        elif t.kind == "list":
+            if not isinstance(v, ListV):
+                return False
+            elem = t.args[0]
+            if v.items and v.items[0]._tag is not elem:
+                todo += ((item, elem) for item in reversed(v.items))
+        elif t.kind in _LEAF_KINDS:
+            return False
+        else:
+            raise ValueError(f"unknown type tag kind: {t.kind!r}")
+    return True
 
 
 def _escape(s: str) -> str:
@@ -303,9 +506,6 @@ class _ContractFields(NamedTuple):
     code_key: str
     config: Value
     contextual: bool = False
-
-
-_new_tuple = tuple.__new__
 
 
 class Contract(_ContractFields):
@@ -462,50 +662,63 @@ class Environment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Operation(_Record):
+    """An operation a transaction submits or a contract body emits."""
+
+    __slots__ = ()
+
+
+class Transfer(Operation):
+    __slots__ = ()
+    _fields = ("dest", "amount", "param")
     dest: str
     amount: int
     param: Value
 
-    def __post_init__(self) -> None:
-        check_address(self.dest)
-        check_amount(self.amount)
-        if not isinstance(self.param, _VALUE_TYPES):
-            raise ValueError(f"transfer parameter is not a value: {self.param!r}")
+    def __new__(cls, dest: str, amount: int, param: Value) -> "Transfer":
+        check_address(dest)
+        check_amount(amount)
+        if not isinstance(param, Value):
+            raise ValueError(f"transfer parameter is not a value: {param!r}")
+        return _new_tuple(cls, (dest, amount, param))
 
 
-@dataclass(frozen=True)
-class CreateContract:
+class CreateContract(Operation):
+    __slots__ = ()
+    _fields = ("addr", "amount", "storage", "code_key", "config")
     addr: str
     amount: int
     storage: Value
     code_key: str
     config: Value
 
-    def __post_init__(self) -> None:
-        check_address(self.addr)
-        check_amount(self.amount)
+    def __new__(
+        cls, addr: str, amount: int, storage: Value, code_key: str, config: Value
+    ) -> "CreateContract":
+        check_address(addr)
+        check_amount(amount)
+        return _new_tuple(cls, (addr, amount, storage, code_key, config))
 
 
-@dataclass(frozen=True)
-class AtomicBundle:
-    ops: tuple["Operation", ...] = ()
+class AtomicBundle(Operation):
+    __slots__ = ()
+    _fields = ("ops",)
+    ops: tuple[Operation, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
-
-
-@dataclass(frozen=True)
-class ContextBundle:
-    ops: tuple["Operation", ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
+    def __new__(cls, ops: Iterable[Operation] = ()) -> "AtomicBundle":
+        return _new_tuple(cls, (tuple(ops),))
 
 
-@dataclass(frozen=True)
-class Restricted:
+class ContextBundle(Operation):
+    __slots__ = ()
+    _fields = ("ops",)
+    ops: tuple[Operation, ...]
+
+    def __new__(cls, ops: Iterable[Operation] = ()) -> "ContextBundle":
+        return _new_tuple(cls, (tuple(ops),))
+
+
+class Restricted(Operation):
     """Narrows the invocable address universe for the wrapped operations.
 
     A wrapper is either an allow list (`block` is None) or a block list
@@ -515,36 +728,40 @@ class Restricted:
     Every listed entry must be an address token.
     """
 
-    ops: tuple["Operation", ...] = ()
-    allow: Optional[frozenset[str]] = None
-    block: Optional[frozenset[str]] = None
+    __slots__ = ()
+    _fields = ("ops", "allow", "block")
+    ops: tuple[Operation, ...]
+    allow: Optional[frozenset[str]]
+    block: Optional[frozenset[str]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
+    def __new__(
+        cls,
+        ops: Iterable[Operation] = (),
+        allow: Optional[Iterable[str]] = None,
+        block: Optional[Iterable[str]] = None,
+    ) -> "Restricted":
         # A bare string would otherwise list its one-letter addresses.
-        if isinstance(self.allow, str) or isinstance(self.block, str):
+        if isinstance(allow, str) or isinstance(block, str):
             raise ValueError("a restriction wrapper lists addresses, not one string")
-        addrs = frozenset(self.block or ())
-        if self.allow is None:
-            object.__setattr__(self, "block", addrs)
+        addrs = frozenset(block or ())
+        if allow is None:
+            block = addrs
         elif addrs:
             raise ValueError("a restriction wrapper takes allow or block, not both")
         else:
-            addrs = frozenset(self.allow)
-            object.__setattr__(self, "allow", addrs)
-            object.__setattr__(self, "block", None)
+            allow = addrs = frozenset(allow)
+            block = None
         for addr in addrs:
             check_address(addr)
+        return _new_tuple(cls, (tuple(ops), allow, block))
 
 
-@dataclass(frozen=True)
-class EndInteractions:
-    pass
+class EndInteractions(Operation):
+    __slots__ = ()
 
+    def __new__(cls) -> "EndInteractions":
+        return _new_tuple(cls, ())
 
-Operation = Union[
-    Transfer, CreateContract, AtomicBundle, ContextBundle, Restricted, EndInteractions
-]
 
 WRAPPER_OPS = (AtomicBundle, ContextBundle, Restricted)
 
@@ -621,10 +838,10 @@ class CallContext(NamedTuple):
     """Everything a contract body may observe about the chain.
 
     Bodies are deterministic functions of (CallContext, param, storage); the
-    view/pending_balance capabilities are the only way to read other
-    contracts. They read the environment and the pending queue of this call,
-    and are valid only while it runs: the scheduler changes the queue once
-    the call has returned.
+    `view` and `pending_balance` methods are the only way to read other
+    contracts. They read `env` and `pending`, the environment and the queue
+    of this call, and are valid only while it runs: the scheduler changes
+    the queue once the call has returned.
     """
 
     self_addr: str
@@ -635,8 +852,54 @@ class CallContext(NamedTuple):
     level: int
     config: Value
     features: FeatureSet
-    view: Callable[[str], Value] = None  # type: ignore[assignment]
-    pending_balance: Callable[[str], int] = None  # type: ignore[assignment]
+    env: Optional[Environment] = None
+    pending: Iterable[PendingOp] = ()
+
+    def view(self, addr: str) -> Value:
+        return view_storage(self.env, addr, self.features)
+
+    def pending_balance(self, addr: str) -> int:
+        return _pending_balance(self.env, addr, self.pending, self.features)
+
+
+def view_storage(env: Environment, addr: str, features: FeatureSet) -> Value:
+    """Synchronous effect-free read of another contract's current storage."""
+    if not features.views:
+        raise ExecError(FEATURE_DISABLED, "views feature disabled")
+    contract = env.get(addr)
+    if contract is None:
+        raise ExecError(UNKNOWN_ADDRESS, f"view of absent address @{addr}")
+    return contract.storage
+
+
+def _pending_debits(pending: Iterable[PendingOp], addr: str) -> int:
+    ops = (p.op for p in pending if p.sender == addr)
+    return sum(op.amount for _, op in walk_ops(ops) if isinstance(op, Transfer))
+
+
+def pending_balance(
+    env: Environment, addr: str, pending: Iterable[PendingOp], features: FeatureSet
+) -> int:
+    """Balance of `addr` minus its emitted-but-unexecuted outgoing transfers.
+
+    Pending incoming transfers are not added, so an observer sees the
+    compromised balance of a sender but not the receiver's pending credit.
+    May be negative; returns a signed mutez count. `pending` is read when this
+    is called: a contract body's `pending_balance` method sees the queue of
+    the call its context was built for, and is valid only while that call
+    runs.
+    """
+    if not features.pending_balance:
+        raise ExecError(FEATURE_DISABLED, "pending_balance feature disabled")
+    contract = env.get(addr)
+    if contract is None:
+        raise ExecError(UNKNOWN_ADDRESS, f"pending balance of absent address @{addr}")
+    return contract.balance - _pending_debits(pending, addr)
+
+
+# The name `CallContext.pending_balance` calls it by, as the method shares
+# the function's name.
+_pending_balance = pending_balance
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ from typing import Iterable, NamedTuple
 
 from . import registry
 from .core import (
+    FEATURE_DISABLED,
     MAX_MUTEZ,
+    UNKNOWN_ADDRESS,
     AmountError,
     CallContext,
-    Contract,
     CreateContract,
     EndInteractions,
     Environment,
+    ExecError,
     ExecutionContext,
     Operation,
     PairV,
@@ -32,13 +34,13 @@ from .core import (
     Value,
     WRAPPER_OPS,
     value_typecheck,
-    walk_ops,
 )
 from .features import FeatureSet
 from .registry import ContractFail
 
-# Error kinds. Each kind identifies the precondition that failed.
-UNKNOWN_ADDRESS = "unknown_address"
+# Error kinds. Each kind identifies the precondition that failed. The two a
+# contract body's reads of the chain can raise, UNKNOWN_ADDRESS and
+# FEATURE_DISABLED, live in `core` with `ExecError`.
 TYPE_MISMATCH = "type_mismatch"
 INSUFFICIENT_BALANCE = "insufficient_balance"
 ADDRESS_OCCUPIED = "address_occupied"
@@ -46,19 +48,12 @@ CONTRACT_FAILURE = "contract_failure"
 RESTRICTION_VIOLATION = "restriction_violation"
 END_INTERACTIONS_VIOLATION = "end_interactions_violation"
 UNKNOWN_CODE_KEY = "unknown_code_key"
-FEATURE_DISABLED = "feature_disabled"
 FUEL_EXHAUSTED = "fuel_exhausted"
 OVERFLOW = "overflow"
 CONTRACT_CRASH = "contract_crash"
 
 
-class ExecError(Exception):
-    """An operation could not execute; aborts (reverts) the transaction."""
-
-    def __init__(self, kind: str, detail: str) -> None:
-        super().__init__(f"{kind}: {detail}")
-        self.kind = kind
-        self.detail = detail
+_new_tuple = tuple.__new__
 
 
 class ExecOutcome(NamedTuple):
@@ -78,65 +73,6 @@ class ExecOutcome(NamedTuple):
 # scheduler passes a lazy view of its live queue: it may be iterated any number
 # of times, but only while the execute call it was passed to runs.
 QueueSnapshot = Iterable[PendingOp]
-
-
-def view_storage(env: Environment, addr: str, features: FeatureSet) -> Value:
-    """Synchronous effect-free read of another contract's current storage."""
-    if not features.views:
-        raise ExecError(FEATURE_DISABLED, "views feature disabled")
-    contract = env.get(addr)
-    if contract is None:
-        raise ExecError(UNKNOWN_ADDRESS, f"view of absent address @{addr}")
-    return contract.storage
-
-
-def _pending_debits(pending: QueueSnapshot, addr: str) -> int:
-    ops = (p.op for p in pending if p.sender == addr)
-    return sum(op.amount for _, op in walk_ops(ops) if isinstance(op, Transfer))
-
-
-def pending_balance(
-    env: Environment, addr: str, pending: QueueSnapshot, features: FeatureSet
-) -> int:
-    """Balance of `addr` minus its emitted-but-unexecuted outgoing transfers.
-
-    Pending incoming transfers are not added, so an observer sees the
-    compromised balance of a sender but not the receiver's pending credit.
-    May be negative; returns a signed mutez count. `pending` is read when this
-    is called: a contract body's `pending_balance` capability sees the queue
-    of the call it was given to, and is valid only while that call runs.
-    """
-    if not features.pending_balance:
-        raise ExecError(FEATURE_DISABLED, "pending_balance feature disabled")
-    contract = env.get(addr)
-    if contract is None:
-        raise ExecError(UNKNOWN_ADDRESS, f"pending balance of absent address @{addr}")
-    return contract.balance - _pending_debits(pending, addr)
-
-
-def _call_context(
-    ectx: ExecutionContext,
-    dest: str,
-    amount: int,
-    credited: Contract,
-    env: Environment,
-    features: FeatureSet,
-    pending: QueueSnapshot,
-) -> CallContext:
-    # Positional, in field order: self_addr, sender, source, amount,
-    # self_balance, level, config, features, view, pending_balance.
-    return CallContext(
-        dest,
-        ectx.sender,
-        ectx.source,
-        amount,
-        credited.balance,
-        ectx.level,
-        credited.config,
-        features,
-        lambda a: view_storage(env, a, features),
-        lambda a: pending_balance(env, a, pending, features),
-    )
 
 
 def _check_emitted(dest: str, emitted: Iterable[object]) -> None:
@@ -217,10 +153,22 @@ def _execute_transfer(
     credited = dest_c.moved(dest_c.balance + amount)
     env2 = env.updated(sender, debited, dest, credited)
 
-    cctx = _call_context(ectx, dest, amount, credited, env2, features, pending)
+    # Every field, in order: self_addr, sender, source, amount, self_balance,
+    # level, config, features, env, pending. Built as `Contract.moved` builds
+    # its copies, without the generated constructor's call.
+    cctx = _new_tuple(
+        CallContext,
+        (
+            dest, ectx.sender, ectx.source, amount, credited.balance, ectx.level,
+            credited.config, features, env2, pending,
+        ),
+    )
     try:
         result = defn.body(cctx, op.param, credited.storage)
-        if not (isinstance(result, tuple) and len(result) == 2):
+        # Values and operations are tuples underneath, but never a result.
+        if not (isinstance(result, tuple) and len(result) == 2) or (
+            type(result) is not tuple and isinstance(result, (Value, Operation))
+        ):
             raise ExecError(
                 CONTRACT_CRASH,
                 f"@{dest} returned {type(result).__name__}, not (operations, storage)",
@@ -240,12 +188,9 @@ def _execute_transfer(
         ) from None
     if emitted:
         _check_emitted(dest, emitted)
-    if new_storage is credited.storage:
-        # The callee kept its storage object, which `env2` already holds. It
-        # is checked again because a body may have mutated it in place.
-        if not value_typecheck(new_storage, credited.storage_type):
-            raise ExecError(TYPE_MISMATCH, f"@{dest} returned ill-typed storage")
-    else:
+    # A callee that kept its storage object needs no write: `env2` already
+    # holds it, and a value cannot change in place.
+    if new_storage is not credited.storage:
         try:
             stored = credited.with_storage(new_storage)
         except ValueError:
@@ -254,7 +199,9 @@ def _execute_transfer(
         env2 = env2.updated(dest, stored)
     if credited.contextual and not features.contexts:
         raise ExecError(FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
-    return ExecOutcome(dest, emitted, env2, ((dest, new_storage),), credited.contextual)
+    return _new_tuple(
+        ExecOutcome, (dest, emitted, env2, ((dest, new_storage),), credited.contextual)
+    )
 
 
 def _execute_create(

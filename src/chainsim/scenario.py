@@ -218,6 +218,9 @@ class _Stream:
         self.end = 0  # where the next token's layout starts
         self.depth = 0
         self.text = ""
+        # One value per address written: values are immutable, and a long
+        # list names few addresses many times.
+        self.addresses: dict[str, AddressV] = {}
         self.advance()
 
     def advance(self) -> str:
@@ -303,7 +306,11 @@ def _parse_value(ts: _Stream) -> Value:
     if kind == "nat":
         return NatV(int(ts.advance()))
     if kind == "address":
-        return AddressV(ts.advance())
+        addr = ts.advance()
+        value = ts.addresses.get(addr)
+        if value is None:
+            value = ts.addresses[addr] = AddressV(addr)
+        return value
     if kind == "int":
         return IntV(int(ts.advance()))
     if kind == "string":
@@ -363,6 +370,11 @@ def _parse_contract(ts: _Stream) -> tuple[str, str, Value, Value, int]:
     return addr, code_key, config, storage, _parse_nat(ts, "a balance (nat)")
 
 
+# The parameter of every transfer written without `call`. Values are
+# immutable, so the transfers share it.
+_DEFAULT_PARAM = make_param("default")
+
+
 def _parse_op(ts: _Stream) -> Operation:
     word = ts.text if ts.kind == "ident" else ""
     if word == "transfer":
@@ -370,7 +382,7 @@ def _parse_op(ts: _Stream) -> Operation:
         amount = _parse_nat(ts, "an amount (nat)")
         ts.expect_ident("to")
         dest = ts.address()
-        param = make_param("default")
+        param = _DEFAULT_PARAM
         if ts.at_ident("call"):
             ts.advance()
             name = ts.expect_kind("ident", "an entrypoint name")

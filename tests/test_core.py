@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from chainsim.core import (
     BoolV,
     Contract,
     ContextBundle,
+    CreateContract,
     EndInteractions,
     Environment,
     IntV,
@@ -42,6 +44,7 @@ from chainsim.core import (
     walk_ops,
 )
 from chainsim import core, registry
+from chainsim.scenario import build_environment, parse_scenario, print_scenario
 
 
 class TestTypecheck:
@@ -532,3 +535,143 @@ def test_make_param_nesting():
         assert chain.left == NatV(k)
         chain = chain.right
     assert chain == NatV(4999)
+
+
+class TestDeepValues:
+    """Values nested far past the recursion limit hash, compare, deep-copy,
+    type and typecheck: each carries its tag and hash, and `==` and the
+    structural typecheck walk from an explicit stack."""
+
+    DEPTH = 5000
+
+    def chain(self, last):
+        return nest_values([NatV(1)] * (self.DEPTH - 1) + [last])
+
+    def test_hash_and_equality(self):
+        a, same, other = self.chain(NatV(1)), self.chain(NatV(1)), self.chain(NatV(2))
+        assert a is not same
+        assert hash(a) == hash(same)
+        assert a == same and not a != same
+        assert a != other and not a == other
+        assert Transfer("b", 1, a) == Transfer("b", 1, same)
+        assert hash(Transfer("b", 1, a)) == hash(Transfer("b", 1, same))
+        assert Transfer("b", 1, a) != Transfer("b", 1, other)
+
+    def test_deepcopy_is_the_value_itself(self):
+        a = self.chain(NatV(1))
+        assert copy.deepcopy(a) is a
+        op = Transfer("b", 1, a)
+        assert copy.deepcopy(op) is op
+
+    def test_type_and_typecheck(self):
+        nats, ints = self.chain(NatV(1)), self.chain(IntV(-1))
+        assert value_type(nats) is value_type(self.chain(NatV(2)))
+        assert value_type(nats) is not value_type(ints)
+        assert value_typecheck(nats, value_type(nats))
+        assert not value_typecheck(nats, value_type(ints))
+        assert not value_typecheck(ints, value_type(nats))
+        # An empty list at the bottom takes the structural path all the way.
+        empty, names = self.chain(ListV(())), self.chain(ListV((AddressV("x"),)))
+        assert value_typecheck(empty, value_type(names))
+        assert not value_typecheck(names, value_type(empty))
+
+    def test_scenario_round_trip(self):
+        args = ", ".join(["1"] * self.DEPTH)
+        text = (
+            'scenario "deep"\naccount @a balance 5\naccount @b balance 0\n'
+            f"transaction from @a {{ transfer 1 to @b call f({args}) }}\n"
+        )
+        scenario = parse_scenario(text)
+        assert parse_scenario(print_scenario(scenario)) == scenario
+        assert copy.deepcopy(scenario) == scenario
+        transfer = scenario.transactions[0].ops[0]
+        assert hash(transfer) == hash(parse_scenario(text).transactions[0].ops[0])
+
+
+_RECORDS = (
+    UNIT_VALUE,
+    NatV(1),
+    IntV(1),
+    BoolV(True),
+    StringV("1"),
+    MutezV(1),
+    AddressV("a"),
+    PairV(NatV(1), NatV(1)),
+    ListV((NatV(1),)),
+    Transfer("a", 1, NatV(1)),
+    CreateContract("a", 1, NatV(1), "receiver", UNIT_VALUE),
+    AtomicBundle((Transfer("a", 1, NatV(1)),)),
+    ContextBundle((Transfer("a", 1, NatV(1)),)),
+    Restricted((Transfer("a", 1, NatV(1)),)),
+    EndInteractions(),
+)
+
+
+def test_records_equal_only_records_of_their_class():
+    assert NatV(1) != IntV(1)
+    t = Transfer("a", 1, NatV(1))
+    assert AtomicBundle((t,)) != ContextBundle((t,))
+    for a in _RECORDS:
+        rebuilt = copy.copy(a)  # built anew from its fields
+        assert rebuilt is not a and rebuilt == a and hash(rebuilt) == hash(a)
+        # A record is a tuple underneath; it still equals no plain tuple.
+        plain = a[:]
+        assert a != plain and plain != a and not a == plain and not plain == a
+        for b in _RECORDS:
+            if b is not a:
+                assert a != b and not a == b
+
+
+def test_records_are_not_iterable():
+    for record in _RECORDS:
+        with pytest.raises(TypeError, match="not iterable"):
+            tuple(record)
+
+
+def test_type_tags_are_interned():
+    assert pair_t(list_t(ADDRESS), NAT) is pair_t(list_t(ADDRESS), NAT)
+    assert core.TypeTag("list", [INT]) is list_t(INT)
+    assert copy.deepcopy(list_t(INT)) is list_t(INT)
+    assert value_type(ListV(())) is list_t(UNIT)
+    with pytest.raises(AttributeError):
+        NAT.kind = "int"
+
+
+def test_type_tag_table_holds_tags_in_use_plus_the_recent():
+    import gc
+
+    bases = [NAT]
+    for _ in range(39):
+        bases.append(list_t(bases[-1]))
+    gc.collect()
+    before = len(core._TAGS)
+    for a in bases:
+        for b in bases:
+            assert pair_t(a, b).args == (a, b)  # made, then dropped
+    gc.collect()
+    assert len(core._TAGS) <= before + core._RECENT_TAGS < before + len(bases) ** 2
+
+
+def test_fanout_pay_parameter_takes_no_structural_typecheck(monkeypatch):
+    """The 4,000-entry `pay` argument of the `fanout` workload, checked
+    against its entrypoint on the way in, and every payout it emits, checked
+    against `default`: each is an identity test on the argument's tag."""
+    from chainsim.scheduler import run_transaction, SchedulerConfig, Commit
+
+    dests = ", ".join(f"@r{k % 16}" for k in range(4000))
+    receivers = "".join(f"account @r{k} balance 0\n" for k in range(16))
+    scenario = parse_scenario(
+        'scenario "fanout"\naccount @user balance 0\n'
+        "contract @payer code payer config unit storage unit balance 8000\n"
+        f"{receivers}transaction from @user {{ transfer 0 to @payer call pay([{dests}], 2) }}\n"
+    )
+    env = build_environment(scenario)
+    walks = []
+    plain = core._inhabits
+    monkeypatch.setattr(core, "_inhabits", lambda v, t: walks.append(t) or plain(v, t))
+    outcome, _, tree = run_transaction(env, scenario.transactions[0], SchedulerConfig(), 0)
+    assert isinstance(outcome, Commit) and len(tree.nodes) == 4001
+    assert walks == []
+    # The counter sees the structural path when it is taken.
+    assert value_typecheck(ListV(()), list_t(ADDRESS))
+    assert walks == [list_t(ADDRESS)]

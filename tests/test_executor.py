@@ -16,11 +16,11 @@ from chainsim.core import (
     PairV,
     PendingOp,
     Restricted,
-    StringV,
     Transfer,
     UNIT_VALUE,
     make_param,
-    pair_t,
+    pending_balance,
+    view_storage,
 )
 from chainsim.executor import (
     ADDRESS_OCCUPIED,
@@ -37,8 +37,6 @@ from chainsim.executor import (
     ExecError,
     ExecOutcome,
     execute_operation,
-    pending_balance,
-    view_storage,
 )
 from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions, RestrictionState
 from chainsim import registry
@@ -686,26 +684,6 @@ class TestStorageWrite:
         # from it. The forwarder returns a new storage object, written next.
         assert calls == [("fwd", "fwd"), ("fwd",)]
         assert simple_env.get("fwd").balance == 30
-
-    def test_kept_storage_mutated_ill_typed_is_type_mismatch(self, simple_env):
-        # The body returns its own storage object after breaking its type in
-        # place, so the object is the one the environment holds.
-        def body(ctx, p, st):
-            object.__setattr__(st, "right", StringV("x"))
-            return [], st
-
-        _register_storage_body("breaks_kept_storage_for_test", pair_t(NAT, NAT), body)
-        env = simple_env.updated(
-            "breaker",
-            registry.instantiate(
-                "breaks_kept_storage_for_test", UNIT_VALUE, PairV(NatV(1), NatV(2)), 0
-            ),
-        )
-        op = Transfer("breaker", 5, make_param("default"))
-        err = _expect_error(TYPE_MISMATCH, execute_operation, _ectx("alice"), op, env, FEATURES)
-        assert err.detail == "@breaker returned ill-typed storage"
-        assert env.get("alice").balance == 100
-        assert env.get("breaker").balance == 0
 
 
 class TestReportedEffects:

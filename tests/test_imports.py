@@ -95,9 +95,6 @@ def test_module_imports_form_no_cycle():
 # The self-recursive functions allowed, each with what bounds its depth.
 BOUNDED_RECURSION = {
     "_parse_value": "scenario.MAX_NESTING brackets",
-    "value_typecheck": "the depth of the declared TypeTag",
-    "value_type": "parsed values are bounded by MAX_NESTING; a body that builds "
-    "a deeper list element reverts contract_crash",
 }
 
 

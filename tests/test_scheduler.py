@@ -20,6 +20,7 @@ from chainsim.core import (
     UNIT_VALUE,
     make_param,
     render_stack,
+    view_storage,
 )
 from chainsim.executor import (
     CONTRACT_CRASH,
@@ -31,7 +32,6 @@ from chainsim.executor import (
     UNKNOWN_ADDRESS,
     ExecError,
     execute_operation,
-    view_storage,
 )
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim import harness, registry
