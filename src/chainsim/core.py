@@ -834,16 +834,25 @@ class PendingOp(NamedTuple):
     parent: Optional[int] = None
 
 
-class CallContext(NamedTuple):
+class CallContext(_Record):
     """Everything a contract body may observe about the chain.
 
     Bodies are deterministic functions of (CallContext, param, storage); the
     `view` and `pending_balance` methods are the only way to read other
-    contracts. They read `env` and `pending`, the environment and the queue
-    of this call, and are valid only while it runs: the scheduler changes
-    the queue once the call has returned.
+    contracts. The environment and the queue of this call sit in the two
+    hidden slots, which no field names and only the methods read, and are
+    valid only while the call runs: the scheduler changes the queue once the
+    call has returned.
     """
 
+    __slots__ = ()
+    _HIDDEN = 2
+    _env = _tuplegetter(0, "The environment of this call.")
+    _pending = _tuplegetter(1, "The pending queue of this call.")
+    _fields = (
+        "self_addr", "sender", "source", "amount", "self_balance", "level",
+        "config", "features",
+    )
     self_addr: str
     sender: str
     source: str
@@ -852,14 +861,38 @@ class CallContext(NamedTuple):
     level: int
     config: Value
     features: FeatureSet
-    env: Optional[Environment] = None
-    pending: Iterable[PendingOp] = ()
+
+    def __new__(
+        cls,
+        self_addr: str,
+        sender: str,
+        source: str,
+        amount: int,
+        self_balance: int,
+        level: int,
+        config: Value,
+        features: FeatureSet,
+    ) -> "CallContext":
+        """A context over an empty chain, for calling a body directly. The
+        executor builds its contexts over the environment and queue of the
+        call."""
+        return _new_tuple(
+            cls,
+            (
+                Environment(), (), self_addr, sender, source, amount,
+                self_balance, level, config, features,
+            ),
+        )
+
+    def __reduce__(self) -> tuple:
+        # The hidden slots are not derived from the fields, so a copy keeps them.
+        return _new_tuple, (CallContext, self[:])
 
     def view(self, addr: str) -> Value:
-        return view_storage(self.env, addr, self.features)
+        return view_storage(self._env, addr, self.features)
 
     def pending_balance(self, addr: str) -> int:
-        return _pending_balance(self.env, addr, self.pending, self.features)
+        return pending_balance(self._env, addr, self._pending, self.features)
 
 
 def view_storage(env: Environment, addr: str, features: FeatureSet) -> Value:
@@ -895,11 +928,6 @@ def pending_balance(
     if contract is None:
         raise ExecError(UNKNOWN_ADDRESS, f"pending balance of absent address @{addr}")
     return contract.balance - _pending_debits(pending, addr)
-
-
-# The name `CallContext.pending_balance` calls it by, as the method shares
-# the function's name.
-_pending_balance = pending_balance
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .core import (
     Transfer,
     Value,
     WRAPPER_OPS,
+    _new_tuple,
     value_typecheck,
 )
 from .features import FeatureSet
@@ -51,9 +52,6 @@ UNKNOWN_CODE_KEY = "unknown_code_key"
 FUEL_EXHAUSTED = "fuel_exhausted"
 OVERFLOW = "overflow"
 CONTRACT_CRASH = "contract_crash"
-
-
-_new_tuple = tuple.__new__
 
 
 class ExecOutcome(NamedTuple):
@@ -153,14 +151,15 @@ def _execute_transfer(
     credited = dest_c.moved(dest_c.balance + amount)
     env2 = env.updated(sender, debited, dest, credited)
 
-    # Every field, in order: self_addr, sender, source, amount, self_balance,
-    # level, config, features, env, pending. Built as `Contract.moved` builds
-    # its copies, without the generated constructor's call.
+    # The two hidden slots, env and pending, then every field in order:
+    # self_addr, sender, source, amount, self_balance, level, config,
+    # features. Built as `Contract.moved` builds its copies, without a
+    # constructor call.
     cctx = _new_tuple(
         CallContext,
         (
-            dest, ectx.sender, ectx.source, amount, credited.balance, ectx.level,
-            credited.config, features, env2, pending,
+            env2, pending, dest, ectx.sender, ectx.source, amount,
+            credited.balance, ectx.level, credited.config, features,
         ),
     )
     try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from . import registry
 from .core import (
@@ -284,13 +283,11 @@ def check_transaction(
     sched_cfg: SchedulerConfig,
     invariants: tuple[str, ...],
     execute=execute_operation,
-    snapshot: Optional[dict[str, Contract]] = None,
 ) -> list[str]:
-    """Run one transaction from env0 and return the invariants it violates.
-    `snapshot` is env0's accounts as `revert_totality` compares them after a
-    revert; it is taken here when not given."""
-    if snapshot is None and "revert_totality" in invariants:
-        snapshot = dict(env0.accounts)
+    """Run one transaction from env0 and return the invariants it violates."""
+    # Every account and value is an immutable record, so a contract's
+    # identity shows whether a faulty executor replaced it.
+    snapshot = dict(env0.accounts) if "revert_totality" in invariants else None
     outcome, _, tree = run_transaction(env0, tx, sched_cfg, 0, execute)
     failed: list[str] = []
     if isinstance(outcome, Commit):
@@ -306,8 +303,9 @@ def check_transaction(
             and not validate_replay(tree, env0, outcome.env).ok
         ):
             failed.append("transfer_correctness")
-    elif "revert_totality" in invariants and not _unchanged(env0, snapshot):
-        failed.append("revert_totality")
+    else:
+        if snapshot is not None and not _unchanged(env0, snapshot):
+            failed.append("revert_totality")
     if (
         "sibling_contiguity" in invariants
         and not validate_atomic_bundles(tree, emission_groups=True).ok
@@ -317,8 +315,6 @@ def check_transaction(
 
 
 def _unchanged(env: Environment, snapshot: dict[str, Contract]) -> bool:
-    # A contract and every value in it is an immutable record, so an
-    # account holding the very object it held before is unchanged.
     accounts = env.accounts
     return accounts.keys() == snapshot.keys() and all(
         accounts[addr] is c for addr, c in snapshot.items()
@@ -331,13 +327,12 @@ def _shrink(
     sched_cfg: SchedulerConfig,
     invariant: str,
     execute,
-    snapshot: Optional[dict[str, Contract]],
 ) -> SignedTransaction:
     """Greedy op removal while the violation persists."""
 
     def still_fails(candidate: SignedTransaction) -> bool:
         return invariant in check_transaction(
-            env0, candidate, sched_cfg, (invariant,), execute, snapshot
+            env0, candidate, sched_cfg, (invariant,), execute
         )
 
     ops = list(tx.ops)
@@ -381,16 +376,12 @@ def fuzz(
         if name not in INVARIANT_NAMES:
             raise ValueError(f"unknown invariant: {name!r}")
     sched_cfg = sched_cfg or SchedulerConfig()
-    # Every iteration starts from env0, so one snapshot serves them all.
-    snapshot = dict(env0.accounts) if "revert_totality" in invariants else None
     violations: list[FuzzViolation] = []
     for i in range(n):
         it_seed = cfg.seed + i
         tx = gen_transaction(it_seed, cfg)
-        for inv in check_transaction(
-            env0, tx, sched_cfg, tuple(invariants), execute, snapshot
-        ):
-            shrunk = _shrink(env0, tx, sched_cfg, inv, execute, snapshot)
+        for inv in check_transaction(env0, tx, sched_cfg, tuple(invariants), execute):
+            shrunk = _shrink(env0, tx, sched_cfg, inv, execute)
             violations.append(
                 FuzzViolation(it_seed, inv, reproduction_scenario(env0, shrunk, sched_cfg))
             )

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -314,10 +315,29 @@ class TestTransfer:
             ),
             # an ExecError from a capability keeps its kind
             (lambda ctx, p, st: ([], ctx.view("alice")), FEATURE_DISABLED, "views feature disabled"),
+            # the call's environment and queue are no fields: with views and
+            # pending balances off, a body cannot read them another way
+            (
+                lambda ctx, p, st: ([], ctx.env.get("fwd").storage),
+                CONTRACT_CRASH,
+                "@crash raised AttributeError: 'CallContext' object has no attribute 'env'",
+            ),
+            (
+                lambda ctx, p, st: (list(ctx.pending), st),
+                CONTRACT_CRASH,
+                "@crash raised AttributeError: 'CallContext' object has no attribute 'pending'",
+            ),
+            # a value checks its children when built, so a body that builds
+            # an ill-formed pair crashes there, whatever it meant to do with it
+            (
+                lambda ctx, p, st: ([], PairV(NatV(1), None)),
+                CONTRACT_CRASH,
+                "@crash raised TypeError: not a value: None",
+            ),
         ],
         ids=[
             "index_error", "ops_not_iterable", "none", "triple", "emits_int", "emits_none",
-            "wrapped_str", "view_off",
+            "wrapped_str", "view_off", "reads_env", "reads_queue", "builds_ill_formed_pair",
         ],
     )
     def test_misbehaving_body_reverts_with_a_kind(self, simple_env, request, body, kind, detail):
@@ -592,6 +612,45 @@ def test_failure_leaves_input_env_identical(simple_env):
 
 
 _PAY_BOB = Transfer("bob", 1, make_param("default"))
+
+
+def test_call_context_fields_are_what_a_body_may_read():
+    ctx = CallContext("bob", "alice", "alice", 1, 51, 0, UNIT_VALUE, FEATURES)
+    assert ctx._fields == (
+        "self_addr", "sender", "source", "amount", "self_balance", "level", "config", "features",
+    )
+    assert "env" not in repr(ctx)
+    _expect_error(FEATURE_DISABLED, ctx.view, "bob")
+    _expect_error(FEATURE_DISABLED, ctx.pending_balance, "bob")
+    # A context built for calling a body directly stands over an empty chain.
+    ctx = CallContext("bob", "alice", "alice", 1, 51, 0, UNIT_VALUE, ALL_FEATURES)
+    _expect_error(UNKNOWN_ADDRESS, ctx.view, "bob")
+    _expect_error(UNKNOWN_ADDRESS, ctx.pending_balance, "bob")
+
+
+def test_a_copied_call_context_reads_the_same_chain(simple_env):
+    # The hidden slots are not rebuilt from the fields, so a copy made during
+    # the call still stands over the call's environment and queue.
+    def body(ctx, param, storage):
+        for c in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+            assert c == ctx and c.view("fwd") == NatV(30)
+            assert c.pending_balance("crash") == ctx.pending_balance("crash") == 5
+        return [], storage
+
+    key = "copies_its_context_for_test"
+    if not registry.is_registered(key):
+        registry.register(
+            registry.ContractDef(
+                code_key=key,
+                entrypoints={"default": UNIT},
+                storage_type=UNIT,
+                config_type=UNIT,
+                body=body,
+            )
+        )
+    env = simple_env.updated("crash", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+    op = Transfer("crash", 5, make_param("default"))
+    assert execute_operation(_ectx("alice"), op, env, ALL_FEATURES).emitted == ()
 
 
 @pytest.mark.parametrize(
