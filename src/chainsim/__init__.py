@@ -55,15 +55,7 @@ from .core import (
 )
 from .executor import ExecOutcome, execute_operation
 from .features import FeatureSet
-from .harness import (
-    DemonicProfile,
-    FuzzReport,
-    GenConfig,
-    default_universe,
-    fuzz,
-    gen_demonic_contract,
-    gen_transaction,
-)
+from .harness import FuzzReport, GenConfig, default_universe, fuzz, gen_transaction
 from .registry import ContractDef, ContractFail, instantiate, register
 from .scenario import (
     Scenario,

@@ -169,8 +169,8 @@ class _Record(tuple):
     builds its instances in `__new__`. A record is read by field name:
     iterating one is refused, as for any object that is not a container.
     Records of different classes never compare equal, and no record equals
-    a plain tuple. An operation's hash is worked out from its fields when
-    asked for; a value carries its own (see `Value`).
+    a plain tuple. An operation's or contract's hash is worked out from its
+    fields when asked for; a value carries its own (see `Value`).
     """
 
     __slots__ = ()
@@ -499,22 +499,20 @@ def make_param(entrypoint: str, *args: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 
-class _ContractFields(NamedTuple):
-    storage_type: TypeTag
-    storage: Value
-    balance: int
-    code_key: str
-    config: Value
-    contextual: bool = False
-
-
-class Contract(_ContractFields):
+class Contract(_Record):
     """An installed contract. Only storage and balance ever change; code_key,
     the storage type, config and the contextual flag are fixed at creation.
     The entrypoints live with the code (`registry.ContractDef`). A tuple
     keeps the one instance per account small and cheap to copy."""
 
     __slots__ = ()
+    _fields = ("storage_type", "storage", "balance", "code_key", "config", "contextual")
+    storage_type: TypeTag
+    storage: Value
+    balance: int
+    code_key: str
+    config: Value
+    contextual: bool
 
     def __new__(
         cls,
@@ -532,30 +530,24 @@ class Contract(_ContractFields):
             )
         return _new_tuple(cls, (storage_type, storage, balance, code_key, config, contextual))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "Contract":
-        # Checked like construction, so `_replace`, which builds its copy
-        # here, cannot skip the checks either.
-        return cls(*iterable)
-
     def moved(self, balance: int) -> "Contract":
         """A copy holding `balance`, unchecked: the executor bounds every
-        amount it moves before it builds one. `_replace(balance=...)` is the
-        checked copy."""
-        storage_type, storage, _, code_key, config, contextual = self
+        amount it moves before it builds one."""
         return _new_tuple(
-            self.__class__, (storage_type, storage, balance, code_key, config, contextual)
+            Contract,
+            (self.storage_type, self.storage, balance, self.code_key, self.config, self.contextual),
         )
 
     def with_storage(self, storage: Value) -> "Contract":
         # Only the storage changes, so only it needs a check. The message
         # does not render `storage`, which a contract body may have built
         # from anything.
-        if not value_typecheck(storage, self.storage_type):
+        storage_type = self.storage_type
+        if not value_typecheck(storage, storage_type):
             raise ValueError("new storage does not inhabit its declared type")
-        storage_type, _, balance, code_key, config, contextual = self
         return _new_tuple(
-            self.__class__, (storage_type, storage, balance, code_key, config, contextual)
+            Contract,
+            (storage_type, storage, self.balance, self.code_key, self.config, self.contextual),
         )
 
 

@@ -9,13 +9,11 @@ alone reproduces its violation; iterations are independent of each other.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 
 from . import registry
 from .core import (
-    UNIT,
     UNIT_VALUE,
     AddressV,
     Contract,
@@ -24,13 +22,12 @@ from .core import (
     NatV,
     Operation,
     PairV,
+    StringV,
     Transfer,
     Value,
     make_param,
-    render_value,
 )
 from .executor import execute_operation
-from .registry import ContractDef, ContractFail
 from .scenario import ContractDecl, Scenario, print_scenario
 from .scheduler import (
     Commit,
@@ -47,31 +44,6 @@ from .trace import (
 
 
 @dataclass(frozen=True)
-class DemonicProfile:
-    """Behavior weights for synthesized adversarial contracts. All zero means
-    a do-nothing body (receiver-equivalent)."""
-
-    emit_transfers: int = 0
-    reentrant_callback: int = 0
-    create_contract: int = 0
-    fail_by_seed: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.emit_transfers
-            + self.reentrant_callback
-            + self.create_contract
-            + self.fail_by_seed
-        )
-
-
-DEFAULT_DEMONIC_PROFILE = DemonicProfile(
-    emit_transfers=3, reentrant_callback=3, create_contract=2, fail_by_seed=2
-)
-
-
-@dataclass(frozen=True)
 class GenConfig:
     """Deterministic generation parameters. `universe` pairs each invocable
     address with its code key so generated parameters fit the callee."""
@@ -81,13 +53,6 @@ class GenConfig:
     code_keys: tuple[str, ...] = ("receiver",)
     max_ops_per_tx: int = 4
     amount_bound: int = 16
-
-
-def _stable_hash(*parts: object) -> int:
-    digest = hashlib.blake2b(
-        "|".join(str(p) for p in parts).encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -145,78 +110,13 @@ def gen_transaction(seed: int, cfg: GenConfig) -> SignedTransaction:
 
 
 # ---------------------------------------------------------------------------
-# Demonic contracts
-# ---------------------------------------------------------------------------
-
-
-def gen_demonic_contract(seed: int, profile: DemonicProfile) -> ContractDef:
-    """Synthesize a deterministic adversarial contract body.
-
-    The behavior on each invocation is drawn from the profile weights using a
-    stable hash of the call inputs, so randomness is frozen at generation time
-    and the body stays a pure function.
-    """
-    p = profile
-    key = (
-        f"demonic_{seed}_{p.emit_transfers}_{p.reentrant_callback}"
-        f"_{p.create_contract}_{p.fail_by_seed}"
-    )
-    receive = make_param("default")
-
-    def body(ctx, param: Value, storage: Value):
-        if p.total == 0:
-            return [], storage
-        h = _stable_hash(
-            seed, ctx.sender, ctx.amount, render_value(param), render_value(storage)
-        )
-        pick = h % p.total
-        if pick < p.emit_transfers:
-            count = 1 + (h >> 8) % 2
-            amount = (h >> 16) % 3
-            return [Transfer(ctx.sender, amount, receive)] * count, storage
-        pick -= p.emit_transfers
-        if pick < p.reentrant_callback:
-            return [Transfer(ctx.sender, 0, receive)], storage
-        pick -= p.reentrant_callback
-        if pick < p.create_contract:
-            spawn = CreateContract(
-                addr=f"spawn{h % 1_000_000_000}",
-                amount=0,
-                storage=UNIT_VALUE,
-                code_key="receiver",
-                config=UNIT_VALUE,
-            )
-            return [spawn], storage
-        raise ContractFail(f"demonic refusal {h % 97}")
-
-    return ContractDef(
-        code_key=key,
-        entrypoints={"default": UNIT},
-        storage_type=UNIT,
-        config_type=UNIT,
-        body=body,
-    )
-
-
-def ensure_registered(defn: ContractDef) -> ContractDef:
-    """Register unless an identically keyed def already exists (generation is
-    deterministic, so an existing key means the same def)."""
-    if not registry.is_registered(defn.code_key):
-        registry.register(defn)
-    return defn
-
-
-# ---------------------------------------------------------------------------
 # Default fuzzing universe
 # ---------------------------------------------------------------------------
 
 
-def default_universe(
-    seed: int, profile: DemonicProfile = DEFAULT_DEMONIC_PROFILE
-) -> tuple[Environment, GenConfig]:
+def default_universe(seed: int) -> tuple[Environment, GenConfig]:
     """The standard cast wired together: a vault, a good client, an attacker,
-    a forwarder, receivers, and one demonic contract derived from the seed."""
-    demonic = ensure_registered(gen_demonic_contract(seed, profile))
+    a forwarder, receivers, and a demonic contract salted with the seed."""
     pairs_nat_addr = PairV(NatV(10), AddressV("client"))
     entries = (
         ("alice", registry.instantiate("receiver", UNIT_VALUE, UNIT_VALUE, 100)),
@@ -225,7 +125,7 @@ def default_universe(
         ("client", registry.instantiate("good_client", AddressV("vault"), UNIT_VALUE, 20)),
         ("bad", registry.instantiate("bad", AddressV("vault"), UNIT_VALUE, 30)),
         ("fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(40), 40)),
-        ("imp", registry.instantiate(demonic.code_key, UNIT_VALUE, UNIT_VALUE, 10)),
+        ("imp", registry.instantiate("demonic", StringV(str(seed)), UNIT_VALUE, 10)),
     )
     universe = tuple((addr, contract.code_key) for addr, contract in entries)
     return Environment(dict(entries)), GenConfig(seed=seed, universe=universe)

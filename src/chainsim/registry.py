@@ -7,6 +7,7 @@ returned operation list. A body signals failure by raising ContractFail.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -15,11 +16,13 @@ from .core import (
     BOOL,
     MUTEZ,
     NAT,
+    STRING,
     UNIT,
     UNIT_VALUE,
     BoolV,
     CallContext,
     Contract,
+    CreateContract,
     MutezV,
     NatV,
     Operation,
@@ -220,6 +223,38 @@ def _observer_body(ctx: CallContext, param: Value, storage: Value):
     return [], BoolV(True)
 
 
+# The demonic body's four behaviours, each with its weight out of their sum.
+_EMIT_TRANSFERS, _CALL_BACK, _CREATE_CONTRACT, _REFUSE = 3, 3, 2, 2
+_DEMONIC_TOTAL = _EMIT_TRANSFERS + _CALL_BACK + _CREATE_CONTRACT + _REFUSE
+
+
+def _stable_hash(*parts: object) -> int:
+    digest = hashlib.blake2b(
+        "|".join(str(p) for p in parts).encode("utf-8"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big")
+
+
+def _demonic_body(ctx: CallContext, param: Value, storage: Value):
+    # Each call picks a behaviour by a stable hash of the salt (the config)
+    # and the call's inputs, so one salt gives one deterministic adversary.
+    h = _stable_hash(
+        ctx.config.s, ctx.sender, ctx.amount, render_value(param), render_value(storage)
+    )
+    pick = h % _DEMONIC_TOTAL
+    if pick < _EMIT_TRANSFERS:
+        count, amount = 1 + (h >> 8) % 2, (h >> 16) % 3
+        return [Transfer(ctx.sender, amount, _RECEIVE)] * count, storage
+    pick -= _EMIT_TRANSFERS
+    if pick < _CALL_BACK:
+        return [Transfer(ctx.sender, 0, _RECEIVE)], storage
+    pick -= _CALL_BACK
+    if pick < _CREATE_CONTRACT:
+        spawn = CreateContract(f"spawn{h % 1_000_000_000}", 0, UNIT_VALUE, "receiver", UNIT_VALUE)
+        return [spawn], storage
+    raise ContractFail(f"demonic refusal {h % 97}")
+
+
 STANDARD_DEFS = (
     ContractDef(
         code_key="bank",
@@ -276,6 +311,13 @@ STANDARD_DEFS = (
         storage_type=BOOL,
         config_type=pair_t(ADDRESS, pair_t(ADDRESS, pair_t(NAT, NAT))),
         body=_observer_body,
+    ),
+    ContractDef(
+        code_key="demonic",
+        entrypoints={"default": UNIT},
+        storage_type=UNIT,
+        config_type=STRING,
+        body=_demonic_body,
     ),
 )
 

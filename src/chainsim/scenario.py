@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import sys
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Union
 
@@ -290,11 +291,24 @@ class _Stream:
         return self.kind == "punct" and self.text in chars
 
 
+def _number(ts: _Stream) -> int:
+    """The value of the current nat or int token, not stepping past it."""
+    try:
+        return int(ts.text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        digits = len(ts.text.lstrip("-"))
+        ts.fail(
+            f"a number of at most {sys.get_int_max_str_digits()} digits",
+            ts.start(),
+            f"{digits} digits",
+        )
+
+
 def _parse_nat(ts: _Stream, what: str) -> int:
     """A NAT the grammar names (amount, balance, total, fuel): at most 2^64-1."""
     if ts.kind != "nat":
         ts.fail(what)
-    n = int(ts.text)
+    n = _number(ts)
     if n > MAX_MUTEZ:
         ts.fail(f"{what} of at most {MAX_MUTEZ}")
     ts.advance()
@@ -304,7 +318,9 @@ def _parse_nat(ts: _Stream, what: str) -> int:
 def _parse_value(ts: _Stream) -> Value:
     kind = ts.kind
     if kind == "nat":
-        return NatV(int(ts.advance()))
+        n = _number(ts)
+        ts.advance()
+        return NatV(n)
     if kind == "address":
         addr = ts.advance()
         value = ts.addresses.get(addr)
@@ -312,7 +328,9 @@ def _parse_value(ts: _Stream) -> Value:
             value = ts.addresses[addr] = AddressV(addr)
         return value
     if kind == "int":
-        return IntV(int(ts.advance()))
+        i = _number(ts)
+        ts.advance()
+        return IntV(i)
     if kind == "string":
         return StringV(ts.advance())
     if kind == "ident":
@@ -463,7 +481,7 @@ def parse_scenario(text: str) -> Scenario:
                 names.append(ts.advance())
             settings["features"] = FeatureSet.from_names(names)
         else:  # fuel
-            if ts.kind == "nat" and int(ts.text) < 1:
+            if ts.kind == "nat" and _number(ts) < 1:
                 ts.fail("a fuel bound of at least 1")
             settings["fuel"] = _parse_nat(ts, "a fuel bound (nat)")
 

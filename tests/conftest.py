@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from chainsim.core import AddressV, Environment, NatV, PairV, UNIT_VALUE
+from chainsim.core import AddressV, Contract, Environment, NatV, PairV, UNIT_VALUE
 from chainsim import registry
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -15,6 +15,11 @@ def scenario_path(name: str) -> pathlib.Path:
 
 def scenario_text(name: str) -> str:
     return scenario_path(name).read_text(encoding="utf-8")
+
+
+def contextual(c: Contract) -> Contract:
+    """`c` declared contextual, as `contract @x contextual ...` declares it."""
+    return Contract(c.storage_type, c.storage, c.balance, c.code_key, c.config, contextual=True)
 
 
 @pytest.fixture

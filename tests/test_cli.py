@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from chainsim import cli
+from chainsim import cli, harness
+from chainsim.core import Transfer, make_param
 from chainsim.features import FEATURE_NAMES
 from chainsim.scenario import MAX_NESTING
+from chainsim.scheduler import SchedulerConfig, SignedTransaction
 from conftest import GOLDEN_DIR, SCENARIO_DIR, scenario_path
 
 
@@ -219,6 +221,20 @@ class TestFuzz:
         assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
         assert "internal error" not in proc.stderr
 
+    @pytest.mark.parametrize("seed", [-1, 7])
+    def test_reproduction_runs_in_a_fresh_process(self, tmp_path, seed):
+        # The demonic @imp is a catalog contract salted by its config, so a
+        # scenario that names it needs nothing registered by a fuzz run.
+        env, _ = harness.default_universe(seed)
+        call = Transfer("imp", 3, make_param("default"))
+        tx = SignedTransaction("alice", (call, Transfer("bob", 1, make_param("default")), call))
+        path = tmp_path / "repro.msc"
+        path.write_text(harness.reproduction_scenario(env, tx, SchedulerConfig()))
+        assert f'contract @imp code demonic config "{seed}"' in path.read_text()
+        proc = run_cli("run", str(path), "--step")
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "transaction 1 from @alice" in proc.stdout
+
     def test_stdout_deterministic(self):
         a = run_cli("fuzz", "--seed", "3", "--iterations", "40")
         b = run_cli("fuzz", "--seed", "3", "--iterations", "40")
@@ -255,6 +271,16 @@ OUT_OF_RANGE = [
 ]
 
 
+# More digits than int() converts (sys.get_int_max_str_digits(), 4,300 by
+# default), in a value, a balance and a negative call argument.
+HUGE = "9" * 5000
+HUGE_LITERALS = [
+    f'scenario "x"\ncontract @c code forwarder config unit storage {HUGE} balance 1',
+    f'scenario "x"\naccount @a balance {HUGE}',
+    f'scenario "x"\naccount @a balance 1\ntransaction from @a {{ transfer 0 to @a call f(-{HUGE}) }}',
+]
+
+
 def _deep(kind: str, levels: int) -> str:
     """A scenario nesting `levels` brackets inside its one transaction block:
     atomic wrappers around a transfer, or pairs in a call argument (which a
@@ -276,6 +302,17 @@ class TestParseBounds:
         assert proc.returncode == 2
         assert _position(proc, path) == _nth(text, TOO_BIG, 1)
         assert "at most 18446744073709551615" in proc.stderr
+
+    @pytest.mark.parametrize("text", HUGE_LITERALS, ids=["storage", "balance", "argument"])
+    def test_huge_literal_is_positioned_parse_error(self, tmp_path, text):
+        path = tmp_path / "huge.msc"
+        path.write_text(text)
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "internal error" not in proc.stderr
+        literal = "-" + HUGE if "-" + HUGE in text else HUGE
+        assert _position(proc, path) == _nth(text, literal, 1)
+        assert "found 5000 digits" in proc.stderr
 
     @pytest.mark.parametrize(
         "text,needle",

@@ -348,20 +348,17 @@ class TestContract:
         moved = contract.moved(MAX_MUTEZ)
         assert type(moved) is Contract
         assert moved.balance == MAX_MUTEZ
-        assert moved == contract._replace(balance=MAX_MUTEZ)
-        assert hash(moved) == hash(contract._replace(balance=MAX_MUTEZ))
+        expected = Contract(NAT, NatV(3), MAX_MUTEZ, "forwarder", UNIT_VALUE)
+        assert moved == expected and hash(moved) == hash(expected)
         assert moved.storage is contract.storage
         assert contract.balance == 3
-        for bad in (-1, MAX_MUTEZ + 1, True):
-            with pytest.raises(AmountError):
-                contract._replace(balance=bad)
 
     def test_with_storage_checks_only_the_storage(self):
         contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
         stored = contract.with_storage(NatV(9))
         assert type(stored) is Contract
-        assert stored == contract._replace(storage=NatV(9))
-        assert hash(stored) == hash(contract._replace(storage=NatV(9)))
+        expected = Contract(NAT, NatV(9), 3, "forwarder", UNIT_VALUE)
+        assert stored == expected and hash(stored) == hash(expected)
         assert contract.storage == NatV(3)
         for bad in (UNIT_VALUE, IntV(9), 9):
             with pytest.raises(ValueError):
@@ -374,20 +371,23 @@ class TestContract:
                 setattr(contract, name, 5)
         assert contract == registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
 
-    def test_replace_checks_like_construction(self):
-        contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
-        assert contract._replace(contextual=True).contextual is True
-        assert type(contract._replace(balance=4)) is Contract
+    def test_construction_checks_every_field_it_can(self):
+        contract = Contract(NAT, NatV(3), 3, "forwarder", UNIT_VALUE, contextual=True)
+        assert contract.contextual is True
+        assert contract != Contract(NAT, NatV(3), 3, "forwarder", UNIT_VALUE)
         for bad in (-1, MAX_MUTEZ + 1, True):
             with pytest.raises(AmountError):
-                contract._replace(balance=bad)
+                Contract(NAT, NatV(3), bad, "forwarder", UNIT_VALUE)
         with pytest.raises(ValueError, match=r"^storage unit does not inhabit"):
-            contract._replace(storage=UNIT_VALUE)
-        with pytest.raises(ValueError):
-            contract._replace(owner="bad")
-        with pytest.raises(AmountError):
-            Contract._make(contract[:2] + (-1,) + contract[3:])
-        assert contract.balance == 3 and contract.storage == NatV(3)
+            Contract(NAT, UNIT_VALUE, 3, "forwarder", UNIT_VALUE)
+        with pytest.raises(TypeError):
+            Contract(NAT, NatV(3), 3, "forwarder", UNIT_VALUE, owner="bad")
+
+    def test_a_contract_is_a_record(self):
+        contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)
+        assert contract != tuple.__getitem__(contract, slice(None))
+        with pytest.raises(TypeError):
+            iter(contract)
 
     def test_repr_names_every_field(self):
         contract = registry.instantiate("forwarder", UNIT_VALUE, NatV(3), 3)

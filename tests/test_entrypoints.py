@@ -55,6 +55,7 @@ CAST = (
         BoolV(False),
         0,
     ),
+    ("imp", "demonic", StringV("7"), UNIT_VALUE, 10),
 )
 ADDRS = tuple(addr for addr, *_ in CAST)
 

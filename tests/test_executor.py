@@ -43,6 +43,7 @@ from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions, RestrictionState
 from chainsim import registry
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim.trace import TraceNode
+from conftest import contextual
 
 FEATURES = FeatureSet()
 ALL_FEATURES = FeatureSet.from_names(FEATURE_NAMES)
@@ -769,7 +770,7 @@ class TestReportedEffects:
         assert out.opens_frame is False
 
     def test_contextual_callee_opens_a_frame_only_with_contexts(self, vault_env):
-        env = vault_env.updated("vault", vault_env.get("vault")._replace(contextual=True))
+        env = vault_env.updated("vault", contextual(vault_env.get("vault")))
         op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
         out = execute_operation(_ectx("bad"), op, env, FeatureSet(contexts=True))
         assert out.opens_frame is True
@@ -779,7 +780,7 @@ class TestReportedEffects:
         assert err.detail == "contexts feature disabled (contextual callee)"
 
     def test_body_failure_precedes_the_contexts_check(self, vault_env):
-        env = vault_env.updated("vault", vault_env.get("vault")._replace(contextual=True))
+        env = vault_env.updated("vault", contextual(vault_env.get("vault")))
         op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
         err = _expect_error(CONTRACT_FAILURE, execute_operation, _ectx("owner"), op, env, FEATURES)
         assert "not owner" in err.detail

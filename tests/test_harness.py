@@ -29,12 +29,10 @@ from chainsim import registry
 from chainsim.executor import CONTRACT_FAILURE, ExecError, execute_operation
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim.harness import (
-    DemonicProfile,
     GenConfig,
     check_transaction,
     default_universe,
     fuzz,
-    gen_demonic_contract,
     gen_transaction,
     reproduction_scenario,
 )
@@ -108,55 +106,80 @@ class TestGenTransaction:
             gen_transaction(0, GenConfig(seed=0, universe=()))
 
 
-def _probe(defn, sender="caller", amount=1):
+def _demonic(salt: str, sender: str = "caller", amount: int = 1):
+    """What the demonic body does on one call: its (ops, storage), or the
+    message of its refusal."""
     ctx = CallContext(
-        self_addr="probe",
+        self_addr="imp",
         sender=sender,
         source=sender,
         amount=amount,
         self_balance=10,
         level=0,
-        config=UNIT_VALUE,
+        config=StringV(salt),
         features=FeatureSet(),
     )
-    return defn.body(ctx, make_param("default"), UNIT_VALUE)
+    try:
+        return registry.resolve("demonic").body(ctx, make_param("default"), UNIT_VALUE)
+    except registry.ContractFail as err:
+        return err.message
+
+
+_SENDERS = [f"s{i}" for i in range(40)]
+
+
+def _behaviour(result) -> str:
+    # One transfer of 0 back to the sender is a call back, whichever branch
+    # emitted it; an emission is told apart by an amount or a second transfer.
+    if isinstance(result, str):
+        return "refuse"
+    ops, storage = result
+    assert storage == UNIT_VALUE
+    if isinstance(ops[0], CreateContract):
+        assert len(ops) == 1 and ops[0].code_key == "receiver" and ops[0].amount == 0
+        return "create"
+    if ops == [Transfer(ops[0].dest, 0, make_param("default"))]:
+        return "call back"
+    return "emit"
 
 
 class TestDemonic:
-    def test_reentrancy_profile_calls_back(self):
-        defn = gen_demonic_contract(1, DemonicProfile(reentrant_callback=1))
-        ops, _ = _probe(defn)
-        assert ops == [Transfer("caller", 0, make_param("default"))]
+    def test_same_salt_and_inputs_same_result(self):
+        for sender in _SENDERS[:10]:
+            for amount in (0, 1, 7):
+                assert _demonic("7", sender, amount) == _demonic("7", sender, amount)
 
-    def test_zero_weights_is_receiver_equivalent(self):
-        defn = gen_demonic_contract(2, DemonicProfile())
-        ops, storage = _probe(defn)
-        assert ops == [] and storage == UNIT_VALUE
+    def test_two_salts_differ_on_some_input(self):
+        assert any(_demonic("7", s) != _demonic("8", s) for s in _SENDERS)
 
-    def test_same_seed_same_def(self):
-        a = gen_demonic_contract(9, DemonicProfile(emit_transfers=2, fail_by_seed=1))
-        b = gen_demonic_contract(9, DemonicProfile(emit_transfers=2, fail_by_seed=1))
-        assert a.code_key == b.code_key
-        for sender in ("x", "y", "z"):
-            try:
-                ra = a.body and _probe(a, sender=sender)
-            except Exception as err:  # deterministic failures count as outputs
-                ra = repr(err)
-            try:
-                rb = b.body and _probe(b, sender=sender)
-            except Exception as err:
-                rb = repr(err)
-            assert ra == rb
+    def test_every_behaviour_is_reached(self):
+        seen = {_behaviour(_demonic("7", s)) for s in _SENDERS}
+        assert seen == {"emit", "call back", "create", "refuse"}
 
-    def test_body_is_deterministic(self):
-        defn = gen_demonic_contract(4, DemonicProfile(emit_transfers=1, fail_by_seed=1))
-        results = []
-        for _ in range(2):
-            try:
-                results.append(_probe(defn, sender="s", amount=2))
-            except Exception as err:
-                results.append(repr(err))
-        assert results[0] == results[1]
+    def test_emissions_go_back_to_the_sender(self):
+        for sender in _SENDERS:
+            result = _demonic("7", sender)
+            if _behaviour(result) in ("emit", "call back"):
+                ops, _ = result
+                assert 1 <= len(ops) <= 2
+                assert all(op.dest == sender and op.amount <= 2 for op in ops)
+
+    def test_salt_7_makes_the_pinned_choices(self):
+        # The `fuzz` digest in perfbench/expected.json rests on these.
+        back = make_param("default")
+        assert _demonic("7", "alice", 0) == ([Transfer("alice", 0, back)], UNIT_VALUE)
+        assert _demonic("7", "alice", 3) == ([Transfer("alice", 1, back)] * 2, UNIT_VALUE)
+        assert _demonic("7", "bob", 3) == "demonic refusal 0"
+        for sender, amount, addr in (("bad", 0, "spawn413765447"), ("fwd", 3, "spawn369557057")):
+            create = CreateContract(addr, 0, UNIT_VALUE, "receiver", UNIT_VALUE)
+            assert _demonic("7", sender, amount) == ([create], UNIT_VALUE)
+
+    def test_the_universe_salts_it_with_the_seed(self):
+        for seed in (-1, 0, 7):
+            env, cfg = default_universe(seed)
+            imp = env.get("imp")
+            assert (imp.code_key, imp.config) == ("demonic", StringV(str(seed)))
+            assert ("imp", "demonic") in cfg.universe
 
 
 def _skip_debit(ectx, op, env, features, pending=()):
@@ -165,9 +188,7 @@ def _skip_debit(ectx, op, env, features, pending=()):
     out = execute_operation(ectx, op, env, features, pending)
     if isinstance(op, Transfer) and op.amount > 0 and ectx.sender != op.dest:
         sender_c = out.env_after.get(ectx.sender)
-        forged = out.env_after.updated(
-            ectx.sender, sender_c._replace(balance=sender_c.balance + op.amount)
-        )
+        forged = out.env_after.updated(ectx.sender, sender_c.moved(sender_c.balance + op.amount))
         return out._replace(env_after=forged)
     return out
 

@@ -131,3 +131,35 @@ def test_no_unbounded_recursion():
     for path in MODULES:
         found |= _self_recursive(ast.parse(path.read_text(encoding="utf-8")))
     assert found == set(BOUNDED_RECURSION)
+
+
+def _calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    """Every call of `name`, bare or as an attribute (`registry.name`)."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_code_is_registered_only_at_import():
+    """Every `register` call in the package sits at module level in
+    `registry.py`, outside any function or class. The catalog is then fixed
+    once the package is imported, so a scenario that names a code key
+    resolves in any process."""
+    allowed, stray = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        nested = {
+            id(call)
+            for scope in ast.walk(tree)
+            if isinstance(scope, scopes)
+            for call in _calls_to(scope, "register")
+        }
+        for call in _calls_to(tree, "register"):
+            ok = path.name == "registry.py" and id(call) not in nested
+            (allowed if ok else stray).append(f"{path.name}:{call.lineno}")
+    assert allowed, "the check no longer sees the catalog's registration"
+    assert not stray, f"code registered after import at: {stray}"

@@ -53,7 +53,7 @@ from chainsim.scheduler import (
     run_block,
     run_transaction,
 )
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, contextual
 
 BFS = SchedulerConfig(strategy=Strategy.BFS, record_queue_states=True)
 DFS = SchedulerConfig(strategy=Strategy.DFS, record_queue_states=True)
@@ -65,7 +65,7 @@ def _first_step(strategy, contextual_payer=False):
     the second submitted operation and the two operations the payer emits."""
     env = _context_env()
     if contextual_payer:
-        env = env.updated("a", env.get("a")._replace(contextual=True))
+        env = env.updated("a", contextual(env.get("a")))
     cfg = SchedulerConfig(
         strategy=strategy, features=FeatureSet(contexts=True), record_queue_states=True
     )
@@ -425,7 +425,7 @@ class TestContexts:
     def test_callee_contextual_flag_opens_frame(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", payer._replace(contextual=True))
+        env = env.updated("a", contextual(payer))
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -444,7 +444,7 @@ class TestContexts:
     def test_callee_flag_wins_when_combined(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", payer._replace(contextual=True))
+        env = env.updated("a", contextual(payer))
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -460,7 +460,7 @@ class TestContexts:
         # sees the error, and the call's node is the failed one.
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", payer._replace(contextual=True))
+        env = env.updated("a", contextual(payer))
         cfg = SchedulerConfig(strategy=Strategy.BFS)
         raised = []
 
@@ -645,7 +645,7 @@ def test_view_between_steps_sees_committed_storage():
 
 def _mixed_env():
     payer = registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 10)
-    env = _context_env().updated("c", payer._replace(contextual=True))
+    env = _context_env().updated("c", contextual(payer))
     return env.updated("fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5))
 
 
