@@ -10,16 +10,14 @@ old environment".
 from __future__ import annotations
 
 import re
-import weakref
-from collections import _tuplegetter, deque  # _tuplegetter: namedtuple's field accessor
+from collections import _tuplegetter  # namedtuple's field accessor
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .features import FeatureSet
 
-# Addresses are opaque tokens; amounts are mutez in the unsigned 64-bit range.
+# Addresses are identifiers; amounts are mutez in the unsigned 64-bit range.
 MAX_MUTEZ = 2**64 - 1
 
 
@@ -43,7 +41,10 @@ UNKNOWN_ADDRESS = "unknown_address"
 FEATURE_DISABLED = "feature_disabled"
 
 
-_ADDRESS = re.compile(r"\S+")
+# The one identifier syntax, of addresses and of the names in scenario text:
+# the scanner builds its tokens from it, so every address prints parseably.
+IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
+_ADDRESS = re.compile(IDENTIFIER)
 
 
 def check_address(token: str) -> str:
@@ -65,95 +66,6 @@ def amount_add(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Type tags
-# ---------------------------------------------------------------------------
-
-
-class TypeTag:
-    """Structural type of a runtime value.
-
-    `kind` is one of unit/nat/int/bool/string/mutez/address/pair/list;
-    pair takes two args, list one. Tags are interned: building a structure
-    returns the one tag that exists for it, so two tags are equal exactly
-    when they are the same object. The intern table holds tags weakly, so a
-    tag that no value, contract or declaration uses any more leaves it.
-    """
-
-    __slots__ = ("kind", "args", "__weakref__")
-    kind: str
-    args: tuple["TypeTag", ...]
-
-    def __new__(cls, kind: str, args: Iterable["TypeTag"] = ()) -> "TypeTag":
-        return _interned((kind, *args))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"TypeTag(kind={self.kind!r}, args={self.args!r})"
-
-    def __reduce__(self) -> tuple:
-        return TypeTag, (self.kind, self.args)
-
-    def __deepcopy__(self, memo: dict) -> "TypeTag":
-        return self
-
-
-# (kind, *args) -> a weak reference to the one tag for it. A plain dict, read
-# on every pair or list built, with each entry removed when its tag dies.
-# The last _RECENT_TAGS tags made are also held strongly, so the type of a
-# value that is built and dropped over and over, such as a generated call
-# parameter, is not made anew each time; the table therefore holds at most
-# the tags in use plus those.
-_TAGS: dict[tuple, "weakref.ref[TypeTag]"] = {}
-_RECENT_TAGS = 256
-_recent: deque[TypeTag] = deque(maxlen=_RECENT_TAGS)
-
-
-def _interned(key: tuple) -> TypeTag:
-    """The tag for `key`, (kind, *args), made if it does not exist."""
-    ref = _TAGS.get(key)
-    if ref is not None:
-        tag = ref()
-        if tag is not None:
-            return tag
-    tag = object.__new__(TypeTag)
-    object.__setattr__(tag, "kind", key[0])
-    object.__setattr__(tag, "args", key[1:])
-    _TAGS[key] = weakref.ref(tag, partial(_forget_tag, key))
-    _recent.append(tag)
-    return tag
-
-
-def _forget_tag(key: tuple, ref: "weakref.ref[TypeTag]", tags: dict = _TAGS) -> None:
-    # `tags` is bound here, so a tag that dies while the interpreter shuts
-    # down still finds its table.
-    if tags.get(key) is ref:
-        del tags[key]
-
-
-UNIT = TypeTag("unit")
-NAT = TypeTag("nat")
-INT = TypeTag("int")
-BOOL = TypeTag("bool")
-STRING = TypeTag("string")
-MUTEZ = TypeTag("mutez")
-ADDRESS = TypeTag("address")
-_LEAF_KINDS = frozenset(("unit", "nat", "int", "bool", "string", "mutez", "address"))
-
-
-def pair_t(left: TypeTag, right: TypeTag) -> TypeTag:
-    return _interned(("pair", left, right))
-
-
-def list_t(elem: TypeTag) -> TypeTag:
-    return _interned(("list", elem))
-
-
-# ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
 
@@ -170,7 +82,8 @@ class _Record(tuple):
     iterating one is refused, as for any object that is not a container.
     Records of different classes never compare equal, and no record equals
     a plain tuple. An operation's or contract's hash is worked out from its
-    fields when asked for; a value carries its own (see `Value`).
+    fields when asked for; a value carries its own (see `Value`), and a tag
+    hashes by identity (see `TypeTag`).
     """
 
     __slots__ = ()
@@ -200,10 +113,28 @@ class _Record(tuple):
         return hash((type(self), tuple.__hash__(self)))
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={self[self._HIDDEN + i]!r}" for i, name in enumerate(self._fields)
-        )
-        return f"{type(self).__name__}({fields})"
+        """`Name(field=value, ...)`. Records and plain tuples nested in this
+        one are opened from an explicit stack, so nesting depth is bounded by
+        memory; any other field prints as its own `repr`."""
+        parts: list[str] = []
+        todo: list[object] = [self]  # records and tuples to print, and text; last first
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            if isinstance(item, _Record):
+                parts.append(f"{type(item).__name__}(")
+                members, labels = item[item._HIDDEN :], [f"{name}=" for name in item._fields]
+            else:
+                parts.append("(")
+                members, labels = item, [""] * len(item)
+            todo.append(",)" if members is item and len(item) == 1 else ")")
+            for k in range(len(members) - 1, -1, -1):
+                x = members[k]
+                todo.append(x if isinstance(x, _Record) or type(x) is tuple else repr(x))
+                todo.append(f", {labels[k]}" if k else labels[k])
+        return "".join(parts)
 
     def __reduce__(self) -> tuple:
         return type(self), self[self._HIDDEN :]
@@ -237,6 +168,63 @@ def _records_equal(a: _Record, b: _Record) -> bool:
             elif x != y:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Type tags
+# ---------------------------------------------------------------------------
+
+
+class TypeTag(_Record):
+    """Structural type of a runtime value.
+
+    `kind` is one of unit/nat/int/bool/string/mutez/address/pair/list;
+    pair takes two args, list one. Tags are interned: building a structure
+    returns the one tag that exists for it, so two tags are equal exactly
+    when they are the same object, and a tag hashes by identity, which
+    costs nothing at any depth.
+    """
+
+    __slots__ = ()
+    _fields = ("kind", "args")
+    kind: str
+    args: tuple["TypeTag", ...]
+
+    def __new__(cls, kind: str, args: Iterable["TypeTag"] = ()) -> "TypeTag":
+        return _interned((kind, *args))
+
+    __hash__ = object.__hash__
+
+
+# (kind, *args) -> the one tag for it. Every tag stays: programs use a
+# handful of types, made once each.
+_TAGS: dict[tuple, TypeTag] = {}
+
+
+def _interned(key: tuple) -> TypeTag:
+    """The tag for `key`, (kind, *args), made if it does not exist."""
+    tag = _TAGS.get(key)
+    if tag is None:
+        tag = _TAGS[key] = _new_tuple(TypeTag, (key[0], key[1:]))
+    return tag
+
+
+UNIT = TypeTag("unit")
+NAT = TypeTag("nat")
+INT = TypeTag("int")
+BOOL = TypeTag("bool")
+STRING = TypeTag("string")
+MUTEZ = TypeTag("mutez")
+ADDRESS = TypeTag("address")
+_LEAF_KINDS = frozenset(("unit", "nat", "int", "bool", "string", "mutez", "address"))
+
+
+def pair_t(left: TypeTag, right: TypeTag) -> TypeTag:
+    return _interned(("pair", left, right))
+
+
+def list_t(elem: TypeTag) -> TypeTag:
+    return _interned(("list", elem))
 
 
 # ---------------------------------------------------------------------------

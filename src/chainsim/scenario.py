@@ -24,6 +24,7 @@ from .core import (
     CreateContract,
     EndInteractions,
     Environment,
+    IDENTIFIER,
     IntV,
     ListV,
     MAX_MUTEZ,
@@ -153,10 +154,10 @@ _TOKEN = re.compile(
     + "|".join(
         f"(?P<{kind}>{pattern})"
         for kind, pattern in (
-            ("ident", "[A-Za-z_][A-Za-z0-9_]*"),
+            ("ident", IDENTIFIER),
             ("nat", r"\d+"),
             ("punct", r"[{}\[\]()=<>,]"),
-            ("address", "@[A-Za-z_][A-Za-z0-9_]*"),
+            ("address", "@" + IDENTIFIER),
             ("int", r"-\d+"),
             ("string", _STRING + '"'),
             ("eof", r"\Z"),
@@ -175,6 +176,8 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 def _describe(kind: str, text: str) -> str:
     if kind == "eof":
         return "end of input"
+    if len(text) > 32:  # a parse error echoes at most 32 characters of a token
+        text = text[:32] + "…"
     if kind == "address":
         return f"'@{text}'"
     if kind == "string":

@@ -315,6 +315,25 @@ class TestParseBounds:
         assert "found 5000 digits" in proc.stderr
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            f'scenario "x"\naccount @a balance {"9" * 4000}',
+            f'scenario "x"\naccount @a balance @{"a" * 4000}',
+            f'scenario "x"\naccount @a balance "{"é" * 4000}"',
+            f'scenario "x"\n{"a" * 4000}',
+        ],
+        ids=["number", "address", "string", "identifier"],
+    )
+    def test_long_token_is_cut_in_the_error(self, tmp_path, text):
+        path = tmp_path / "long.msc"
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "…" in proc.stderr
+        # The line less the file path it names; the token is cut at 32 characters.
+        assert len(proc.stderr.encode()) - len(str(path).encode()) < 200
+
+    @pytest.mark.parametrize(
         "text,needle",
         [
             ('scenario "x"\naccount @a balance ²', "²"),

@@ -1,5 +1,7 @@
 import copy
+import pickle
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from chainsim.core import (
     AmountError,
     AtomicBundle,
     BoolV,
+    CallContext,
     Contract,
     ContextBundle,
     CreateContract,
@@ -44,7 +47,18 @@ from chainsim.core import (
     walk_ops,
 )
 from chainsim import core, registry
-from chainsim.scenario import build_environment, parse_scenario, print_scenario
+from chainsim.features import FeatureSet
+from chainsim.scenario import (
+    AccountDecl,
+    ContractDecl,
+    ExpectBalance,
+    ExpectStorage,
+    Scenario,
+    build_environment,
+    parse_scenario,
+    print_scenario,
+)
+from chainsim.scheduler import SignedTransaction
 
 
 class TestTypecheck:
@@ -120,14 +134,29 @@ def test_list_items_of_one_class_may_differ_in_type(items):
     assert ListV(items[:1] * 3).items == items[:1] * 3
 
 
-@given(st.text(st.sampled_from("ab \t\n\x1c\x85\xa0\u2028\u3000\u200b")) | st.text())
-def test_address_is_non_empty_without_whitespace(token):
-    valid = bool(token) and not any(c.isspace() for c in token)
-    if valid:
-        assert check_address(token) is token
-    else:
-        with pytest.raises(ValueError):
-            check_address(token)
+_IDENTIFIER_START = frozenset(string.ascii_letters + "_")
+_IDENTIFIER_REST = _IDENTIFIER_START | frozenset(string.digits)
+
+
+@given(st.text(st.sampled_from("aZ_09-.@ \t\n\xe9\xb2\u0660"), max_size=6) | st.text())
+def test_address_is_an_identifier(token):
+    """An address is an ASCII letter or `_`, then letters, digits and `_`;
+    every address accepted prints in scenario text that parses back."""
+    valid = bool(token) and token[0] in _IDENTIFIER_START and set(token) <= _IDENTIFIER_REST
+    if not valid:
+        for build in (check_address, AddressV, lambda t: Transfer(t, 0, UNIT_VALUE)):
+            with pytest.raises(ValueError):
+                build(token)
+        return
+    assert check_address(token) is token
+    call = make_param("invoke", AddressV(token), NatV(1))
+    scenario = Scenario(
+        "addresses",
+        (AccountDecl(token, 5), ContractDecl(token + "_fwd", "forwarder", UNIT_VALUE, NatV(0), 0)),
+        (SignedTransaction(token, (Transfer(token + "_fwd", 1, call),)),),
+        (ExpectBalance(token, "=", 5), ExpectStorage(token + "_fwd", NatV(0))),
+    )
+    assert parse_scenario(print_scenario(scenario)) == scenario
 
 
 def test_address_must_be_a_str():
@@ -622,6 +651,62 @@ def test_records_equal_only_records_of_their_class():
                 assert a != b and not a == b
 
 
+_ONE = Transfer("a", 1, NatV(1))
+_ONE_TEXT = "Transfer(dest='a', amount=1, param=NatV(n=1))"
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (UNIT_VALUE, "UnitV()"),
+        (IntV(-3), "IntV(i=-3)"),
+        (MutezV(5), "MutezV(mutez=5)"),
+        (BoolV(True), "BoolV(b=True)"),
+        (ListV(()), "ListV(items=())"),
+        (ListV((NatV(1),)), "ListV(items=(NatV(n=1),))"),
+        (ListV((NatV(1), NatV(2))), "ListV(items=(NatV(n=1), NatV(n=2)))"),
+        (
+            PairV(StringV("a'\"b"), AddressV("x")),
+            "PairV(left=StringV(s='a\\'\"b'), right=AddressV(addr='x'))",
+        ),
+        (AtomicBundle(()), "AtomicBundle(ops=())"),
+        (AtomicBundle((_ONE,)), f"AtomicBundle(ops=({_ONE_TEXT},))"),
+        (
+            ContextBundle((_ONE, EndInteractions())),
+            f"ContextBundle(ops=({_ONE_TEXT}, EndInteractions()))",
+        ),
+        (
+            Restricted((_ONE,), allow=["b"]),
+            f"Restricted(ops=({_ONE_TEXT},), allow=frozenset({{'b'}}), block=None)",
+        ),
+        (
+            CreateContract("a", 1, NatV(1), "receiver", UNIT_VALUE),
+            "CreateContract(addr='a', amount=1, storage=NatV(n=1), code_key='receiver', "
+            "config=UnitV())",
+        ),
+        (
+            CallContext("a", "b", "c", 1, 2, 3, UNIT_VALUE, FeatureSet(views=True)),
+            "CallContext(self_addr='a', sender='b', source='c', amount=1, self_balance=2, "
+            "level=3, config=UnitV(), features=FeatureSet(views=True, pending_balance=False, "
+            "restrictions=False, bundles=False, contexts=False, end_interactions=False))",
+        ),
+    ],
+)
+def test_record_repr(record, text):
+    assert repr(record) == text
+
+
+def test_deep_record_repr_does_not_recurse():
+    op = _ONE
+    for _ in range(3000):
+        op = AtomicBundle((op,))
+    text = repr(op)
+    assert text == "AtomicBundle(ops=(" * 3000 + _ONE_TEXT + ",))" * 3000
+    # The constructor's message prints what it refuses.
+    with pytest.raises(ValueError, match="^transfer parameter is not a value: AtomicBundle"):
+        Transfer("r", 0, op)
+
+
 def test_records_are_not_iterable():
     for record in _RECORDS:
         with pytest.raises(TypeError, match="not iterable"):
@@ -637,19 +722,50 @@ def test_type_tags_are_interned():
         NAT.kind = "int"
 
 
-def test_type_tag_table_holds_tags_in_use_plus_the_recent():
-    import gc
+def test_type_tag_table_stops_growing_under_fuzz_traffic():
+    """The intern table keeps every tag it makes. The types a run builds
+    form a small fixed set, so once fuzzing has warmed up, further
+    iterations find every tag they need already there."""
+    from dataclasses import replace
 
-    bases = [NAT]
-    for _ in range(39):
-        bases.append(list_t(bases[-1]))
-    gc.collect()
-    before = len(core._TAGS)
-    for a in bases:
-        for b in bases:
-            assert pair_t(a, b).args == (a, b)  # made, then dropped
-    gc.collect()
-    assert len(core._TAGS) <= before + core._RECENT_TAGS < before + len(bases) ** 2
+    from chainsim.harness import default_universe, fuzz
+
+    env, cfg = default_universe(7)
+    fuzz(env, cfg, 300)
+    before = set(core._TAGS)
+    fuzz(env, replace(cfg, seed=cfg.seed + 300), 2000)
+    assert set(core._TAGS) == before
+
+
+def test_type_tag_repr_and_copies():
+    tag = pair_t(NAT, list_t(INT))
+    assert repr(tag) == (
+        "TypeTag(kind='pair', args=(TypeTag(kind='nat', args=()), "
+        "TypeTag(kind='list', args=(TypeTag(kind='int', args=()),))))"
+    )
+    for t in (UNIT, tag, list_t(tag)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+
+
+def test_type_tag_equals_no_tuple():
+    for tag, plain in ((NAT, ("nat", ())), (list_t(INT), ("list", (INT,)))):
+        assert tuple.__getitem__(tag, slice(None)) == plain
+        assert tag != plain and plain != tag
+        assert not tag == plain and not plain == tag
+        assert tag == tag and not tag != tag
+
+
+def test_deep_type_tag_hashes_and_prints():
+    tag = NAT
+    for _ in range(5000):
+        tag = pair_t(tag, NAT)
+    assert hash(tag) == hash(pair_t(tag.args[0], NAT))
+    text = repr(tag)
+    assert text.startswith("TypeTag(kind='pair', args=(TypeTag(kind='pair', ")
+    assert text.count("TypeTag(kind='nat', args=())") == 5001
 
 
 def test_fanout_pay_parameter_takes_no_structural_typecheck(monkeypatch):

@@ -335,10 +335,18 @@ class TestTransfer:
                 CONTRACT_CRASH,
                 "@crash raised TypeError: not a value: None",
             ),
+            # an address outside the identifier syntax is refused where the
+            # transfer naming it is built
+            (
+                lambda ctx, p, st: ([Transfer("a-b", 0, make_param("default"))], st),
+                CONTRACT_CRASH,
+                "@crash raised ValueError: invalid address token: 'a-b'",
+            ),
         ],
         ids=[
             "index_error", "ops_not_iterable", "none", "triple", "emits_int", "emits_none",
             "wrapped_str", "view_off", "reads_env", "reads_queue", "builds_ill_formed_pair",
+            "emits_non_identifier_address",
         ],
     )
     def test_misbehaving_body_reverts_with_a_kind(self, simple_env, request, body, kind, detail):
@@ -394,6 +402,12 @@ class TestCreate:
             simple_env,
             FEATURES,
         )
+
+    def test_unknown_sender(self, simple_env):
+        err = _expect_error(
+            UNKNOWN_ADDRESS, execute_operation, _ectx("ghost"), self._op(), simple_env, FEATURES
+        )
+        assert err.detail == "sender @ghost is not on chain"
 
     def test_create_at_creator_address(self, simple_env):
         _expect_error(

@@ -163,3 +163,22 @@ def test_code_is_registered_only_at_import():
             (allowed if ok else stray).append(f"{path.name}:{call.lineno}")
     assert allowed, "the check no longer sees the catalog's registration"
     assert not stray, f"code registered after import at: {stray}"
+
+
+_GUARDS = {"__setattr__", "__delattr__"}
+
+
+def test_immutability_has_one_implementation():
+    """No class in the package defines `__setattr__` or `__delattr__`: an
+    immutable type is a `core._Record`, whose tuple underneath refuses
+    assignment, rather than a class that guards its own attributes."""
+    guards = []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for stmt in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(stmt, ast.FunctionDef):
+                    names = {stmt.name}
+                else:
+                    names = {t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)}
+                guards += [f"{path.name}:{cls.name}.{name}" for name in sorted(names & _GUARDS)]
+    assert not guards, f"attribute guards outside _Record: {guards}"

@@ -441,6 +441,19 @@ class TestRun:
         assert out.passed
         assert "disabled" in out.trees[0].reason
 
+    def test_expectation_on_a_reverted_create_finds_no_address(self):
+        text = (
+            'scenario "absent"\naccount @a balance 1\n'
+            "transaction from @a { create @c code receiver config unit storage unit balance 5 }\n"
+            "expect revert\nexpect balance @c = 0\nexpect storage @c = unit"
+        )
+        out = run_scenario(parse_scenario(text))
+        assert [(r.ok, r.actual) for r in out.results] == [
+            (True, "reverted: insufficient_balance: @a holds 1, cannot endow 5"),
+            (False, "address absent"),
+            (False, "address absent"),
+        ]
+
 
 class TestNestedOps:
     def test_atomic_inside_context(self):

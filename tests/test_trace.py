@@ -261,6 +261,37 @@ class TestReplay:
             "transfer_correctness"
         ]
 
+    def test_a_create_the_chain_lacks_fails_replay(self):
+        # A faulty executor records a create but keeps the chain as it was.
+        env = Environment({"u1": registry.implicit_account(5)})
+
+        def lose_creates(ectx, op, env, features, pending=()):
+            out = execute_operation(ectx, op, env, features, pending)
+            return out._replace(env_after=env) if isinstance(op, CreateContract) else out
+
+        create = CreateContract("fresh", 2, UNIT_VALUE, "receiver", UNIT_VALUE)
+        outcome, _, tree = run_transaction(env, SignedTransaction("u1", (create,)), BFS, 0, lose_creates)
+        assert isinstance(outcome, Commit)
+        assert validate_replay(tree, env, outcome.env).violations == (
+            "@fresh: replay creates an address the chain lacks",
+            "@u1: replayed balance 3 != 5",
+        )
+
+    def test_a_storage_the_trace_misreports_fails_replay(self):
+        # A faulty executor records a storage commit the chain never made.
+        env = Environment({f"u{i}": registry.implicit_account(5) for i in range(2)})
+
+        def misreport(ectx, op, env, features, pending=()):
+            out = execute_operation(ectx, op, env, features, pending)
+            return out._replace(commits=tuple((addr, NatV(7)) for addr, _ in out.commits))
+
+        tx = SignedTransaction("u0", (Transfer("u1", 3, make_param("default")),))
+        outcome, _, tree = run_transaction(env, tx, BFS, 0, misreport)
+        assert isinstance(outcome, Commit)
+        assert validate_replay(tree, env, outcome.env).violations == (
+            "@u1: replayed storage differs",
+        )
+
     def test_wrapper_nodes_carry_no_deltas(self):
         env = _bundle_env()
         cfg = SchedulerConfig(features=FeatureSet(bundles=True))
