@@ -110,7 +110,22 @@ class _Record(tuple):
         return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
-        return hash((type(self), tuple.__hash__(self)))
+        """The hash of the record flattened in pre-order: each nested record
+        that hashes this way and each plain tuple gives its type and length,
+        then its members; any other field, a value or a tag among them, is
+        hashed as it is. The walk runs from an explicit stack, so nesting
+        depth is bounded by memory."""
+        flat: list[object] = []
+        todo: list[object] = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is tuple or type(item).__hash__ is _Record.__hash__:
+                members = item if type(item) is tuple else item[item._HIDDEN :]
+                flat += (type(item), len(members))
+                todo += reversed(members)
+            else:
+                flat.append(item)
+        return hash(tuple(flat))
 
     def __repr__(self) -> str:
         """`Name(field=value, ...)`. Records and plain tuples nested in this
@@ -488,14 +503,14 @@ def make_param(entrypoint: str, *args: Value) -> Value:
 
 
 class Contract(_Record):
-    """An installed contract. Only storage and balance ever change; code_key,
-    the storage type, config and the contextual flag are fixed at creation.
-    The entrypoints live with the code (`registry.ContractDef`). A tuple
-    keeps the one instance per account small and cheap to copy."""
+    """The state an installed contract holds. Only storage and balance ever
+    change; code_key, config and the contextual flag are fixed at creation.
+    The storage and config types live with the code (`registry.ContractDef`):
+    `registry.instantiate` checks both, and the executor each new storage. A
+    tuple keeps the one instance per account small and cheap to copy."""
 
     __slots__ = ()
-    _fields = ("storage_type", "storage", "balance", "code_key", "config", "contextual")
-    storage_type: TypeTag
+    _fields = ("storage", "balance", "code_key", "config", "contextual")
     storage: Value
     balance: int
     code_key: str
@@ -503,39 +518,27 @@ class Contract(_Record):
     contextual: bool
 
     def __new__(
-        cls,
-        storage_type: TypeTag,
-        storage: Value,
-        balance: int,
-        code_key: str,
-        config: Value,
-        contextual: bool = False,
+        cls, storage: Value, balance: int, code_key: str, config: Value, contextual: bool = False
     ) -> "Contract":
         check_amount(balance)
-        if not value_typecheck(storage, storage_type):
-            raise ValueError(
-                f"storage {render_value(storage)} does not inhabit its declared type"
-            )
-        return _new_tuple(cls, (storage_type, storage, balance, code_key, config, contextual))
+        if not isinstance(storage, Value):
+            raise _not_a_value(storage)
+        if not isinstance(config, Value):
+            raise _not_a_value(config)
+        return _new_tuple(cls, (storage, balance, code_key, config, contextual))
 
     def moved(self, balance: int) -> "Contract":
         """A copy holding `balance`, unchecked: the executor bounds every
         amount it moves before it builds one."""
         return _new_tuple(
-            Contract,
-            (self.storage_type, self.storage, balance, self.code_key, self.config, self.contextual),
+            Contract, (self.storage, balance, self.code_key, self.config, self.contextual)
         )
 
     def with_storage(self, storage: Value) -> "Contract":
-        # Only the storage changes, so only it needs a check. The message
-        # does not render `storage`, which a contract body may have built
-        # from anything.
-        storage_type = self.storage_type
-        if not value_typecheck(storage, storage_type):
-            raise ValueError("new storage does not inhabit its declared type")
+        """A copy holding `storage`, unchecked: the executor checks a new
+        storage against the code's storage type before it builds one."""
         return _new_tuple(
-            Contract,
-            (storage_type, storage, self.balance, self.code_key, self.config, self.contextual),
+            Contract, (storage, self.balance, self.code_key, self.config, self.contextual)
         )
 
 

@@ -190,12 +190,11 @@ def _execute_transfer(
     # A callee that kept its storage object needs no write: `env2` already
     # holds it, and a value cannot change in place.
     if new_storage is not credited.storage:
-        try:
-            stored = credited.with_storage(new_storage)
-        except ValueError:
-            raise ExecError(TYPE_MISMATCH, f"@{dest} returned ill-typed storage") from None
+        # Not rendered: a body may have built `new_storage` from anything.
+        if not value_typecheck(new_storage, defn.storage_type):
+            raise ExecError(TYPE_MISMATCH, f"@{dest} returned ill-typed storage")
         # Storage commits before any emitted operation runs.
-        env2 = env2.updated(dest, stored)
+        env2 = env2.updated(dest, credited.with_storage(new_storage))
     if credited.contextual and not features.contexts:
         raise ExecError(FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
     return _new_tuple(

@@ -93,7 +93,7 @@ def instantiate(
     balance: int,
     contextual: bool = False,
 ) -> Contract:
-    """Build a Contract ready for Environment.updated or CreateContract installation."""
+    """Build a Contract, its config and storage checked against the code's types."""
     defn = resolve(code_key)
     if not value_typecheck(config, defn.config_type):
         raise RegistryError(
@@ -103,12 +103,7 @@ def instantiate(
         raise RegistryError(
             f"storage {render_value(storage)} does not fit contract {code_key!r}"
         )
-    # Built unchecked, as Contract.moved builds its copies: the storage and
-    # balance were checked above, and Contract() would check both again.
-    return tuple.__new__(
-        Contract,
-        (defn.storage_type, storage, check_amount(balance), code_key, config, contextual),
-    )
+    return Contract(storage, balance, code_key, config, contextual)
 
 
 # ---------------------------------------------------------------------------

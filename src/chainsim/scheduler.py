@@ -2,12 +2,12 @@
 
 A transaction seeds one queue frame with its submitted operations. The
 scheduler repeatedly takes the first pending operation of the head frame:
-wrappers (atomic/context/restriction) expand in place without consuming fuel;
+wrappers (atomic/context/restriction) expand without consuming fuel;
 executable operations go to the executor, which decides whether they may run
 and reports what they changed. Their emissions are inserted per strategy (BFS
-appends to the current frame's tail, DFS prepends) or open a fresh frame when
-the executor says so, for contextual calls. Any failure reverts the whole
-transaction while the timestamp still advances.
+appends to the current frame's tail, DFS prepends) or, for contextual calls as
+for a context's members, open a fresh frame that replaces drained ones. Any
+failure reverts the whole transaction while the timestamp still advances.
 
 `run_transaction` is the only driver: one pass of its loop is one step, and
 the transaction's state (queue frames, fuel, end-of-interactions owner, trace
@@ -181,6 +181,7 @@ def run_transaction(
             snapshots.append(render_stack(reversed(frames)))
         frame.popleft()
 
+        restrictions = p.restrictions
         if wrapper is not None:
             feature, error = wrapper
             enabled = getattr(features, feature)
@@ -189,53 +190,48 @@ def run_transaction(
             if not enabled:
                 failure = (error, f"{feature} feature disabled")
                 break
-            restrictions = p.restrictions
             if isinstance(op, Restricted):
                 restrictions = restrictions.narrowed(op)
-            members = [PendingOp(o, p.sender, restrictions, node_id) for o in op.ops]
-            if isinstance(op, ContextBundle):
-                frames.append(deque(members))
-            else:
-                frame.extendleft(reversed(members))
-            continue
+            sender = p.sender
+            members, opens_frame, at_front = op.ops, isinstance(op, ContextBundle), True
+        else:
+            ectx = ExecutionContext(p.sender, tx.author, restrictions, end_owner, ts)
+            try:
+                if fuel_left <= 0:
+                    raise ExecError(FUEL_EXHAUSTED, f"fuel cap of {cfg.fuel} operations hit")
+                outcome = execute(ectx, op, env, features, pending)
+            except ExecError as err:
+                nodes.append(TraceNode(node_id, p.parent, p.sender, op, STATUS_FAILED))
+                failure = (err.kind, err.detail)
+                break
+            nodes.append(
+                TraceNode(node_id, p.parent, p.sender, op, STATUS_EXECUTED, outcome.commits)
+            )
+            env = outcome.env_after
+            fuel_left -= 1
+            if isinstance(op, EndInteractions):
+                end_owner = p.sender
+            sender = outcome.emitter
+            members, opens_frame, at_front = outcome.emitted, outcome.opens_frame, not bfs
 
-        ectx = ExecutionContext(p.sender, tx.author, p.restrictions, end_owner, ts)
-        try:
-            if fuel_left <= 0:
-                raise ExecError(FUEL_EXHAUSTED, f"fuel cap of {cfg.fuel} operations hit")
-            outcome = execute(ectx, op, env, features, pending)
-        except ExecError as err:
-            nodes.append(TraceNode(node_id, p.parent, p.sender, op, STATUS_FAILED))
-            failure = (err.kind, err.detail)
-            break
-
-        nodes.append(
-            TraceNode(node_id, p.parent, p.sender, op, STATUS_EXECUTED, outcome.commits)
-        )
-        if outcome.emitted:
-            emitted = [
-                PendingOp(o, outcome.emitter, p.restrictions, node_id) for o in outcome.emitted
-            ]
-            if outcome.opens_frame:
-                # A contextual call's frame comes instead of, not on top of,
-                # frames the call just drained (callee flag wins: one frame,
-                # not two).
+        # One placement rule for a wrapper's members and an operation's
+        # emissions: BFS appends, DFS and wrappers prepend, and a new frame
+        # replaces the frames just drained (one frame, not two).
+        if members:
+            queued = [PendingOp(o, sender, restrictions, node_id) for o in members]
+            if opens_frame:
                 while frames and not frames[-1]:
                     frames.pop()
-                frames.append(deque(emitted))
-            elif bfs:
-                # The head frame stays even if the call drained it: it owns
-                # the emissions.
-                frame.extend(emitted)
+                frames.append(deque(queued))
+            elif at_front:
+                frame.extendleft(reversed(queued))
             else:
-                frame.extendleft(reversed(emitted))
+                # The head frame stays even if this step drained it: it owns
+                # the emissions.
+                frame.extend(queued)
             # From here the queue alone holds the entries, so each is freed
             # once it has run, not when the transaction ends.
-            del emitted
-        env = outcome.env_after
-        fuel_left -= 1
-        if isinstance(op, EndInteractions):
-            end_owner = p.sender
+            del queued
 
     if failure is None:
         if record:

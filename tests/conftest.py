@@ -19,7 +19,7 @@ def scenario_text(name: str) -> str:
 
 def contextual(c: Contract) -> Contract:
     """`c` declared contextual, as `contract @x contextual ...` declares it."""
-    return Contract(c.storage_type, c.storage, c.balance, c.code_key, c.config, contextual=True)
+    return Contract(c.storage, c.balance, c.code_key, c.config, contextual=True)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from chainsim.core import (
     CreateContract,
     Environment,
     ExecutionContext,
+    IntV,
     NatV,
     PairV,
     PendingOp,
@@ -157,8 +158,7 @@ class TestTransfer:
         # entrypoints: the call reverts unknown_code_key before the parameter
         # check and before the credit could overflow.
         orphan = Contract(
-            storage_type=UNIT, storage=UNIT_VALUE, balance=MAX_MUTEZ,
-            code_key="no_such_code", config=UNIT_VALUE,
+            storage=UNIT_VALUE, balance=MAX_MUTEZ, code_key="no_such_code", config=UNIT_VALUE
         )
         env = simple_env.updated("orphan", orphan)
         op = Transfer("orphan", 1, NatV(5))
@@ -248,22 +248,34 @@ class TestTransfer:
             assert out.env_after.get(full).balance == MAX_MUTEZ
             assert out.env_after.get("alice").balance == 100 - amount
 
-    @pytest.mark.parametrize("returned", [NatV(1), 1], ids=["nat", "not_a_value"])
-    def test_ill_typed_body_storage_is_type_mismatch(self, simple_env, returned):
-        # The body's storage is declared unit; a nat, or no Value at all, is
-        # rejected without rendering it.
-        key = f"returns_{type(returned).__name__}_for_test"
+    @pytest.mark.parametrize(
+        "storage_type, storage, returned",
+        [
+            (UNIT, UNIT_VALUE, NatV(1)),
+            (UNIT, UNIT_VALUE, 1),
+            (NAT, NatV(3), UNIT_VALUE),
+            (NAT, NatV(3), IntV(9)),
+            (NAT, NatV(3), 9),
+        ],
+        ids=["nat", "not_a_value", "unit_for_nat", "int_for_nat", "not_a_value_for_nat"],
+    )
+    def test_ill_typed_body_storage_is_type_mismatch(
+        self, simple_env, request, storage_type, storage, returned
+    ):
+        # The code declares the storage type; a value of another type, or no
+        # Value at all, is rejected without rendering it.
+        key = f"returns_{request.node.callspec.id}_for_test"
         if not registry.is_registered(key):
             registry.register(
                 registry.ContractDef(
                     code_key=key,
                     entrypoints={"default": UNIT},
-                    storage_type=UNIT,
+                    storage_type=storage_type,
                     config_type=UNIT,
                     body=lambda ctx, p, st: ([], returned),
                 )
             )
-        env = simple_env.updated("ill", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+        env = simple_env.updated("ill", registry.instantiate(key, UNIT_VALUE, storage, 0))
         snapshot = copy.deepcopy(env)
         op = Transfer("ill", 5, make_param("default"))
         err = _expect_error(TYPE_MISMATCH, execute_operation, _ectx("alice"), op, env, FEATURES)
@@ -596,7 +608,7 @@ def test_code_immutability(vault_env):
     rng = random.Random(99)
     env = vault_env
     fingerprint = {
-        addr: (c.code_key, c.storage_type, c.config)
+        addr: (c.code_key, c.config, c.contextual)
         for addr, c in env.accounts.items()
     }
     ops = [
@@ -612,9 +624,9 @@ def test_code_immutability(vault_env):
         except ExecError:
             continue
         env = out.env_after
-        for addr, (key, st, cfg) in fingerprint.items():
+        for addr, fixed in fingerprint.items():
             c = env.get(addr)
-            assert (c.code_key, c.storage_type, c.config) == (key, st, cfg)
+            assert (c.code_key, c.config, c.contextual) == fixed
         assert all(c.balance >= 0 for c in env.accounts.values())
 
 

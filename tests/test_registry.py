@@ -2,7 +2,11 @@ import pytest
 
 from chainsim.core import (
     AddressV,
+    BoolV,
     CallContext,
+    Environment,
+    ExecError,
+    ExecutionContext,
     MutezV,
     NatV,
     PairV,
@@ -11,6 +15,7 @@ from chainsim.core import (
     UNIT_VALUE,
     make_param,
 )
+from chainsim.executor import CONTRACT_FAILURE, execute_operation
 from chainsim.features import FeatureSet
 from chainsim import registry
 from chainsim.registry import ContractDef, ContractFail
@@ -82,7 +87,7 @@ class TestRegistration:
         c = registry.instantiate("receiver", UNIT_VALUE, UNIT_VALUE, 15, contextual=True)
         assert calls == [UNIT, UNIT]  # config, storage; unit values do not recurse
         assert type(c) is core.Contract
-        assert c == core.Contract(UNIT, UNIT_VALUE, 15, "receiver", UNIT_VALUE, True)
+        assert c == core.Contract(UNIT_VALUE, 15, "receiver", UNIT_VALUE, True)
 
     def test_receiver_implicit_account(self):
         c = registry.implicit_account(0)
@@ -141,6 +146,11 @@ class TestFixedBankBody:
         assert ops == [] and storage == MutezV(0)
         with pytest.raises(ContractFail, match="private"):
             body(_ctx(sender="bad"), make_param("settle", NatV(5)), MutezV(5))
+
+    def test_settle_cannot_exceed_compromised(self):
+        body = registry.resolve("fixed_bank").body
+        with pytest.raises(ContractFail, match="^settle exceeds compromised balance$"):
+            body(_ctx(sender="vault"), make_param("settle", NatV(6)), MutezV(5))
 
 
 def test_good_client_requests_from_bank():
@@ -218,3 +228,29 @@ def test_forwarder_credits_on_receipt():
         NatV(10),
     )
     assert ops == [] and storage == NatV(14)
+
+
+@pytest.mark.parametrize(
+    "first, detail",
+    [
+        (NatV(5), "no observable mismatch"),
+        (UNIT_VALUE, "accounted balance of first must be a nat, got unit"),
+    ],
+    ids=["views_sum_to_total", "view_not_a_nat"],
+)
+def test_observer_fails_without_a_mismatch_to_observe(first, detail):
+    # Nothing is pending, so each pending balance is the account's balance.
+    code = "forwarder" if isinstance(first, NatV) else "receiver"
+    config = PairV(AddressV("a"), PairV(AddressV("b"), PairV(NatV(10), NatV(0))))
+    env = Environment().updated(
+        "user", registry.implicit_account(0),
+        "a", registry.instantiate(code, UNIT_VALUE, first, 5),
+        "b", registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5),
+        "c", registry.instantiate("observer", config, BoolV(False), 0),
+    )
+    features = FeatureSet(views=True, pending_balance=True)
+    with pytest.raises(ExecError) as raised:
+        execute_operation(
+            ExecutionContext("user", "user"), Transfer("c", 0, make_param("check")), env, features
+        )
+    assert (raised.value.kind, raised.value.detail) == (CONTRACT_FAILURE, detail)

@@ -422,6 +422,24 @@ class TestContexts:
         assert outcome.env.get("r1").balance == 1
         assert outcome.env.get("r2").balance == 1
 
+    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_context_frame_replaces_the_frame_it_drained(self, strategy, depth):
+        # A context that ends its frame leaves one frame, not an empty one
+        # beneath it, as a contextual callee's emissions do.
+        op = Transfer("b", 1, make_param("default"))
+        for _ in range(depth):
+            op = ContextBundle((op,))
+        cfg = SchedulerConfig(
+            strategy=strategy,
+            features=FeatureSet(contexts=True),
+            record_queue_states=True,
+        )
+        tx = SignedTransaction("user", (op,))
+        outcome, _, tree = run_transaction(_context_env(), tx, cfg, 0)
+        assert isinstance(outcome, Commit)
+        assert tree.queue_states == ("[[(user, b.default())]]", "[]")
+
     def test_callee_contextual_flag_opens_frame(self):
         env = _context_env()
         payer = env.get("a")

@@ -231,6 +231,13 @@ class TestReplay:
         before, after, tree = attack_run
         assert validate_replay(tree, before, after).ok
 
+    def test_a_reverted_tree_is_refused(self, vault_env):
+        tx = SignedTransaction("owner", (Transfer("owner", 101, make_param("default")),))
+        outcome, _, tree = run_transaction(vault_env, tx, BFS, 0)
+        assert isinstance(outcome, Revert)
+        with pytest.raises(ValueError, match="^replay applies to committed transactions$"):
+            validate_replay(tree, vault_env, vault_env)
+
     def test_one_transfer_commit_is_validated_without_reading_every_account(
         self, monkeypatch
     ):
