@@ -9,7 +9,6 @@ old environment".
 
 from __future__ import annotations
 
-import re
 from collections import _tuplegetter  # namedtuple's field accessor
 from dataclasses import dataclass
 from operator import itemgetter
@@ -44,11 +43,11 @@ FEATURE_DISABLED = "feature_disabled"
 # The one identifier syntax, of addresses and of the names in scenario text:
 # the scanner builds its tokens from it, so every address prints parseably.
 IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
-_ADDRESS = re.compile(IDENTIFIER)
 
 
 def check_address(token: str) -> str:
-    if not isinstance(token, str) or not _ADDRESS.fullmatch(token):
+    # An ASCII Python identifier is exactly a match of IDENTIFIER.
+    if not (isinstance(token, str) and token.isascii() and token.isidentifier()):
         raise ValueError(f"invalid address token: {token!r}")
     return token
 
@@ -600,11 +599,11 @@ class Environment:
         if more:
             if len(more) % 2:
                 raise TypeError("updated takes address, contract pairs")
-            pairs = iter(more)
-            for addr, contract in zip(pairs, pairs):
+            for k in range(0, len(more), 2):
+                addr = more[k]
                 if addr not in old and addr not in base:
                     check_address(addr)
-                top[addr] = contract
+                top[addr] = more[k + 1]
         if len(top) ** 2 > len(base):
             base = {**base, **top}
             top = {}
@@ -680,6 +679,10 @@ class CreateContract(Operation):
     ) -> "CreateContract":
         check_address(addr)
         check_amount(amount)
+        if not isinstance(storage, Value):
+            raise ValueError(f"created storage is not a value: {storage!r}")
+        if not isinstance(config, Value):
+            raise ValueError(f"created config is not a value: {config!r}")
         return _new_tuple(cls, (addr, amount, storage, code_key, config))
 
 
@@ -806,8 +809,8 @@ class ExecutionContext(NamedTuple):
 
 
 class PendingOp(NamedTuple):
-    """A queued operation with what belongs to it alone: who emitted it and
-    the restrictions it runs under. `parent` is the trace node id of the
+    """A pending operation as a read of the queue yields it: who emitted it
+    and the restrictions it runs under. `parent` is the trace node id of the
     emitting execution (None for externally submitted ops). The transaction's
     author, timestamp and end-of-interactions owner live with the driver."""
 

@@ -73,15 +73,20 @@ class ExecOutcome(NamedTuple):
 QueueSnapshot = Iterable[PendingOp]
 
 
+_WRAPPER_TYPES = frozenset(WRAPPER_OPS)
+_EXECUTABLE_TYPES = frozenset((Transfer, CreateContract, EndInteractions))
+
+
 def _check_emitted(dest: str, emitted: Iterable[object]) -> None:
-    """Revert unless every emitted item, wrapper members included, is a core
-    operation."""
+    """Revert unless every emitted item, wrapper members included, is an
+    instance of one of the core operation classes themselves: the scheduler
+    and the trace know those classes and no subclass of them."""
     todo = list(emitted)
     while todo:
         item = todo.pop()
-        if isinstance(item, WRAPPER_OPS):
+        if type(item) in _WRAPPER_TYPES:
             todo.extend(item.ops)
-        elif not isinstance(item, (Transfer, CreateContract, EndInteractions)):
+        elif type(item) not in _EXECUTABLE_TYPES:
             raise ExecError(
                 CONTRACT_CRASH, f"@{dest} emitted {type(item).__name__}, not an operation"
             )

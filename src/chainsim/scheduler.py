@@ -1,7 +1,7 @@
 """Transaction driver: pending-operation scheduling, commit/revert, tracing.
 
 A transaction seeds one queue frame with its submitted operations. The
-scheduler repeatedly takes the first pending operation of the head frame:
+scheduler repeatedly takes the next pending operation of the head frame:
 wrappers (atomic/context/restriction) expand without consuming fuel;
 executable operations go to the executor, which decides whether they may run
 and reports what they changed. Their emissions are inserted per strategy (BFS
@@ -11,12 +11,16 @@ failure reverts the whole transaction while the timestamp still advances.
 
 `run_transaction` is the only driver: one pass of its loop is one step, and
 the transaction's state (queue frames, fuel, end-of-interactions owner, trace
-nodes) lives in its locals. A queue entry holds only what is its own, the
-sender and the restrictions; the loop builds each executable operation's
-`ExecutionContext` from it and the transaction's author and timestamp.
+nodes) lives in its locals. A queue entry is a run: the operations queued
+together (the submitted ops, one emission, or a wrapper's members) with the
+index of the next one, and what they share, the execution context (which
+holds their sender and restrictions) and their trace parent. A step reads
+one operation from the head run and moves its index on; the run's context
+is built once and rebuilt only when end-of-interactions mode begins.
 `--step` output comes from its queue snapshots
 (`SchedulerConfig.record_queue_states`), and an `execute` hook sees each
-executable operation with the environment and the queue behind it.
+executable operation with the environment and the queue behind it; both
+read the queue as `PendingOp`s made as they are read.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .core import (
     Operation,
     PendingOp,
     Restricted,
+    RestrictionState,
+    _new_tuple,
     render_stack,
 )
 from .executor import (
@@ -106,6 +112,15 @@ class Revert:
 Outcome = Union[Commit, Revert]
 
 
+def _entries(frame: deque[list]) -> Iterator[PendingOp]:
+    """The operations still pending in one frame, front first, each as a
+    `PendingOp` made when it is read."""
+    for ops, pos, ectx, parent in frame:
+        sender, restrictions = ectx.sender, ectx.restrictions
+        for k in range(pos, len(ops)):
+            yield _new_tuple(PendingOp, (ops[k], sender, restrictions, parent))
+
+
 class _PendingView:
     """Read-only view of the queue behind the operation being executed, head
     frame first. It reads the live frames, so it is valid only while the
@@ -113,11 +128,15 @@ class _PendingView:
 
     __slots__ = ("_frames",)
 
-    def __init__(self, frames: list[deque[PendingOp]]) -> None:
+    def __init__(self, frames: list[deque[list]]) -> None:
         self._frames = frames
 
     def __iter__(self) -> Iterator[PendingOp]:
-        return chain.from_iterable(reversed(self._frames))
+        return chain.from_iterable(self.frames())
+
+    def frames(self) -> Iterator[Iterator[PendingOp]]:
+        """Each frame's pending operations, head frame first."""
+        return map(_entries, reversed(self._frames))
 
 
 # Wrapper type -> (enabling feature, error kind when it is off).
@@ -151,87 +170,106 @@ def run_transaction(
     features = cfg.features
     record = cfg.record_queue_states
     bfs = cfg.strategy is Strategy.BFS
-    # The submitted ops form one frame sent by the author. Frames are deques
-    # with the head frame last in the list.
-    frames = [deque(PendingOp(op, tx.author) for op in tx.ops)]
-    pending = _PendingView(frames)
+    author = tx.author
     fuel_left = cfg.fuel
     end_owner: Optional[str] = None
+
+    def context(sender: str, restrictions: RestrictionState) -> ExecutionContext:
+        return _new_tuple(ExecutionContext, (sender, author, restrictions, end_owner, ts))
+
+    # Frames are deques of runs, with the head frame last in the list. A run
+    # is [ops, pos, ectx, parent]: operations queued together, of which
+    # `ops[pos:]` are still pending (a queued run is never empty), the
+    # context they execute under, which holds their sender and restrictions,
+    # and the trace node that queued them. The submitted ops are one run,
+    # sent by the author, in the first frame.
+    frames = [deque()]
+    if tx.ops:
+        frames[0].append([tx.ops, 0, context(author, RestrictionState()), None])
+    pending = _PendingView(frames)
     nodes: list[TraceNode] = []
     snapshots: list[str] = []
     failure: Optional[tuple[str, str]] = None
-    if tx.author not in env:
-        failure = (UNKNOWN_ADDRESS, f"author @{tx.author} is not on chain")
+    if author not in env:
+        failure = (UNKNOWN_ADDRESS, f"author @{author} is not on chain")
 
-    # One pass per step: process the first pending operation of the head
-    # frame. Wrapper expansion consumes no fuel; executable operations consume
-    # one unit each. The queue behind the operation changes only after the
-    # executor returns.
+    # One pass per step: process the next pending operation of the head
+    # frame's first run. Wrapper expansion consumes no fuel; executable
+    # operations consume one unit each. The queue behind the operation
+    # changes only after the executor returns.
     while failure is None:
         while frames and not frames[-1]:
             frames.pop()
         if not frames:
             break
         frame = frames[-1]
-        p = frame[0]
-        op = p.op
+        run = frame[0]
+        ops, pos, ectx, parent = run
+        op = ops[pos]
+        sender = ectx.sender
         node_id = len(nodes)
         wrapper = _WRAPPERS.get(type(op))
         if record and wrapper is None:
-            snapshots.append(render_stack(reversed(frames)))
-        frame.popleft()
+            snapshots.append(render_stack(pending.frames()))
+        if pos + 1 < len(ops):
+            run[1] = pos + 1
+        else:
+            frame.popleft()
 
-        restrictions = p.restrictions
         if wrapper is not None:
             feature, error = wrapper
             enabled = getattr(features, feature)
             status = STATUS_EXPANDED if enabled else STATUS_FAILED
-            nodes.append(TraceNode(node_id, p.parent, p.sender, op, status))
+            nodes.append(_new_tuple(TraceNode, (node_id, parent, sender, op, status, ())))
             if not enabled:
                 failure = (error, f"{feature} feature disabled")
                 break
             if isinstance(op, Restricted):
-                restrictions = restrictions.narrowed(op)
-            sender = p.sender
+                ectx = context(sender, ectx.restrictions.narrowed(op))
             members, opens_frame, at_front = op.ops, isinstance(op, ContextBundle), True
         else:
-            ectx = ExecutionContext(p.sender, tx.author, restrictions, end_owner, ts)
+            if ectx.end_interactions_owner is not end_owner:
+                # The mode began after this run's context was built.
+                ectx = run[2] = context(sender, ectx.restrictions)
             try:
                 if fuel_left <= 0:
                     raise ExecError(FUEL_EXHAUSTED, f"fuel cap of {cfg.fuel} operations hit")
                 outcome = execute(ectx, op, env, features, pending)
             except ExecError as err:
-                nodes.append(TraceNode(node_id, p.parent, p.sender, op, STATUS_FAILED))
+                nodes.append(
+                    _new_tuple(TraceNode, (node_id, parent, sender, op, STATUS_FAILED, ()))
+                )
                 failure = (err.kind, err.detail)
                 break
             nodes.append(
-                TraceNode(node_id, p.parent, p.sender, op, STATUS_EXECUTED, outcome.commits)
+                _new_tuple(
+                    TraceNode, (node_id, parent, sender, op, STATUS_EXECUTED, outcome.commits)
+                )
             )
             env = outcome.env_after
             fuel_left -= 1
             if isinstance(op, EndInteractions):
-                end_owner = p.sender
-            sender = outcome.emitter
+                end_owner = sender
             members, opens_frame, at_front = outcome.emitted, outcome.opens_frame, not bfs
+            if members:
+                ectx = context(outcome.emitter, ectx.restrictions)
 
         # One placement rule for a wrapper's members and an operation's
-        # emissions: BFS appends, DFS and wrappers prepend, and a new frame
-        # replaces the frames just drained (one frame, not two).
+        # emissions, queued as one run: BFS appends, DFS and wrappers push it
+        # in front of the rest of the current run, and a new frame replaces
+        # the frames just drained (one frame, not two).
         if members:
-            queued = [PendingOp(o, sender, restrictions, node_id) for o in members]
+            queued = [members, 0, ectx, node_id]
             if opens_frame:
                 while frames and not frames[-1]:
                     frames.pop()
-                frames.append(deque(queued))
+                frames.append(deque((queued,)))
             elif at_front:
-                frame.extendleft(reversed(queued))
+                frame.appendleft(queued)
             else:
                 # The head frame stays even if this step drained it: it owns
                 # the emissions.
-                frame.extend(queued)
-            # From here the queue alone holds the entries, so each is freed
-            # once it has run, not when the transaction ends.
-            del queued
+                frame.append(queued)
 
     if failure is None:
         if record:

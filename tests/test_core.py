@@ -1,6 +1,8 @@
 import copy
+import functools
 import pickle
 import random
+import re
 import string
 
 import pytest
@@ -59,6 +61,25 @@ from chainsim.scenario import (
     print_scenario,
 )
 from chainsim.scheduler import SignedTransaction
+
+
+def _fails_fast(test):
+    """Run a test whose calls go deeper than the interpreter's recursion
+    limit allows frames, and fail it at once, without a traceback, if one of
+    them recurses. Reporting a traceback thousands of frames deep, each frame
+    holding deep records, would keep pytest busy for minutes, so a regression
+    would look like a hang."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        try:
+            return test(*args, **kwargs)
+        except RecursionError as err:
+            message = f"{test.__name__} recursed: RecursionError: {err}"
+        # Outside the handler, so the failure does not chain the traceback.
+        pytest.fail(message, pytrace=False)
+
+    return run
 
 
 class TestTypecheck:
@@ -177,6 +198,31 @@ def test_address_is_an_identifier(token):
         (ExpectBalance(token, "=", 5), ExpectStorage(token + "_fwd", NatV(0))),
     )
     assert parse_scenario(print_scenario(scenario)) == scenario
+
+
+class _Text(str):
+    """A `str` subclass, which an address may be, as `re` matches it."""
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(string.printable),
+        st.text(st.sampled_from("aZ_09\u017f\u212a\xe9\u0660\uff21"), max_size=4),
+        st.sampled_from(["", "_", "0", "0a", "a0", "if", "None", "class", "_1", "a-b"]),
+        st.builds(_Text, st.text(st.sampled_from("aZ_09\u017f "), max_size=4)),
+    )
+)
+def test_address_check_is_the_identifier_syntax(token):
+    """`check_address` accepts exactly the full matches of `IDENTIFIER`, the
+    syntax the scanner reads names with, for any text: non-ASCII letters and
+    digits (which `str.isidentifier` alone would take), keywords, empty text,
+    leading digits and `str` subclasses."""
+    if re.fullmatch(core.IDENTIFIER, token):
+        assert check_address(token) is token
+    else:
+        with pytest.raises(ValueError, match="^invalid address token"):
+            check_address(token)
 
 
 def test_address_must_be_a_str():
@@ -487,6 +533,19 @@ class TestOperations:
         for value in (UNIT_VALUE, NatV(5), make_param("f", ListV(()))):
             assert Transfer("ok", 1, value).param == value
 
+    def test_create_validates_fields(self):
+        with pytest.raises(ValueError):
+            CreateContract("bad addr", 1, UNIT_VALUE, "receiver", UNIT_VALUE)
+        with pytest.raises(AmountError):
+            CreateContract("ok", -1, UNIT_VALUE, "receiver", UNIT_VALUE)
+        for bad in (5, "unit", None, (UNIT_VALUE,)):
+            with pytest.raises(ValueError, match="^created storage is not a value"):
+                CreateContract("ok", 1, bad, "receiver", UNIT_VALUE)
+            with pytest.raises(ValueError, match="^created config is not a value"):
+                CreateContract("ok", 1, UNIT_VALUE, "receiver", bad)
+        created = CreateContract("ok", 1, NatV(5), "receiver", UNIT_VALUE)
+        assert (created.storage, created.config) == (NatV(5), UNIT_VALUE)
+
     @pytest.mark.parametrize("kind", ["allow", "block"])
     def test_restricted_refuses_a_bare_string(self, kind):
         # "vault" is not five one-letter addresses.
@@ -548,6 +607,7 @@ class TestWalkOps:
             "    context {", "    }", "    transfer 0 to @x", "    end_interactions", "  }",
         ]
 
+    @_fails_fast
     def test_nesting_past_the_recursion_limit(self):
         op = Transfer("x", 1, make_param("default"))
         for _ in range(1500):
@@ -575,6 +635,7 @@ def test_split_param_inverts_make_param():
     assert split_param(NatV(1)) is None
 
 
+@_fails_fast
 def test_make_param_nesting():
     assert make_param("default") == PairV(StringV("default"), UNIT_VALUE)
     assert make_param("withdraw", NatV(5)) == PairV(StringV("withdraw"), NatV(5))
@@ -602,6 +663,7 @@ class TestDeepValues:
     def chain(self, last):
         return nest_values([NatV(1)] * (self.DEPTH - 1) + [last])
 
+    @_fails_fast
     def test_hash_and_equality(self):
         a, same, other = self.chain(NatV(1)), self.chain(NatV(1)), self.chain(NatV(2))
         assert a is not same
@@ -612,12 +674,14 @@ class TestDeepValues:
         assert hash(Transfer("b", 1, a)) == hash(Transfer("b", 1, same))
         assert Transfer("b", 1, a) != Transfer("b", 1, other)
 
+    @_fails_fast
     def test_deepcopy_is_the_value_itself(self):
         a = self.chain(NatV(1))
         assert copy.deepcopy(a) is a
         op = Transfer("b", 1, a)
         assert copy.deepcopy(op) is op
 
+    @_fails_fast
     def test_type_and_typecheck(self):
         nats, ints = self.chain(NatV(1)), self.chain(IntV(-1))
         assert value_type(nats) is value_type(self.chain(NatV(2)))
@@ -630,6 +694,7 @@ class TestDeepValues:
         assert value_typecheck(empty, value_type(names))
         assert not value_typecheck(names, value_type(empty))
 
+    @_fails_fast
     def test_scenario_round_trip(self):
         args = ", ".join(["1"] * self.DEPTH)
         text = (
@@ -722,6 +787,7 @@ def test_record_repr(record, text):
     assert repr(record) == text
 
 
+@_fails_fast
 def test_deep_record_repr_does_not_recurse():
     op = _ONE
     for _ in range(3000):
@@ -746,6 +812,7 @@ def _nested_op(depth, param):
     return op
 
 
+@_fails_fast
 def test_deep_operation_hash_does_not_recurse():
     a, same = _nested_op(5000, UNIT_VALUE), _nested_op(5000, UNIT_VALUE)
     assert a is not same
@@ -807,6 +874,7 @@ def test_type_tag_equals_no_tuple():
         assert tag == tag and not tag != tag
 
 
+@_fails_fast
 def test_deep_type_tag_hashes_and_prints():
     tag = NAT
     for _ in range(5000):

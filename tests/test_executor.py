@@ -43,7 +43,8 @@ from chainsim.executor import (
 from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions, RestrictionState
 from chainsim import registry
 from chainsim.features import FEATURE_NAMES, FeatureSet
-from chainsim.trace import TraceNode
+from chainsim.scheduler import Revert, SchedulerConfig, SignedTransaction, run_transaction
+from chainsim.trace import STATUS_FAILED, TraceNode, tree_to_json
 from conftest import contextual
 
 FEATURES = FeatureSet()
@@ -826,3 +827,56 @@ class TestReportedEffects:
         env = simple_env.updated("ctx", callee)
         op = Transfer("ctx", 1, make_param("default"))
         _expect_error(kind, execute_operation, _ectx("alice"), op, env, FEATURES)
+
+
+class _SubTransfer(Transfer):
+    """A subclass of a core operation: neither the scheduler nor the trace
+    knows it."""
+
+    __slots__ = ()
+
+
+def _run_emitter(simple_env, key, emitted):
+    """Run `alice: transfer 0 to @emitter`, where @emitter's body emits what
+    `emitted()` returns, with every feature on; returns the outcome and the
+    tree."""
+    if not registry.is_registered(key):
+        registry.register(
+            registry.ContractDef(
+                key, {"default": UNIT}, UNIT, UNIT, lambda ctx, p, st: (emitted(), st)
+            )
+        )
+    env = simple_env.updated("emitter", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+    env = env.updated("r", registry.implicit_account(0))
+    tx = SignedTransaction("alice", (Transfer("emitter", 0, make_param("default")),))
+    cfg = SchedulerConfig(features=ALL_FEATURES, record_queue_states=True)
+    outcome, _, tree = run_transaction(env, tx, cfg, 0)
+    return outcome, tree
+
+
+def test_emitted_create_of_a_non_value_reverts(simple_env):
+    # The body's CreateContract refuses its storage where the body builds
+    # it, before the executor or a queue snapshot could render it.
+    outcome, tree = _run_emitter(
+        simple_env,
+        "creates_non_value_for_test",
+        lambda: [CreateContract("x", 0, 5, "receiver", UNIT_VALUE)],
+    )
+    assert isinstance(outcome, Revert) and outcome.kind == CONTRACT_CRASH
+    assert outcome.detail == "@emitter raised ValueError: created storage is not a value: 5"
+    assert [n.status for n in tree.nodes] == [STATUS_FAILED]
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "wrapped"])
+def test_emitted_operation_subclass_reverts(simple_env, wrapped):
+    # Only the core operation classes themselves are admitted to the queue,
+    # so the trace can name every node's kind.
+    def emitted():
+        op = _SubTransfer("r", 0, make_param("default"))
+        return [AtomicBundle((op,)) if wrapped else op]
+
+    outcome, tree = _run_emitter(simple_env, f"emits_subclass_{wrapped}_for_test", emitted)
+    assert isinstance(outcome, Revert) and outcome.kind == CONTRACT_CRASH
+    assert outcome.detail == "@emitter emitted _SubTransfer, not an operation"
+    exported = tree_to_json(tree)
+    assert [(n["kind"], n["status"]) for n in exported["nodes"]] == [("transfer", STATUS_FAILED)]

@@ -8,6 +8,7 @@ from chainsim.core import (
     AddressV,
     AtomicBundle,
     ContextBundle,
+    EndInteractions,
     Environment,
     ListV,
     MutezV,
@@ -19,6 +20,7 @@ from chainsim.core import (
     UNIT,
     UNIT_VALUE,
     make_param,
+    render_op_brief,
     render_stack,
     view_storage,
 )
@@ -722,6 +724,182 @@ class TestPendingView:
         # before the outer frame's three remaining operations
         ops = _mixed_tx().ops
         assert [p.op for p in records[0][1]] == [ops[0].ops[1], *ops[1:]]
+
+
+def _t(dest, entrypoint="default"):
+    """A transfer of 0 calling `entrypoint` without arguments."""
+    return Transfer(dest, 0, make_param(entrypoint))
+
+
+# Emissions of the "script" test code, by (address, entrypoint): each call
+# emits the listed operations and keeps its storage.
+_SCRIPT = {
+    ("x", "default"): (_t("r1"), _t("z"), _t("r2")),
+    ("z", "default"): (_t("r3"),),
+    ("y", "default"): (_t("r4"), AtomicBundle((_t("r5"), _t("r6"))), _t("r7")),
+    ("c", "default"): (_t("r8"), _t("r9")),
+    ("w", "default"): (_t("w", "go"), EndInteractions(), _t("w", "go")),
+}
+
+
+def _script_env():
+    key = "script_for_test"
+    if not registry.is_registered(key):
+        registry.register(
+            registry.ContractDef(
+                key,
+                {"default": UNIT, "go": UNIT},
+                UNIT,
+                UNIT,
+                lambda ctx, param, storage: (
+                    _SCRIPT.get((ctx.self_addr, param.left.s), ()), storage
+                ),
+            )
+        )
+    env = Environment().updated("user", registry.implicit_account(0))
+    for addr in ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"):
+        env = env.updated(addr, registry.implicit_account(0))
+    for addr in ("x", "y", "z", "w"):
+        env = env.updated(addr, registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+    return env.updated("c", contextual(registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)))
+
+
+def _brief(op):
+    return render_op_brief(op).replace(".default()", "")
+
+
+def _run_script(tx, strategy):
+    """Run `tx` over the script contracts, recording at every executor call
+    the running operation as `sender:op`, the end-of-interactions owner it
+    runs under, and the pending view as `sender:op^parent` entries. Returns
+    the records and the queue states with `.default()` dropped."""
+    cfg = SchedulerConfig(
+        strategy=strategy,
+        features=FeatureSet(bundles=True, contexts=True, end_interactions=True),
+        record_queue_states=True,
+    )
+    records = []
+
+    def execute(ectx, op, env, features, pending):
+        behind = [
+            f"{p.sender}:{_brief(p.op)}" + ("" if p.parent is None else f"^{p.parent}")
+            for p in pending
+        ]
+        records.append((f"{ectx.sender}:{_brief(op)}", ectx.end_interactions_owner, behind))
+        return execute_operation(ectx, op, env, features, pending)
+
+    outcome, _, tree = run_transaction(_script_env(), tx, cfg, 0, execute)
+    assert isinstance(outcome, Commit)
+    return records, [state.replace(".default()", "") for state in tree.queue_states]
+
+
+class TestQueueOrderAcrossRuns:
+    """The queue holds whole emissions. These expectations follow the
+    placement rules step by step: BFS appends an emission to the head frame,
+    DFS and a wrapper put it in front of the rest of the run being consumed,
+    and a context or contextual callee opens a frame, which replaces the
+    frames drained by then."""
+
+    TX = SignedTransaction("user", (_t("x"), _t("y"), ContextBundle((_t("c"),))))
+
+    def test_dfs(self):
+        records, states = _run_script(self.TX, Strategy.DFS)
+        assert [(running, behind) for running, _, behind in records] == [
+            ("user:x", ["user:y", "user:context{c}"]),
+            # x's emission went in front of the rest of the submitted run
+            ("x:r1", ["x:z^0", "x:r2^0", "user:y", "user:context{c}"]),
+            ("x:z", ["x:r2^0", "user:y", "user:context{c}"]),
+            # z's went in front of the rest of x's
+            ("z:r3", ["x:r2^0", "user:y", "user:context{c}"]),
+            ("x:r2", ["user:y", "user:context{c}"]),
+            ("user:y", ["user:context{c}"]),
+            ("y:r4", ["y:atomic{r5, r6}^5", "y:r7^5", "user:context{c}"]),
+            # node 7 expanded the bundle in front of the rest of y's run
+            ("y:r5", ["y:r6^7", "y:r7^5", "user:context{c}"]),
+            ("y:r6", ["y:r7^5", "user:context{c}"]),
+            ("y:r7", ["user:context{c}"]),
+            # node 11 expanded the context; its frame replaced the drained one
+            ("user:c", []),
+            ("c:r8", ["c:r9^12"]),
+            ("c:r9", []),
+        ]
+        assert states == [
+            "[[(user, x), (user, y), (user, context{c})]]",
+            "[[(x, r1), (x, z), (x, r2), (user, y), (user, context{c})]]",
+            "[[(x, z), (x, r2), (user, y), (user, context{c})]]",
+            "[[(z, r3), (x, r2), (user, y), (user, context{c})]]",
+            "[[(x, r2), (user, y), (user, context{c})]]",
+            "[[(user, y), (user, context{c})]]",
+            "[[(y, r4), (y, atomic{r5, r6}), (y, r7), (user, context{c})]]",
+            "[[(y, r5), (y, r6), (y, r7), (user, context{c})]]",
+            "[[(y, r6), (y, r7), (user, context{c})]]",
+            "[[(y, r7), (user, context{c})]]",
+            "[[(user, c)]]",
+            "[[(c, r8), (c, r9)]]",
+            "[[(c, r9)]]",
+            "[]",
+        ]
+
+    def test_bfs(self):
+        records, states = _run_script(self.TX, Strategy.BFS)
+        rest = ["x:r1^0", "x:z^0", "x:r2^0", "y:r4^1", "y:atomic{r5, r6}^1", "y:r7^1"]
+        assert [(running, behind) for running, _, behind in records] == [
+            ("user:x", ["user:y", "user:context{c}"]),
+            # x's emission went behind the rest of the submitted run
+            ("user:y", ["user:context{c}", "x:r1^0", "x:z^0", "x:r2^0"]),
+            # node 2 expanded the context over the undrained head frame
+            ("user:c", rest),
+            ("c:r8", ["c:r9^3", *rest]),
+            ("c:r9", rest),
+            ("x:r1", rest[1:]),
+            ("x:z", rest[2:]),
+            # z's emission went behind y's
+            ("x:r2", [*rest[3:], "z:r3^7"]),
+            ("y:r4", [*rest[4:], "z:r3^7"]),
+            # node 10 expanded the bundle in front of the rest of y's run
+            ("y:r5", ["y:r6^10", "y:r7^1", "z:r3^7"]),
+            ("y:r6", ["y:r7^1", "z:r3^7"]),
+            ("y:r7", ["z:r3^7"]),
+            ("z:r3", []),
+        ]
+        outer = "(x, r1), (x, z), (x, r2), (y, r4), (y, atomic{r5, r6}), (y, r7)"
+        assert states == [
+            "[[(user, x), (user, y), (user, context{c})]]",
+            "[[(user, y), (user, context{c}), (x, r1), (x, z), (x, r2)]]",
+            f"[[(user, c)], [{outer}]]",
+            # c's frame replaced the drained context frame: two frames, not three
+            f"[[(c, r8), (c, r9)], [{outer}]]",
+            f"[[(c, r9)], [{outer}]]",
+            f"[[{outer}]]",
+            "[[(x, z), (x, r2), (y, r4), (y, atomic{r5, r6}), (y, r7)]]",
+            "[[(x, r2), (y, r4), (y, atomic{r5, r6}), (y, r7), (z, r3)]]",
+            "[[(y, r4), (y, atomic{r5, r6}), (y, r7), (z, r3)]]",
+            "[[(y, r5), (y, r6), (y, r7), (z, r3)]]",
+            "[[(y, r6), (y, r7), (z, r3)]]",
+            "[[(y, r7), (z, r3)]]",
+            "[[(z, r3)]]",
+            "[]",
+        ]
+
+    @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+    def test_end_interactions_inside_a_run(self, strategy):
+        # The operations after end_interactions in the same run execute
+        # under the mode it began.
+        tx = SignedTransaction("user", (_t("w"),))
+        records, states = _run_script(tx, strategy)
+        assert records == [
+            ("user:w", None, []),
+            ("w:w.go()", None, ["w:end_interactions^0", "w:w.go()^0"]),
+            ("w:end_interactions", None, ["w:w.go()^0"]),
+            ("w:w.go()", "w", []),
+        ]
+        assert states == [
+            "[[(user, w)]]",
+            "[[(w, w.go()), (w, end_interactions), (w, w.go())]]",
+            "[[(w, end_interactions), (w, w.go())]]",
+            "[[(w, w.go())]]",
+            "[]",
+        ]
 
 
 def _check_driver_run(env, tx, cfg, ts):
