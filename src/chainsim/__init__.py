@@ -37,7 +37,6 @@ from .core import (
     PairV,
     PendingOp,
     Restricted,
-    RestrictionState,
     StringV,
     Transfer,
     TypeTag,

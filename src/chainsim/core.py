@@ -10,7 +10,6 @@ old environment".
 from __future__ import annotations
 
 from collections import _tuplegetter  # namedtuple's field accessor
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -708,8 +707,9 @@ class Restricted(Operation):
     """Narrows the invocable address universe for the wrapped operations.
 
     A wrapper is either an allow list (`block` is None) or a block list
-    (`allow` is None); nesting composes. Construction normalises to one of
-    the two: neither set means an empty block list, an allow list drops an
+    (`allow` is None); nesting composes, as a call may reach an address only
+    if every wrapper around it `permits` it. Construction normalises to one
+    of the two: neither set means an empty block list, an allow list drops an
     empty block set, and an allow list with a non-empty block set is an error.
     Every listed entry must be an address token.
     """
@@ -741,6 +741,12 @@ class Restricted(Operation):
             check_address(addr)
         return _new_tuple(cls, (tuple(ops), allow, block))
 
+    def permits(self, dest: str) -> bool:
+        """Whether this wrapper lets its members call `dest`."""
+        if self.allow is None:
+            return dest not in self.block
+        return dest in self.allow
+
 
 class EndInteractions(Operation):
     __slots__ = ()
@@ -750,6 +756,17 @@ class EndInteractions(Operation):
 
 
 WRAPPER_OPS = (AtomicBundle, ContextBundle, Restricted)
+
+# Each operation class, exactly, to the kind a trace records it as. No
+# subclass of these is an operation the scheduler or the trace knows.
+OP_KINDS = {
+    Transfer: "transfer",
+    CreateContract: "create",
+    EndInteractions: "end_interactions",
+    AtomicBundle: "atomic",
+    ContextBundle: "context",
+    Restricted: "restricted",
+}
 
 
 def walk_ops(ops: Iterable[Operation]) -> Iterator[tuple[int, Operation]]:
@@ -773,50 +790,28 @@ def walk_ops(ops: Iterable[Operation]) -> Iterator[tuple[int, Operation]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictionState:
-    """Allow/block address sets inherited down a transaction tree.
-
-    allow=None means the full universe. Child states only ever shrink allow
-    and grow block (see `narrowed`).
-    """
-
-    allow: Optional[frozenset[str]] = None
-    block: frozenset[str] = frozenset()
-
-    def narrowed(self, op: Restricted) -> "RestrictionState":
-        """The state `op`'s members run under: allow sets intersect (absent =
-        full universe) and block sets unite, so along any path allow only
-        ever shrinks and block only ever grows."""
-        if op.allow is None:
-            return RestrictionState(self.allow, self.block | op.block)
-        allow = op.allow if self.allow is None else self.allow & op.allow
-        return RestrictionState(allow, self.block)
-
-    def permits(self, dest: str) -> bool:
-        return dest not in self.block and (self.allow is None or dest in self.allow)
-
-
 class ExecutionContext(NamedTuple):
     """Who emitted the operation (sender), who authored the transaction
-    (source), and the transaction-scoped control state."""
+    (source), and the transaction-scoped control state. `restrictions` are
+    the `Restricted` wrappers the operation runs inside, outermost first."""
 
     sender: str
     source: str
-    restrictions: RestrictionState = RestrictionState()
+    restrictions: tuple[Restricted, ...] = ()
     end_interactions_owner: Optional[str] = None
     level: int = 0
 
 
 class PendingOp(NamedTuple):
     """A pending operation as a read of the queue yields it: who emitted it
-    and the restrictions it runs under. `parent` is the trace node id of the
-    emitting execution (None for externally submitted ops). The transaction's
-    author, timestamp and end-of-interactions owner live with the driver."""
+    and the `Restricted` wrappers it runs inside, outermost first. `parent`
+    is the trace node id of the emitting execution (None for externally
+    submitted ops). The transaction's author, timestamp and
+    end-of-interactions owner live with `run_transaction`."""
 
     op: Operation
     sender: str
-    restrictions: RestrictionState = RestrictionState()
+    restrictions: tuple[Restricted, ...] = ()
     parent: Optional[int] = None
 
 

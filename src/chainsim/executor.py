@@ -6,8 +6,13 @@ environment. Failure therefore leaves no partial debit or credit anywhere;
 the scheduler reverts the whole transaction on any ExecError.
 
 Every check of an executable operation against the feature flags, the
-restrictions and the end-of-interactions mode is made here, and the outcome
+restrictions (each `Restricted` wrapper around a transfer must permit its
+destination) and the end-of-interactions mode is made here, and the outcome
 says what the operation changed, so the scheduler only orders the queue.
+What a contract body raises, while it runs or while its emissions are
+drawn, reverts with a kind: `ContractFail` is `contract_failure`,
+`AmountError` `overflow`, and any other `Exception`, `SystemExit` or
+`GeneratorExit` is `contract_crash`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from . import registry
 from .core import (
     FEATURE_DISABLED,
     MAX_MUTEZ,
+    OP_KINDS,
     UNKNOWN_ADDRESS,
     AmountError,
     CallContext,
@@ -32,9 +38,9 @@ from .core import (
     StringV,
     Transfer,
     Value,
-    WRAPPER_OPS,
     _new_tuple,
     value_typecheck,
+    walk_ops,
 )
 from .features import FeatureSet
 from .registry import ContractFail
@@ -73,20 +79,12 @@ class ExecOutcome(NamedTuple):
 QueueSnapshot = Iterable[PendingOp]
 
 
-_WRAPPER_TYPES = frozenset(WRAPPER_OPS)
-_EXECUTABLE_TYPES = frozenset((Transfer, CreateContract, EndInteractions))
-
-
 def _check_emitted(dest: str, emitted: Iterable[object]) -> None:
     """Revert unless every emitted item, wrapper members included, is an
     instance of one of the core operation classes themselves: the scheduler
     and the trace know those classes and no subclass of them."""
-    todo = list(emitted)
-    while todo:
-        item = todo.pop()
-        if type(item) in _WRAPPER_TYPES:
-            todo.extend(item.ops)
-        elif type(item) not in _EXECUTABLE_TYPES:
+    for _, item in walk_ops(emitted):
+        if type(item) not in OP_KINDS:
             raise ExecError(
                 CONTRACT_CRASH, f"@{dest} emitted {type(item).__name__}, not an operation"
             )
@@ -111,10 +109,11 @@ def _execute_transfer(
     features: FeatureSet,
     pending: QueueSnapshot,
 ) -> ExecOutcome:
-    if not ectx.restrictions.permits(op.dest):
-        raise ExecError(
-            RESTRICTION_VIOLATION, f"@{op.dest} is outside the allowed universe"
-        )
+    for wrapper in ectx.restrictions:
+        if not wrapper.permits(op.dest):
+            raise ExecError(
+                RESTRICTION_VIOLATION, f"@{op.dest} is outside the allowed universe"
+            )
     owner = ectx.end_interactions_owner
     if owner is not None and not (ectx.sender == owner and op.dest == owner):
         raise ExecError(
@@ -185,8 +184,9 @@ def _execute_transfer(
         raise ExecError(CONTRACT_FAILURE, failure.message) from None
     except AmountError as err:
         raise ExecError(OVERFLOW, f"@{dest} overflows: {err}") from None
-    except Exception as err:
-        # A body is foreign code: whatever else it raises reverts, typed.
+    except (Exception, SystemExit, GeneratorExit) as err:
+        # A body is foreign code: whatever else it raises reverts, typed. A
+        # KeyboardInterrupt, like any other BaseException, reaches the caller.
         raise ExecError(
             CONTRACT_CRASH, f"@{dest} raised {type(err).__name__}: {err}"
         ) from None

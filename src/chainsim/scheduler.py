@@ -40,7 +40,6 @@ from .core import (
     Operation,
     PendingOp,
     Restricted,
-    RestrictionState,
     _new_tuple,
     render_stack,
 )
@@ -174,7 +173,7 @@ def run_transaction(
     fuel_left = cfg.fuel
     end_owner: Optional[str] = None
 
-    def context(sender: str, restrictions: RestrictionState) -> ExecutionContext:
+    def context(sender: str, restrictions: tuple[Restricted, ...]) -> ExecutionContext:
         return _new_tuple(ExecutionContext, (sender, author, restrictions, end_owner, ts))
 
     # Frames are deques of runs, with the head frame last in the list. A run
@@ -185,7 +184,7 @@ def run_transaction(
     # sent by the author, in the first frame.
     frames = [deque()]
     if tx.ops:
-        frames[0].append([tx.ops, 0, context(author, RestrictionState()), None])
+        frames[0].append([tx.ops, 0, context(author, ()), None])
     pending = _PendingView(frames)
     nodes: list[TraceNode] = []
     snapshots: list[str] = []
@@ -216,17 +215,18 @@ def run_transaction(
         else:
             frame.popleft()
 
+        # Each branch decides the step's status, commits and failure, and
+        # what it queues; one node records the step.
+        commits = ()
         if wrapper is not None:
             feature, error = wrapper
-            enabled = getattr(features, feature)
-            status = STATUS_EXPANDED if enabled else STATUS_FAILED
-            nodes.append(_new_tuple(TraceNode, (node_id, parent, sender, op, status, ())))
-            if not enabled:
-                failure = (error, f"{feature} feature disabled")
-                break
-            if isinstance(op, Restricted):
-                ectx = context(sender, ectx.restrictions.narrowed(op))
-            members, opens_frame, at_front = op.ops, isinstance(op, ContextBundle), True
+            if getattr(features, feature):
+                status = STATUS_EXPANDED
+                if isinstance(op, Restricted):
+                    ectx = context(sender, ectx.restrictions + (op,))
+                members, opens_frame, at_front = op.ops, isinstance(op, ContextBundle), True
+            else:
+                status, failure = STATUS_FAILED, (error, f"{feature} feature disabled")
         else:
             if ectx.end_interactions_owner is not end_owner:
                 # The mode began after this run's context was built.
@@ -236,23 +236,19 @@ def run_transaction(
                     raise ExecError(FUEL_EXHAUSTED, f"fuel cap of {cfg.fuel} operations hit")
                 outcome = execute(ectx, op, env, features, pending)
             except ExecError as err:
-                nodes.append(
-                    _new_tuple(TraceNode, (node_id, parent, sender, op, STATUS_FAILED, ()))
-                )
-                failure = (err.kind, err.detail)
-                break
-            nodes.append(
-                _new_tuple(
-                    TraceNode, (node_id, parent, sender, op, STATUS_EXECUTED, outcome.commits)
-                )
-            )
-            env = outcome.env_after
-            fuel_left -= 1
-            if isinstance(op, EndInteractions):
-                end_owner = sender
-            members, opens_frame, at_front = outcome.emitted, outcome.opens_frame, not bfs
-            if members:
-                ectx = context(outcome.emitter, ectx.restrictions)
+                status, failure = STATUS_FAILED, (err.kind, err.detail)
+            else:
+                status, commits = STATUS_EXECUTED, outcome.commits
+                env = outcome.env_after
+                fuel_left -= 1
+                if isinstance(op, EndInteractions):
+                    end_owner = sender
+                members, opens_frame, at_front = outcome.emitted, outcome.opens_frame, not bfs
+                if members:
+                    ectx = context(outcome.emitter, ectx.restrictions)
+        nodes.append(_new_tuple(TraceNode, (node_id, parent, sender, op, status, commits)))
+        if failure is not None:
+            break
 
         # One placement rule for a wrapper's members and an operation's
         # emissions, queued as one run: BFS appends, DFS and wrappers push it

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
-    AtomicBundle,
-    ContextBundle,
+    OP_KINDS,
     CreateContract,
-    EndInteractions,
     Environment,
     Operation,
-    Restricted,
     Transfer,
     Value,
     render_value,
@@ -28,15 +25,6 @@ from .core import (
 STATUS_EXECUTED = "executed"
 STATUS_EXPANDED = "expanded"
 STATUS_FAILED = "failed"
-
-_KINDS = {
-    Transfer: "transfer",
-    CreateContract: "create",
-    EndInteractions: "end_interactions",
-    AtomicBundle: "atomic",
-    ContextBundle: "context",
-    Restricted: "restricted",
-}
 
 
 class TraceNode(NamedTuple):
@@ -49,7 +37,7 @@ class TraceNode(NamedTuple):
 
     @property
     def kind(self) -> str:
-        return _KINDS[type(self.op)]
+        return OP_KINDS[type(self.op)]
 
     @property
     def deltas(self) -> tuple[tuple[str, int], ...]:

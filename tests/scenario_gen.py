@@ -22,10 +22,12 @@ from chainsim.core import (
     Restricted,
     StringV,
     Transfer,
+    TypeTag,
     UNIT_VALUE,
     Value,
     make_param,
 )
+from chainsim import registry
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim.scenario import (
     AccountDecl,
@@ -45,18 +47,15 @@ def random_addr(rng: random.Random) -> str:
     return rng.choice("abcdefgh") + str(rng.randrange(100))
 
 
-def random_value(rng: random.Random, depth: int = 0) -> Value:
-    choices = ["nat", "int", "string", "bool", "unit", "mutez", "address"]
-    if depth < 2:
-        choices += ["pair", "pair", "list"]
-    kind = rng.choice(choices)
+def random_value_of(rng: random.Random, tag: TypeTag) -> Value:
+    """A random value of type `tag`, drawn as `random_value` draws its kind."""
+    kind = tag.kind
     if kind == "nat":
         return NatV(rng.randrange(1_000))
     if kind == "int":
         return IntV(-rng.randrange(1, 1_000))
     if kind == "string":
-        length = rng.randrange(0, 8)
-        return StringV("".join(rng.choice(_SAFE_CHARS) for _ in range(length)))
+        return StringV("".join(rng.choice(_SAFE_CHARS) for _ in range(rng.randrange(0, 8))))
     if kind == "bool":
         return BoolV(rng.random() < 0.5)
     if kind == "unit":
@@ -66,7 +65,20 @@ def random_value(rng: random.Random, depth: int = 0) -> Value:
     if kind == "address":
         return AddressV(random_addr(rng))
     if kind == "pair":
+        return PairV(random_value_of(rng, tag.args[0]), random_value_of(rng, tag.args[1]))
+    # non-empty: an empty list is typed as a list of unit
+    return ListV(tuple(random_value_of(rng, tag.args[0]) for _ in range(rng.randrange(1, 4))))
+
+
+def random_value(rng: random.Random, depth: int = 0) -> Value:
+    choices = ["nat", "int", "string", "bool", "unit", "mutez", "address"]
+    if depth < 2:
+        choices += ["pair", "pair", "list"]
+    kind = rng.choice(choices)
+    if kind == "pair":
         return PairV(random_value(rng, depth + 1), random_value(rng, depth + 1))
+    if kind != "list":
+        return random_value_of(rng, TypeTag(kind))
     # homogeneous list: replicate one scalar shape
     elem_kind = rng.choice(["nat", "address", "bool"])
     items = []
@@ -119,12 +131,14 @@ def random_scenario(rng: random.Random) -> Scenario:
         if rng.random() < 0.5:
             decls.append(AccountDecl(addr, rng.randrange(0, 500)))
         else:
+            # Config and storage fit the code, so the scenario can be built.
+            defn = registry.resolve(rng.choice(["receiver", "bank", "bad", "forwarder"]))
             decls.append(
                 ContractDecl(
                     addr,
-                    rng.choice(["receiver", "bank", "bad", "forwarder"]),
-                    random_value(rng),
-                    random_value(rng),
+                    defn.code_key,
+                    random_value_of(rng, defn.config_type),
+                    random_value_of(rng, defn.storage_type),
                     rng.randrange(0, 500),
                     contextual=rng.random() < 0.2,
                 )

@@ -261,29 +261,45 @@ def test_criterion_9_restrictions():
     blocked = run_scenario(parse_scenario(scenario_text("restrictions_block.msc")))
     ok = ok and blocked.passed
 
-    # nested allow-sets only shrink: 500 random narrowing chains
-    from chainsim.core import Restricted, RestrictionState
+    # nested allow-sets only shrink: 500 random narrowing chains of
+    # `Restricted` wrappers, outermost first. For each address, a transfer
+    # nested in the whole chain commits exactly when every wrapper permits it.
+    from chainsim.core import Restricted
 
     addrs = tuple(f"n{i}" for i in range(10))
+    chain_env = Environment()
+    for name in ("u", *addrs):
+        chain_env = chain_env.updated(name, registry.implicit_account(10))
+    chain_cfg = SchedulerConfig(features=FeatureSet(restrictions=True))
     rng = random.Random(905)
     shrink_violations = 0
+    nesting_violations = 0
     for _ in range(500):
-        state = RestrictionState()
-        passing = {a for a in addrs if state.permits(a)}
+        chain = ()
+        passing = set(addrs)
         for _ in range(rng.randrange(1, 6)):
             if rng.random() < 0.5:
-                state = state.narrowed(
-                    Restricted(allow=frozenset(rng.sample(addrs, rng.randrange(0, 10))))
-                )
+                wrapper = Restricted(allow=frozenset(rng.sample(addrs, rng.randrange(0, 10))))
             else:
-                state = state.narrowed(
-                    Restricted(block=frozenset(rng.sample(addrs, rng.randrange(0, 4))))
-                )
-            now = {a for a in addrs if state.permits(a)}
+                wrapper = Restricted(block=frozenset(rng.sample(addrs, rng.randrange(0, 4))))
+            chain += (wrapper,)
+            now = {a for a in addrs if all(w.permits(a) for w in chain)}
             if not now <= passing:
                 shrink_violations += 1
             passing = now
-    ok = ok and shrink_violations == 0
+        for addr in addrs:
+            nested = (Transfer(addr, 1, make_param("default")),)
+            for w in reversed(chain):
+                nested = (Restricted(nested, allow=w.allow, block=w.block),)
+            outcome, _, _ = run_transaction(
+                chain_env, SignedTransaction("u", nested), chain_cfg, 0
+            )
+            committed = isinstance(outcome, Commit)
+            if committed != (addr in passing):
+                nesting_violations += 1
+            if not committed and outcome.kind != "restriction_violation":
+                nesting_violations += 1
+    ok = ok and shrink_violations == 0 and nesting_violations == 0
 
     # after end_interactions only owner self-calls are permitted: 500 cases
     env = Environment()

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -51,6 +53,41 @@ def cli_matrix(capsys) -> str:
 def test_cli_matrix(capsys, monkeypatch):
     monkeypatch.chdir(SCENARIO_DIR.parent)
     assert cli_matrix(capsys) == golden("cli_matrix.txt")
+
+
+# Runs `chainsim run --step --trace` on every fixture with every feature on,
+# printing each run's output and trace, then `chainsim fuzz --iterations 300
+# --seed 5`. argv[1] is the trace file.
+HASH_SEED_PROGRAM = """
+import pathlib, sys
+from chainsim import cli
+from chainsim.features import FEATURE_NAMES
+trace = pathlib.Path(sys.argv[1])
+for path in sorted(pathlib.Path("scenarios").glob("*.msc")):
+    argv = ["run", str(path), "--step", "--trace", str(trace), "--features", ",".join(FEATURE_NAMES)]
+    print(f"exit {cli.main(argv)}", trace.read_text(encoding="utf-8"), sep="\\n")
+print(f"exit {cli.main(['fuzz', '--iterations', '300', '--seed', '5'])}")
+"""
+
+
+def test_output_is_independent_of_the_hash_seed(tmp_path):
+    # Nothing a run prints may follow set or dict order of hashed strings.
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROGRAM, str(tmp_path / f"trace{seed}.json")],
+            capture_output=True,
+            text=True,
+            cwd=SCENARIO_DIR.parent,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    exits = [line for line in outputs[0].splitlines() if line.startswith("exit ")]
+    assert len(exits) == len(list(SCENARIO_DIR.glob("*.msc"))) + 1
+    assert outputs[0].endswith("iterations=300 violations=0\nexit 0\n")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestRun:

@@ -40,7 +40,7 @@ from chainsim.executor import (
     ExecOutcome,
     execute_operation,
 )
-from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions, RestrictionState
+from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions
 from chainsim import registry
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim.scheduler import Revert, SchedulerConfig, SignedTransaction, run_transaction
@@ -181,18 +181,31 @@ class TestTransfer:
         assert "not owner" in err.detail
 
     def test_blocked_destination(self, simple_env):
-        ectx = _ectx("alice", restrictions=RestrictionState(block=frozenset({"bob"})))
+        ectx = _ectx("alice", restrictions=(Restricted(block=frozenset({"bob"})),))
         op = Transfer("bob", 1, make_param("default"))
         _expect_error(
             RESTRICTION_VIOLATION, execute_operation, ectx, op, simple_env, FEATURES
         )
 
     def test_allow_list_excludes_everything_else(self, simple_env):
-        ectx = _ectx("alice", restrictions=RestrictionState(allow=frozenset({"fwd"})))
+        ectx = _ectx("alice", restrictions=(Restricted(allow=frozenset({"fwd"})),))
         op = Transfer("bob", 1, make_param("default"))
         _expect_error(
             RESTRICTION_VIOLATION, execute_operation, ectx, op, simple_env, FEATURES
         )
+
+    def test_every_wrapper_must_permit(self, simple_env):
+        # The inner allow list names bob, but the outer wrapper blocks that address.
+        wrappers = (Restricted(block=frozenset({"bob"})), Restricted(allow=frozenset({"bob"})))
+        op = Transfer("bob", 1, make_param("default"))
+        _expect_error(
+            RESTRICTION_VIOLATION, execute_operation, _ectx("alice", restrictions=wrappers),
+            op, simple_env, FEATURES,
+        )
+        out = execute_operation(
+            _ectx("alice", restrictions=wrappers[1:]), op, simple_env, FEATURES
+        )
+        assert out.env_after.get("bob").balance == 51
 
     def test_end_mode_gate(self, simple_env):
         # without an owner any call runs
@@ -880,3 +893,36 @@ def test_emitted_operation_subclass_reverts(simple_env, wrapped):
     assert outcome.detail == "@emitter emitted _SubTransfer, not an operation"
     exported = tree_to_json(tree)
     assert [(n["kind"], n["status"]) for n in exported["nodes"]] == [("transfer", STATUS_FAILED)]
+
+
+def _raise(exc):
+    raise exc
+
+
+def _emissions_raising(exc):
+    """A body's emissions that raise `exc` when the executor draws them."""
+    raise exc
+    yield
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["in_body", "drawn"])
+@pytest.mark.parametrize(
+    "exc", [SystemExit(4), GeneratorExit()], ids=["system_exit", "generator_exit"]
+)
+def test_body_exit_exceptions_revert(simple_env, exc, drawn):
+    # Neither exception is an `Exception`; a body raising one still only
+    # reverts its transaction.
+    emitted = (lambda: _emissions_raising(exc)) if drawn else (lambda: _raise(exc))
+    key = f"raises_{type(exc).__name__}_{drawn}_for_test"
+    outcome, tree = _run_emitter(simple_env, key, emitted)
+    assert isinstance(outcome, Revert) and outcome.kind == CONTRACT_CRASH
+    assert outcome.detail == f"@emitter raised {type(exc).__name__}: {exc}"
+    assert [n.status for n in tree.nodes] == [STATUS_FAILED]
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["in_body", "drawn"])
+def test_body_keyboard_interrupt_propagates(simple_env, drawn):
+    exc = KeyboardInterrupt()
+    emitted = (lambda: _emissions_raising(exc)) if drawn else (lambda: _raise(exc))
+    with pytest.raises(KeyboardInterrupt):
+        _run_emitter(simple_env, f"interrupted_{drawn}_for_test", emitted)

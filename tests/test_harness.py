@@ -37,7 +37,14 @@ from chainsim.harness import (
     reproduction_scenario,
 )
 from chainsim.scenario import parse_scenario, build_environment, validate_scenario
-from chainsim.scheduler import SchedulerConfig, SignedTransaction
+from chainsim.scheduler import (
+    Commit,
+    SchedulerConfig,
+    SignedTransaction,
+    Strategy,
+    run_transaction,
+)
+from chainsim.trace import validate_atomic_bundles
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +266,58 @@ class TestRevertTotality:
 
     def test_revert_without_a_write_is_clean(self):
         assert self._check(lambda env: None) == []
+
+
+def _open_frames(ectx, op, env, features, pending=()):
+    """Fault injection: runs every callee's emissions in a fresh frame, as
+    if each callee were contextual, so they jump ahead of their emitter's
+    siblings."""
+    return execute_operation(ectx, op, env, features, pending)._replace(opens_frame=True)
+
+
+def _contiguity_env():
+    return Environment(
+        {
+            "alice": registry.implicit_account(10),
+            "bob": registry.implicit_account(0),
+            "fwd": registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5),
+        }
+    )
+
+
+# A wrapper around a call that emits.
+_GUARDED_INVOKE = Restricted(
+    (Transfer("fwd", 0, make_param("invoke", AddressV("bob"), NatV(1))),),
+    block=frozenset({"alice"}),
+)
+
+
+class TestSiblingContiguity:
+    def test_faulty_hook_is_reported(self):
+        tx = SignedTransaction("alice", (_GUARDED_INVOKE, _PAY))
+        cfg = SchedulerConfig(features=FeatureSet(restrictions=True))
+        invariants = ("sibling_contiguity",)
+        env = _contiguity_env()
+        assert check_transaction(env, tx, cfg, invariants) == []
+        assert check_transaction(env, tx, cfg, invariants, _open_frames) == [
+            "sibling_contiguity"
+        ]
+
+    def test_violation_lists_a_wrapper_members_expansion(self):
+        # Under DFS, fwd's emission (node 3) runs between the bundle's two
+        # members: the wrapper (node 1, expanding to node 2) and the payment.
+        cfg = SchedulerConfig(
+            strategy=Strategy.DFS, features=FeatureSet(bundles=True, restrictions=True)
+        )
+        tx = SignedTransaction("alice", (AtomicBundle((_GUARDED_INVOKE, _PAY)),))
+        outcome, _, tree = run_transaction(_contiguity_env(), tx, cfg, 0)
+        assert isinstance(outcome, Commit)
+        assert [(n.id, n.parent, n.kind) for n in tree.nodes] == [
+            (0, None, "atomic"), (1, 0, "restricted"), (2, 1, "transfer"),
+            (3, 2, "transfer"), (4, 0, "transfer"),
+        ]
+        report = validate_atomic_bundles(tree)
+        assert report.violations == ("bundle node 0: members at seqs [1, 2, 4] interleave",)
 
 
 class TestFuzz:

@@ -300,6 +300,13 @@ class TestRoundTrip:
             s = random_scenario(rng)
             assert parse_scenario(print_scenario(s)) == s
 
+    def test_random_scenarios_build(self):
+        # Each declared contract's config and storage fit its code, so a
+        # random scenario can be executed, not only printed and parsed.
+        rng = random.Random(2024)
+        for _ in range(300):
+            build_environment(random_scenario(rng))
+
     def test_random_scenarios_cover_the_operation_grammar(self):
         seen = set()
 
