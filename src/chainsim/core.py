@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import _tuplegetter  # namedtuple's field accessor
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .features import FeatureSet
 
@@ -448,11 +448,18 @@ def render_value(v: Value) -> str:
     Non-negative IntV renders as a bare integer, which re-parses as NatV;
     every other value round-trips through the scenario parser. Pairs and
     lists are rendered from an explicit stack, so nesting depth is bounded
-    by memory, not by the interpreter's recursion limit.
+    by memory, not by the interpreter's recursion limit. A pair of two
+    leaves, the shape of every entrypoint parameter `(pair "name" arg)`,
+    renders in one step.
     """
     leaf = _LEAF_RENDERERS.get(type(v))
     if leaf is not None:
         return leaf(v)
+    if type(v) is PairV:
+        left = _LEAF_RENDERERS.get(type(v.left))
+        right = _LEAF_RENDERERS.get(type(v.right))
+        if left is not None and right is not None:
+            return f"(pair {left(v.left)} {right(v.right)})"
     parts: list[str] = []
     # Values still to render and literal text, last to be rendered first.
     todo: list[Union[Value, str]] = [v]
@@ -583,26 +590,17 @@ class Environment:
     def addresses(self) -> tuple[str, ...]:
         return tuple(sorted(self.accounts))
 
-    def updated(
-        self, addr: str, contract: Contract, *more: Union[str, Contract]
-    ) -> "Environment":
-        """This environment with `addr` holding `contract`. `more` holds
-        further address, contract pairs, flat, written in the same update in
-        order, so a later write to an address wins:
-        `env.updated("a", debited, "b", credited)`."""
+    def updated(self, writes: Mapping[str, Contract]) -> "Environment":
+        """This environment with each address of `writes` holding its
+        contract, in one update: `env.updated({sender: debited, dest:
+        credited})`. Every new address is checked before anything is
+        written, and `writes` is copied, so the caller may reuse it."""
         base = self._base
         old = self._top
-        if addr not in old and addr not in base:
-            check_address(addr)
-        top = {**old, addr: contract}
-        if more:
-            if len(more) % 2:
-                raise TypeError("updated takes address, contract pairs")
-            for k in range(0, len(more), 2):
-                addr = more[k]
-                if addr not in old and addr not in base:
-                    check_address(addr)
-                top[addr] = more[k + 1]
+        for addr in writes:
+            if addr not in old and addr not in base:
+                check_address(addr)
+        top = {**old, **writes}
         if len(top) ** 2 > len(base):
             base = {**base, **top}
             top = {}

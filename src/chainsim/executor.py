@@ -25,6 +25,7 @@ from .core import (
     MAX_MUTEZ,
     OP_KINDS,
     UNKNOWN_ADDRESS,
+    WRAPPER_OPS,
     AmountError,
     CallContext,
     CreateContract,
@@ -79,10 +80,16 @@ class ExecOutcome(NamedTuple):
 QueueSnapshot = Iterable[PendingOp]
 
 
+_EXECUTABLE_OPS = frozenset(OP_KINDS).difference(WRAPPER_OPS)
+
+
 def _check_emitted(dest: str, emitted: Iterable[object]) -> None:
     """Revert unless every emitted item, wrapper members included, is an
     instance of one of the core operation classes themselves: the scheduler
-    and the trace know those classes and no subclass of them."""
+    and the trace know those classes and no subclass of them. An emission
+    of executable classes only has no members to walk."""
+    if _EXECUTABLE_OPS.issuperset(map(type, emitted)):
+        return
     for _, item in walk_ops(emitted):
         if type(item) not in OP_KINDS:
             raise ExecError(
@@ -153,7 +160,7 @@ def _execute_transfer(
     if dest_c.balance > MAX_MUTEZ - amount:
         raise ExecError(OVERFLOW, f"credit overflows @{dest}")
     credited = dest_c.moved(dest_c.balance + amount)
-    env2 = env.updated(sender, debited, dest, credited)
+    env2 = env.updated({sender: debited, dest: credited})
 
     # The two hidden slots, env and pending, then every field in order:
     # self_addr, sender, source, amount, self_balance, level, config,
@@ -199,7 +206,7 @@ def _execute_transfer(
         if not value_typecheck(new_storage, defn.storage_type):
             raise ExecError(TYPE_MISMATCH, f"@{dest} returned ill-typed storage")
         # Storage commits before any emitted operation runs.
-        env2 = env2.updated(dest, credited.with_storage(new_storage))
+        env2 = env2.updated({dest: credited.with_storage(new_storage)})
     if credited.contextual and not features.contexts:
         raise ExecError(FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
     return _new_tuple(
@@ -227,7 +234,7 @@ def _execute_create(
             raise ExecError(TYPE_MISMATCH, str(err)) from None
         raise ExecError(UNKNOWN_CODE_KEY, f"no code registered as {op.code_key!r}") from None
     debited = sender_c.moved(sender_c.balance - op.amount)
-    env2 = env.updated(ectx.sender, debited, op.addr, contract)
+    env2 = env.updated({ectx.sender: debited, op.addr: contract})
     return ExecOutcome(ectx.sender, (), env2, ((op.addr, op.storage),), False)
 
 

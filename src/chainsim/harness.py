@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import registry
 from .core import (
@@ -151,15 +152,18 @@ DEFAULT_INVARIANTS = (
 )
 
 
-@dataclass(frozen=True)
-class FuzzViolation:
+class FuzzViolation(NamedTuple):
+    """A seed whose iteration broke an invariant, and a scenario reproducing
+    it; `FuzzReport.to_json_dict` writes these fields as they are."""
+
     seed: int
     invariant: str
     scenario: str
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
+    """What a fuzz run checked and every violation it found."""
+
     iterations: int
     violations: tuple[FuzzViolation, ...]
 
@@ -168,13 +172,7 @@ class FuzzReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "violations": [
-                {"seed": v.seed, "invariant": v.invariant, "scenario": v.scenario}
-                for v in self.violations
-            ],
-        }
+        return {"iterations": self.iterations, "violations": [v._asdict() for v in self.violations]}
 
 
 def check_transaction(

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
     AtomicBundle,
@@ -93,13 +93,15 @@ class SchedulerConfig:
             raise ValueError("fuel must be at least 1")
 
 
-@dataclass(frozen=True)
-class Commit:
+class Commit(NamedTuple):
+    """A committed transaction and the environment it left."""
+
     env: Environment
 
 
-@dataclass(frozen=True)
-class Revert:
+class Revert(NamedTuple):
+    """A reverted transaction: the error kind and what failed."""
+
     kind: str
     detail: str
 
@@ -271,17 +273,10 @@ def run_transaction(
         if record:
             snapshots.append(render_stack(()))
         result: Outcome = Commit(env)
-        reason = None
+        tree = TransactionTree(tuple(nodes), "commit", None, ts, tuple(snapshots))
     else:
         result = Revert(*failure)
-        reason = result.reason
-    tree = TransactionTree(
-        nodes=tuple(nodes),
-        outcome="commit" if reason is None else "revert",
-        reason=reason,
-        ts=ts,
-        queue_states=tuple(snapshots),
-    )
+        tree = TransactionTree(tuple(nodes), "revert", result.reason, ts, tuple(snapshots))
     return result, ts + 1, tree
 
 

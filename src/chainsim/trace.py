@@ -9,7 +9,6 @@ equal execution order, and parents always precede children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -61,14 +60,15 @@ class TraceNode(NamedTuple):
         return ((dest, amount), (sender, -amount))
 
 
-@dataclass(frozen=True)
-class TransactionTree:
+class TransactionTree(NamedTuple):
+    """A transaction's trace: its nodes in execution order, its outcome and
+    revert reason, its timestamp, and the rendered pending-queue snapshots,
+    recorded only when the scheduler is asked to (golden tests, --step)."""
+
     nodes: tuple[TraceNode, ...]
     outcome: str  # "commit" | "revert"
     reason: Optional[str]
     ts: int
-    # Rendered pending-queue snapshots; populated only when the scheduler is
-    # asked to record them (golden tests and --step), empty otherwise.
     queue_states: tuple[str, ...] = ()
 
     @property
@@ -78,21 +78,22 @@ class TransactionTree:
 
 def node_to_json(node: TraceNode) -> dict:
     op = node.op
-    out: dict = {
-        "id": node.id,
-        "parent": node.parent,
-        "seq": node.id,
-        "sender": node.sender,
-        "kind": node.kind,
+    kind = OP_KINDS[type(op)]
+    commits = {addr: render_value(value) for addr, value in node.commits}
+    if kind == "transfer":
+        dest, param = op.dest, op.param
+    elif kind == "create":
+        dest, param = op.addr, op.storage
+    else:
+        return {
+            "id": node.id, "parent": node.parent, "seq": node.id, "sender": node.sender,
+            "kind": kind, "status": node.status, "deltas": dict(node.deltas), "commits": commits,
+        }
+    return {
+        "id": node.id, "parent": node.parent, "seq": node.id, "sender": node.sender,
+        "kind": kind, "dest": dest, "amount": op.amount, "param": render_value(param),
+        "status": node.status, "deltas": dict(node.deltas), "commits": commits,
     }
-    if isinstance(op, Transfer):
-        out.update(dest=op.dest, amount=op.amount, param=render_value(op.param))
-    elif isinstance(op, CreateContract):
-        out.update(dest=op.addr, amount=op.amount, param=render_value(op.storage))
-    out["status"] = node.status
-    out["deltas"] = {addr: delta for addr, delta in node.deltas}
-    out["commits"] = {addr: render_value(value) for addr, value in node.commits}
-    return out
 
 
 def tree_to_json(tree: TransactionTree) -> dict:
@@ -109,8 +110,9 @@ def tree_to_json(tree: TransactionTree) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """A validator's verdict on one invariant, with a line per violation."""
+
     invariant: str
     ok: bool
     violations: tuple[str, ...] = ()

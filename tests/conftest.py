@@ -26,13 +26,12 @@ def contextual(c: Contract) -> Contract:
 def vault_env() -> Environment:
     """The motivating setup: a threshold-9 vault holding 15, owned by @bad."""
     env = Environment()
-    env = env.updated("owner", registry.implicit_account(100))
+    env = env.updated({"owner": registry.implicit_account(100)})
     env = env.updated(
-        "vault",
-        registry.instantiate("bank", PairV(NatV(9), AddressV("bad")), UNIT_VALUE, 15),
+        {"vault": registry.instantiate("bank", PairV(NatV(9), AddressV("bad")), UNIT_VALUE, 15)}
     )
     env = env.updated(
-        "bad", registry.instantiate("bad", AddressV("vault"), UNIT_VALUE, 0)
+        {"bad": registry.instantiate("bad", AddressV("vault"), UNIT_VALUE, 0)}
     )
     return env
 
@@ -40,9 +39,9 @@ def vault_env() -> Environment:
 @pytest.fixture
 def simple_env() -> Environment:
     env = Environment()
-    env = env.updated("alice", registry.implicit_account(100))
-    env = env.updated("bob", registry.implicit_account(50))
+    env = env.updated({"alice": registry.implicit_account(100)})
+    env = env.updated({"bob": registry.implicit_account(50)})
     env = env.updated(
-        "fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(30), 30)
+        {"fwd": registry.instantiate("forwarder", UNIT_VALUE, NatV(30), 30)}
     )
     return env

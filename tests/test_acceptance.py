@@ -119,14 +119,13 @@ def test_criterion_3_fixed_vault_defense():
 
 def test_criterion_4_transfer_correctness():
     env = Environment()
-    env = env.updated("alice", registry.implicit_account(500))
-    env = env.updated("bob", registry.implicit_account(200))
+    env = env.updated({"alice": registry.implicit_account(500)})
+    env = env.updated({"bob": registry.implicit_account(200)})
     env = env.updated(
-        "fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(100), 100)
+        {"fwd": registry.instantiate("forwarder", UNIT_VALUE, NatV(100), 100)}
     )
     env = env.updated(
-        "vault",
-        registry.instantiate("bank", PairV(NatV(9), AddressV("bob")), UNIT_VALUE, 50),
+        {"vault": registry.instantiate("bank", PairV(NatV(9), AddressV("bob")), UNIT_VALUE, 50)}
     )
     rng = random.Random(80_86)
     violations = 0
@@ -236,13 +235,12 @@ def test_criterion_8_bfs_sibling_contiguity():
     # constructed DFS counterexample: the first withdraw's payout lands
     # between the two rob-emitted siblings
     vault_env = Environment()
-    vault_env = vault_env.updated("owner", registry.implicit_account(10))
+    vault_env = vault_env.updated({"owner": registry.implicit_account(10)})
     vault_env = vault_env.updated(
-        "vault",
-        registry.instantiate("bank", PairV(NatV(0), AddressV("bad")), UNIT_VALUE, 20),
+        {"vault": registry.instantiate("bank", PairV(NatV(0), AddressV("bad")), UNIT_VALUE, 20)}
     )
     vault_env = vault_env.updated(
-        "bad", registry.instantiate("bad", AddressV("vault"), UNIT_VALUE, 0)
+        {"bad": registry.instantiate("bad", AddressV("vault"), UNIT_VALUE, 0)}
     )
     tx = SignedTransaction(
         "owner", (Transfer("bad", 0, make_param("rob", NatV(2), NatV(5))),)
@@ -269,7 +267,7 @@ def test_criterion_9_restrictions():
     addrs = tuple(f"n{i}" for i in range(10))
     chain_env = Environment()
     for name in ("u", *addrs):
-        chain_env = chain_env.updated(name, registry.implicit_account(10))
+        chain_env = chain_env.updated({name: registry.implicit_account(10)})
     chain_cfg = SchedulerConfig(features=FeatureSet(restrictions=True))
     rng = random.Random(905)
     shrink_violations = 0
@@ -304,7 +302,7 @@ def test_criterion_9_restrictions():
     # after end_interactions only owner self-calls are permitted: 500 cases
     env = Environment()
     for name in ("a", "b", "c"):
-        env = env.updated(name, registry.implicit_account(1000))
+        env = env.updated({name: registry.implicit_account(1000)})
     cfg = SchedulerConfig(features=FeatureSet(end_interactions=True))
     end_violations = 0
     from chainsim.core import EndInteractions

@@ -55,28 +55,56 @@ def test_cli_matrix(capsys, monkeypatch):
     assert cli_matrix(capsys) == golden("cli_matrix.txt")
 
 
-# Runs `chainsim run --step --trace` on every fixture with every feature on,
-# printing each run's output and trace, then `chainsim fuzz --iterations 300
-# --seed 5`. argv[1] is the trace file.
+# Runs `chainsim run --step --trace` on every fixture and on argv[2] with
+# every feature on, printing each run's output and trace, then `chainsim fuzz
+# --iterations 300 --seed 5`. argv[1] is the trace file.
 HASH_SEED_PROGRAM = """
 import pathlib, sys
 from chainsim import cli
 from chainsim.features import FEATURE_NAMES
 trace = pathlib.Path(sys.argv[1])
-for path in sorted(pathlib.Path("scenarios").glob("*.msc")):
+for path in [*sorted(pathlib.Path("scenarios").glob("*.msc")), sys.argv[2]]:
     argv = ["run", str(path), "--step", "--trace", str(trace), "--features", ",".join(FEATURE_NAMES)]
     print(f"exit {cli.main(argv)}", trace.read_text(encoding="utf-8"), sep="\\n")
 print(f"exit {cli.main(['fuzz', '--iterations', '300', '--seed', '5'])}")
+"""
+
+# No fixture restricts to more than one address. Here both wrappers wait in
+# the queue behind the first transfer, so `--step` prints their lists.
+MANY_ADDRESS_RESTRICTIONS = """
+scenario "many-address-restrictions"
+account @user balance 50
+account @x balance 0
+account @y balance 0
+account @z balance 0
+account @w balance 0
+account @v balance 0
+account @u balance 0
+transaction from @user {
+  transfer 1 to @x
+  allow [@z @y @x @w @v @u] {
+    transfer 1 to @y
+  }
+  block [@u @w @v @z @y] {
+    transfer 1 to @x
+  }
+}
+expect commit
 """
 
 
 def test_output_is_independent_of_the_hash_seed(tmp_path):
     # Nothing a run prints may follow set or dict order of hashed strings.
     src = pathlib.Path(cli.__file__).resolve().parent.parent
+    restrictions = tmp_path / "many_address_restrictions.msc"
+    restrictions.write_text(MANY_ADDRESS_RESTRICTIONS, encoding="utf-8")
     outputs = []
     for seed in ("0", "1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-c", HASH_SEED_PROGRAM, str(tmp_path / f"trace{seed}.json")],
+            [
+                sys.executable, "-c", HASH_SEED_PROGRAM,
+                str(tmp_path / f"trace{seed}.json"), str(restrictions),
+            ],
             capture_output=True,
             text=True,
             cwd=SCENARIO_DIR.parent,
@@ -85,7 +113,9 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     exits = [line for line in outputs[0].splitlines() if line.startswith("exit ")]
-    assert len(exits) == len(list(SCENARIO_DIR.glob("*.msc"))) + 1
+    assert len(exits) == len(list(SCENARIO_DIR.glob("*.msc"))) + 2
+    assert "allow[@u, @v, @w, @x, @y, @z]{" in outputs[0]
+    assert "block[@u, @v, @w, @y, @z]{" in outputs[0]
     assert outputs[0].endswith("iterations=300 violations=0\nexit 0\n")
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 

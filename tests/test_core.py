@@ -257,69 +257,90 @@ class TestEnvironment:
     def test_update_then_lookup(self):
         env = Environment()
         acct = registry.implicit_account(7)
-        env2 = env.updated("a", acct)
+        env2 = env.updated({"a": acct})
         assert env2.get("a") is acct
 
     def test_frame_law(self):
-        env = Environment().updated("a", registry.implicit_account(1))
-        env2 = env.updated("b", registry.implicit_account(2))
+        env = Environment().updated({"a": registry.implicit_account(1)})
+        env2 = env.updated({"b": registry.implicit_account(2)})
         assert env2.get("a") is env.get("a")
 
     def test_persistence_law(self):
-        env = Environment().updated("a", registry.implicit_account(1))
+        env = Environment().updated({"a": registry.implicit_account(1)})
         snapshot = env.get("a")
-        env.updated("a", registry.implicit_account(99))
+        env.updated({"a": registry.implicit_account(99)})
         assert env.get("a") is snapshot
         assert env.get("a").balance == 1
 
     def test_total_balance(self):
         env = Environment()
-        env = env.updated("vault", registry.implicit_account(15))
-        env = env.updated("bad", registry.implicit_account(0))
-        env = env.updated("alice", registry.implicit_account(100))
+        env = env.updated({"vault": registry.implicit_account(15)})
+        env = env.updated({"bad": registry.implicit_account(0)})
+        env = env.updated({"alice": registry.implicit_account(100)})
         assert env.total_balance() == 115
         assert Environment().total_balance() == 0
 
     def test_total_balance_overflow(self):
         env = Environment()
-        env = env.updated("a", registry.implicit_account(MAX_MUTEZ))
-        env = env.updated("b", registry.implicit_account(1))
+        env = env.updated({"a": registry.implicit_account(MAX_MUTEZ)})
+        env = env.updated({"b": registry.implicit_account(1)})
         with pytest.raises(AmountError):
             env.total_balance()
 
     def test_absent_vs_present(self):
-        env = Environment().updated("a", registry.implicit_account(0))
+        env = Environment().updated({"a": registry.implicit_account(0)})
         assert env.get("missing") is None
         assert "missing" not in env
         assert "a" in env
 
-    def test_invalid_new_address_is_rejected(self):
+    @pytest.mark.parametrize("position", range(4))
+    def test_invalid_new_address_is_rejected(self, position):
         env = Environment({"a": registry.implicit_account(0)}).updated(
-            "b", registry.implicit_account(1)
+            {"b": registry.implicit_account(1)}
         )
+        good = ["a", "b", "new"]
         for bad in ("a b", "", 5):
+            addrs = good[:position] + [bad] + good[position:]
+            writes = {addr: registry.implicit_account(9) for addr in addrs}
             with pytest.raises(ValueError):
-                Environment().updated(bad, registry.implicit_account(1))
+                Environment().updated(writes)
             with pytest.raises(ValueError):
-                env.updated(bad, registry.implicit_account(1))
+                env.updated(writes)
+        assert env.get("a").balance == 0 and "new" not in env
 
-    def test_one_update_writes_every_pair_in_order(self):
+    def test_one_update_writes_every_address(self):
         env = Environment({f"a{i}": registry.implicit_account(i) for i in range(20)})
         one, two = registry.implicit_account(1), registry.implicit_account(2)
-        fused = env.updated("a0", one, "new", two)
-        assert fused == env.updated("a0", one).updated("new", two)
+        fused = env.updated({"a0": one, "new": two})
+        assert fused == env.updated({"a0": one}).updated({"new": two})
         assert fused.get("a0") is one and fused.get("new") is two
-        # A later write to the same address wins, as in two updates.
-        assert env.updated("a3", one, "a3", two).get("a3") is two
         assert env.get("a0").balance == 0 and "new" not in env
-        with pytest.raises(ValueError):
-            env.updated("a0", one, "a b", two)
+
+    def test_the_old_flat_pair_form_is_refused(self):
+        env = Environment({"a": registry.implicit_account(0)})
+        one = registry.implicit_account(1)
         with pytest.raises(TypeError):
-            env.updated("a0", one, "a1")
+            env.updated("a", one)
+        with pytest.raises(TypeError):
+            env.updated("a", one, "b", one)
+        assert env.get("a").balance == 0
+
+    @pytest.mark.parametrize("size", [0, 20])
+    def test_the_callers_mapping_is_copied(self, size):
+        # An empty environment folds the write into its base; twenty
+        # accounts keep it in the top layer.
+        env = Environment({f"a{i}": registry.implicit_account(i) for i in range(size)})
+        one, two = registry.implicit_account(1), registry.implicit_account(2)
+        writes = {"a0": one}
+        env2 = env.updated(writes)
+        writes["a0"] = two
+        writes["other"] = two
+        assert env2.get("a0") is one and "other" not in env2
+        assert env2.accounts == {**env.accounts, "a0": one}
 
     def test_present_address_is_not_checked_again(self, monkeypatch):
         env = Environment({f"a{i}": registry.implicit_account(i) for i in range(100)})
-        env = env.updated("new", registry.implicit_account(0))
+        env = env.updated({"new": registry.implicit_account(0)})
 
         def refuse(token):
             raise AssertionError(f"{token!r} checked again")
@@ -327,10 +348,10 @@ class TestEnvironment:
         monkeypatch.setattr(core, "check_address", refuse)
         # "a0" sits in the shared base and "new" in the writes above it.
         for addr in ("a0", "new", "a0", "new"):
-            env = env.updated(addr, registry.implicit_account(7))
+            env = env.updated({addr: registry.implicit_account(7)})
         assert env.get("a0").balance == env.get("new").balance == 7
         eight, nine = registry.implicit_account(8), registry.implicit_account(9)
-        env = env.updated("new", eight, "a0", nine)
+        env = env.updated({"new": eight, "a0": nine})
         assert (env.get("new").balance, env.get("a0").balance) == (8, 9)
 
 
@@ -341,13 +362,39 @@ def test_updates_never_mutate_snapshots(script):
     env = Environment()
     history = [(copy.deepcopy(env), env)]
     for addr, balance in script:
-        env = env.updated(addr, registry.implicit_account(balance))
+        env = env.updated({addr: registry.implicit_account(balance)})
         history.append((copy.deepcopy(env), env))
     for frozen, live in history:
         assert frozen == live
 
 
 _MODEL_ADDRS = [f"a{i}" for i in range(200)]
+
+# Write maps over up to 300 addresses, half of them absent from the starting
+# environment, so updates both fold into the base and check new addresses.
+_WRITE_MAPS = st.dictionaries(
+    st.sampled_from([f"a{i}" for i in range(300)]), st.integers(0, 1000), max_size=300
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 150), _WRITE_MAPS, _WRITE_MAPS)
+def test_one_update_equals_the_writes_in_order(start, w1, w2):
+    """Two updates, one update of the merged map, and one update per write
+    give the same environment, and each holds the last contract written."""
+    w1 = {addr: registry.implicit_account(n) for addr, n in w1.items()}
+    w2 = {addr: registry.implicit_account(n) for addr, n in w2.items()}
+    env = Environment({a: registry.implicit_account(0) for a in _MODEL_ADDRS[:start]})
+    merged = {**w1, **w2}
+    one_by_one = env
+    for addr, contract in [*w1.items(), *w2.items()]:
+        one_by_one = one_by_one.updated({addr: contract})
+    twice = env.updated(w1).updated(w2)
+    once = env.updated(merged)
+    assert twice == once == one_by_one
+    for addr in _MODEL_ADDRS + list(merged):
+        expected = merged.get(addr, env.get(addr))
+        assert twice.get(addr) is once.get(addr) is one_by_one.get(addr) is expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -370,11 +417,11 @@ def test_layered_environment_matches_a_dict_model(start, script):
         env, model = history[-1 if branch % 4 else branch % len(history)]
         model = {**model, addr: registry.implicit_account(balance)}
         if branch % 3:
-            history.append((env.updated(addr, model[addr]), model))
+            history.append((env.updated({addr: model[addr]}), model))
             continue
         other = _MODEL_ADDRS[branch % len(_MODEL_ADDRS)]
         model = {**model, other: registry.implicit_account(branch)}
-        history.append((env.updated(addr, model[addr], other, model[other]), model))
+        history.append((env.updated({addr: model[addr], other: model[other]}), model))
     for env, model in history:
         for addr in _MODEL_ADDRS + ["absent"]:
             assert env.get(addr) is model.get(addr)
@@ -407,9 +454,9 @@ def test_changed_since_matches_a_brute_force_diff(start, script):
     env = history[0]
     for action, n, addr in script:
         if action == "update":
-            env = env.updated(addr, registry.implicit_account(n % 7))
+            env = env.updated({addr: registry.implicit_account(n % 7)})
         elif action == "keep" and addr in env:
-            env = env.updated(addr, env.get(addr))
+            env = env.updated({addr: env.get(addr)})
         elif action == "branch":
             env = history[n % len(history)]
         elif action == "read":
@@ -571,6 +618,26 @@ class TestRendering:
     )
     def test_literals(self, value, expected):
         assert render_value(value) == expected
+
+    # One value of each leaf class; the string needs every escape.
+    LEAVES = (
+        UNIT_VALUE, NatV(9), IntV(-5), BoolV(False), StringV('a\\b"c\nd\te'),
+        MutezV(3), AddressV("vault"),
+    )
+
+    @pytest.mark.parametrize("left", LEAVES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("right", LEAVES, ids=lambda v: type(v).__name__)
+    def test_a_pair_of_leaves_renders_as_the_general_path_does(self, left, right):
+        # Inside a list, the pair is rendered from the explicit stack.
+        pair = PairV(left, right)
+        assert f"[{render_value(pair)}]" == render_value(ListV((pair,)))
+        assert render_value(pair) == f"(pair {render_value(left)} {render_value(right)})"
+
+    @_fails_fast
+    def test_a_deep_pair_chain_renders(self):
+        chain = nest_values([NatV(k) for k in range(5000)])
+        expected = "".join(f"(pair {k} " for k in range(4999)) + "4999" + ")" * 4999
+        assert render_value(chain) == expected
 
     def test_brief_call_keeps_trailing_unit_argument(self):
         one = Transfer("x", 0, make_param("f", NatV(1)))

@@ -63,7 +63,7 @@ ADDRS = tuple(addr for addr, *_ in CAST)
 def _cast_env() -> Environment:
     env = Environment()
     for addr, code_key, config, storage, balance in CAST:
-        env = env.updated(addr, registry.instantiate(code_key, config, storage, balance))
+        env = env.updated({addr: registry.instantiate(code_key, config, storage, balance)})
     return env
 
 

@@ -161,7 +161,7 @@ class TestTransfer:
         orphan = Contract(
             storage=UNIT_VALUE, balance=MAX_MUTEZ, code_key="no_such_code", config=UNIT_VALUE
         )
-        env = simple_env.updated("orphan", orphan)
+        env = simple_env.updated({"orphan": orphan})
         op = Transfer("orphan", 1, NatV(5))
         err = _expect_error(
             UNKNOWN_CODE_KEY, execute_operation, _ectx("alice"), op, env, FEATURES
@@ -234,7 +234,7 @@ class TestTransfer:
     def test_body_amount_overflow_is_overflow_error(self, simple_env):
         # the forwarder's accounted balance (storage) would pass 2^64-1
         env = simple_env.updated(
-            "full", registry.instantiate("forwarder", UNIT_VALUE, NatV(MAX_MUTEZ), 0)
+            {"full": registry.instantiate("forwarder", UNIT_VALUE, NatV(MAX_MUTEZ), 0)}
         )
         snapshot = copy.deepcopy(env)
         op = Transfer("full", 1, make_param("default"))
@@ -246,7 +246,7 @@ class TestTransfer:
         assert env.get("full").balance == 0
 
     def test_credit_overflow_reverts_before_the_body(self, simple_env):
-        env = simple_env.updated("full", registry.implicit_account(MAX_MUTEZ))
+        env = simple_env.updated({"full": registry.implicit_account(MAX_MUTEZ)})
         snapshot = copy.deepcopy(env)
         op = Transfer("full", 1, make_param("default"))
         err = _expect_error(OVERFLOW, execute_operation, _ectx("alice"), op, env, FEATURES)
@@ -256,7 +256,7 @@ class TestTransfer:
         assert env.get("full").balance == MAX_MUTEZ
         # Filling the destination exactly up to MAX_MUTEZ is no overflow.
         for amount, full in ((0, "full"), (1, "nearly")):
-            env = env.updated("nearly", registry.implicit_account(MAX_MUTEZ - 1))
+            env = env.updated({"nearly": registry.implicit_account(MAX_MUTEZ - 1)})
             op = Transfer(full, amount, make_param("default"))
             out = execute_operation(_ectx("alice"), op, env, FEATURES)
             assert out.env_after.get(full).balance == MAX_MUTEZ
@@ -289,7 +289,7 @@ class TestTransfer:
                     body=lambda ctx, p, st: ([], returned),
                 )
             )
-        env = simple_env.updated("ill", registry.instantiate(key, UNIT_VALUE, storage, 0))
+        env = simple_env.updated({"ill": registry.instantiate(key, UNIT_VALUE, storage, 0)})
         snapshot = copy.deepcopy(env)
         op = Transfer("ill", 5, make_param("default"))
         err = _expect_error(TYPE_MISMATCH, execute_operation, _ectx("alice"), op, env, FEATURES)
@@ -387,7 +387,7 @@ class TestTransfer:
                     body=body,
                 )
             )
-        env = simple_env.updated("crash", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+        env = simple_env.updated({"crash": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)})
         snapshot = copy.deepcopy(env)
         op = Transfer("crash", 5, make_param("default"))
         err = _expect_error(kind, execute_operation, _ectx("alice"), op, env, FEATURES)
@@ -689,7 +689,7 @@ def test_a_copied_call_context_reads_the_same_chain(simple_env):
                 body=body,
             )
         )
-    env = simple_env.updated("crash", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
+    env = simple_env.updated({"crash": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)})
     op = Transfer("crash", 5, make_param("default"))
     assert execute_operation(_ectx("alice"), op, env, ALL_FEATURES).emitted == ()
 
@@ -730,9 +730,9 @@ def _count_updates(monkeypatch):
     calls = []
     original = Environment.updated
 
-    def counted(self, addr, contract, *more):
-        calls.append((addr, *more[::2]))
-        return original(self, addr, contract, *more)
+    def counted(self, writes):
+        calls.append(tuple(writes))
+        return original(self, writes)
 
     monkeypatch.setattr(Environment, "updated", counted)
     return calls
@@ -757,7 +757,7 @@ class TestStorageWrite:
             "returns_equal_copy_for_test", NAT, lambda ctx, p, st: ([], NatV(st.n))
         )
         env = simple_env.updated(
-            "copier", registry.instantiate("returns_equal_copy_for_test", UNIT_VALUE, NatV(7), 0)
+            {"copier": registry.instantiate("returns_equal_copy_for_test", UNIT_VALUE, NatV(7), 0)}
         )
         before = env.get("copier").storage
         calls = _count_updates(monkeypatch)
@@ -780,9 +780,10 @@ class TestStorageWrite:
         out = execute_operation(_ectx("fwd"), out.emitted[0], out.env_after, FEATURES)
         fwd = out.env_after.get("fwd")
         assert (fwd.balance, fwd.storage) == (30, NatV(30))
-        # One write moves the funds: the debit, then the credit computed
-        # from it. The forwarder returns a new storage object, written next.
-        assert calls == [("fwd", "fwd"), ("fwd",)]
+        # One write moves the funds: the credit, computed from the debit,
+        # is the one contract written for @fwd. The forwarder returns a new
+        # storage object, written next.
+        assert calls == [("fwd",), ("fwd",)]
         assert simple_env.get("fwd").balance == 30
 
 
@@ -810,7 +811,7 @@ class TestReportedEffects:
         assert out.opens_frame is False
 
     def test_contextual_callee_opens_a_frame_only_with_contexts(self, vault_env):
-        env = vault_env.updated("vault", contextual(vault_env.get("vault")))
+        env = vault_env.updated({"vault": contextual(vault_env.get("vault"))})
         op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
         out = execute_operation(_ectx("bad"), op, env, FeatureSet(contexts=True))
         assert out.opens_frame is True
@@ -820,7 +821,7 @@ class TestReportedEffects:
         assert err.detail == "contexts feature disabled (contextual callee)"
 
     def test_body_failure_precedes_the_contexts_check(self, vault_env):
-        env = vault_env.updated("vault", contextual(vault_env.get("vault")))
+        env = vault_env.updated({"vault": contextual(vault_env.get("vault"))})
         op = Transfer("vault", 0, make_param("withdraw", NatV(5)))
         err = _expect_error(CONTRACT_FAILURE, execute_operation, _ectx("owner"), op, env, FEATURES)
         assert "not owner" in err.detail
@@ -837,7 +838,7 @@ class TestReportedEffects:
         key = f"contextual_{request.node.callspec.id}_for_test"
         _register_storage_body(key, UNIT, body)
         callee = registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0, contextual=True)
-        env = simple_env.updated("ctx", callee)
+        env = simple_env.updated({"ctx": callee})
         op = Transfer("ctx", 1, make_param("default"))
         _expect_error(kind, execute_operation, _ectx("alice"), op, env, FEATURES)
 
@@ -859,8 +860,8 @@ def _run_emitter(simple_env, key, emitted):
                 key, {"default": UNIT}, UNIT, UNIT, lambda ctx, p, st: (emitted(), st)
             )
         )
-    env = simple_env.updated("emitter", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
-    env = env.updated("r", registry.implicit_account(0))
+    env = simple_env.updated({"emitter": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)})
+    env = env.updated({"r": registry.implicit_account(0)})
     tx = SignedTransaction("alice", (Transfer("emitter", 0, make_param("default")),))
     cfg = SchedulerConfig(features=ALL_FEATURES, record_queue_states=True)
     outcome, _, tree = run_transaction(env, tx, cfg, 0)
@@ -880,15 +881,20 @@ def test_emitted_create_of_a_non_value_reverts(simple_env):
     assert [n.status for n in tree.nodes] == [STATUS_FAILED]
 
 
-@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "wrapped"])
-def test_emitted_operation_subclass_reverts(simple_env, wrapped):
+@pytest.mark.parametrize("shape", ["bare", "after_a_transfer", "wrapped"])
+def test_emitted_operation_subclass_reverts(simple_env, shape):
     # Only the core operation classes themselves are admitted to the queue,
-    # so the trace can name every node's kind.
+    # so the trace can name every node's kind: neither a flat emission that
+    # also holds a core operation nor an atomic member lets a subclass in.
     def emitted():
         op = _SubTransfer("r", 0, make_param("default"))
-        return [AtomicBundle((op,)) if wrapped else op]
+        if shape == "wrapped":
+            return [AtomicBundle((op,))]
+        if shape == "after_a_transfer":
+            return [Transfer("r", 0, make_param("default")), op]
+        return [op]
 
-    outcome, tree = _run_emitter(simple_env, f"emits_subclass_{wrapped}_for_test", emitted)
+    outcome, tree = _run_emitter(simple_env, f"emits_subclass_{shape}_for_test", emitted)
     assert isinstance(outcome, Revert) and outcome.kind == CONTRACT_CRASH
     assert outcome.detail == "@emitter emitted _SubTransfer, not an operation"
     exported = tree_to_json(tree)

@@ -243,10 +243,12 @@ def test_observer_fails_without_a_mismatch_to_observe(first, detail):
     code = "forwarder" if isinstance(first, NatV) else "receiver"
     config = PairV(AddressV("a"), PairV(AddressV("b"), PairV(NatV(10), NatV(0))))
     env = Environment().updated(
-        "user", registry.implicit_account(0),
-        "a", registry.instantiate(code, UNIT_VALUE, first, 5),
-        "b", registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5),
-        "c", registry.instantiate("observer", config, BoolV(False), 0),
+        {
+            "user": registry.implicit_account(0),
+            "a": registry.instantiate(code, UNIT_VALUE, first, 5),
+            "b": registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5),
+            "c": registry.instantiate("observer", config, BoolV(False), 0),
+        }
     )
     features = FeatureSet(views=True, pending_balance=True)
     with pytest.raises(ExecError) as raised:

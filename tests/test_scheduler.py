@@ -67,7 +67,7 @@ def _first_step(strategy, contextual_payer=False):
     the second submitted operation and the two operations the payer emits."""
     env = _context_env()
     if contextual_payer:
-        env = env.updated("a", contextual(env.get("a")))
+        env = env.updated({"a": contextual(env.get("a"))})
     cfg = SchedulerConfig(
         strategy=strategy, features=FeatureSet(contexts=True), record_queue_states=True
     )
@@ -254,8 +254,8 @@ class TestRunTransaction:
                 return [Transfer("r", 0, make_param("default", v))], storage
 
             registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
-        env = simple_env.updated("r", registry.implicit_account(0)).updated(
-            "deep", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        env = simple_env.updated({"r": registry.implicit_account(0)}).updated(
+            {"deep": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)}
         )
         tx = SignedTransaction("alice", (Transfer("deep", 0, make_param("default")),))
         cfg = SchedulerConfig(record_queue_states=True)
@@ -278,8 +278,8 @@ class TestRunTransaction:
                 return [Transfer("r", 0, make_param("default")), op], storage
 
             registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
-        env = simple_env.updated("r", registry.implicit_account(0)).updated(
-            "deep", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        env = simple_env.updated({"r": registry.implicit_account(0)}).updated(
+            {"deep": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)}
         )
         tx = SignedTransaction("alice", (Transfer("deep", 0, make_param("default")),))
         cfg = SchedulerConfig(features=FeatureSet(bundles=True), record_queue_states=True)
@@ -303,8 +303,8 @@ class TestRunTransaction:
                 return [t, Restricted((t,), allow=frozenset({"a b", 7}))], storage
 
             registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
-        env = simple_env.updated("r", registry.implicit_account(0)).updated(
-            "odd", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        env = simple_env.updated({"r": registry.implicit_account(0)}).updated(
+            {"odd": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)}
         )
         tx = SignedTransaction("alice", (Transfer("odd", 0, make_param("default")),))
         cfg = SchedulerConfig(
@@ -325,8 +325,8 @@ class TestRunTransaction:
                 return [Transfer("r", 0, 5)], storage
 
             registry.register(registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body))
-        env = simple_env.updated("r", registry.implicit_account(0)).updated(
-            "odd", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+        env = simple_env.updated({"r": registry.implicit_account(0)}).updated(
+            {"odd": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)}
         )
         tx = SignedTransaction("alice", (Transfer("odd", 0, make_param("default")),))
         cfg = SchedulerConfig(record_queue_states=record)
@@ -383,12 +383,12 @@ class TestRunBlock:
 
 def _context_env():
     env = Environment()
-    env = env.updated("user", registry.implicit_account(10))
+    env = env.updated({"user": registry.implicit_account(10)})
     env = env.updated(
-        "a", registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 10)
+        {"a": registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 10)}
     )
     for addr in ("r1", "r2", "b"):
-        env = env.updated(addr, registry.implicit_account(0))
+        env = env.updated({addr: registry.implicit_account(0)})
     return env
 
 
@@ -445,7 +445,7 @@ class TestContexts:
     def test_callee_contextual_flag_opens_frame(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", contextual(payer))
+        env = env.updated({"a": contextual(payer)})
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -464,7 +464,7 @@ class TestContexts:
     def test_callee_flag_wins_when_combined(self):
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", contextual(payer))
+        env = env.updated({"a": contextual(payer)})
         cfg = SchedulerConfig(
             strategy=Strategy.BFS,
             features=FeatureSet(contexts=True),
@@ -480,7 +480,7 @@ class TestContexts:
         # sees the error, and the call's node is the failed one.
         env = _context_env()
         payer = env.get("a")
-        env = env.updated("a", contextual(payer))
+        env = env.updated({"a": contextual(payer)})
         cfg = SchedulerConfig(strategy=Strategy.BFS)
         raised = []
 
@@ -603,7 +603,7 @@ class TestTraceShape:
         vault = registry.instantiate(
             "bank", PairV(NatV(0), AddressV("bad")), UNIT_VALUE, 20
         )
-        env = vault_env.updated("vault", vault)
+        env = vault_env.updated({"vault": vault})
         outcome, _, tree = run_transaction(env, _rob_tx(n=2, m=5), DFS, 0)
         assert isinstance(outcome, Commit)
         children = {}
@@ -636,12 +636,13 @@ def test_view_between_steps_sees_committed_storage():
     # a fixed vault withdrawal: each executor call is handed the environment
     # the previous steps committed, so the compromised counter moves through it
     env = Environment()
-    env = env.updated("owner", registry.implicit_account(10))
+    env = env.updated({"owner": registry.implicit_account(10)})
     env = env.updated(
-        "vault",
-        registry.instantiate(
-            "fixed_bank", PairV(NatV(9), AddressV("owner")), MutezV(0), 15
-        ),
+        {
+            "vault": registry.instantiate(
+                "fixed_bank", PairV(NatV(9), AddressV("owner")), MutezV(0), 15
+            )
+        }
     )
     tx = SignedTransaction(
         "owner", (Transfer("vault", 0, make_param("withdraw", NatV(5))),)
@@ -665,8 +666,8 @@ def test_view_between_steps_sees_committed_storage():
 
 def _mixed_env():
     payer = registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 10)
-    env = _context_env().updated("c", contextual(payer))
-    return env.updated("fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5))
+    env = _context_env().updated({"c": contextual(payer)})
+    return env.updated({"fwd": registry.instantiate("forwarder", UNIT_VALUE, NatV(5), 5)})
 
 
 def _mixed_tx():
@@ -756,12 +757,12 @@ def _script_env():
                 ),
             )
         )
-    env = Environment().updated("user", registry.implicit_account(0))
+    env = Environment().updated({"user": registry.implicit_account(0)})
     for addr in ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"):
-        env = env.updated(addr, registry.implicit_account(0))
+        env = env.updated({addr: registry.implicit_account(0)})
     for addr in ("x", "y", "z", "w"):
-        env = env.updated(addr, registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))
-    return env.updated("c", contextual(registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)))
+        env = env.updated({addr: registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)})
+    return env.updated({"c": contextual(registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0))})
 
 
 def _brief(op):
@@ -976,12 +977,12 @@ def test_fanout_at_benchmark_size(strategy):
     entries = 4000
     receivers = [f"r{i}" for i in range(16)]
     env = Environment()
-    env = env.updated("user", registry.implicit_account(1000))
+    env = env.updated({"user": registry.implicit_account(1000)})
     env = env.updated(
-        "payer", registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 2 * entries)
+        {"payer": registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 2 * entries)}
     )
     for r in receivers:
-        env = env.updated(r, registry.implicit_account(0))
+        env = env.updated({r: registry.implicit_account(0)})
     dests = ListV(tuple(AddressV(receivers[k % len(receivers)]) for k in range(entries)))
     tx = SignedTransaction("user", (Transfer("payer", 0, make_param("pay", dests, NatV(2))),))
     outcome, _, tree = run_transaction(env, tx, SchedulerConfig(strategy=strategy), 0)

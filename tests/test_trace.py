@@ -92,7 +92,7 @@ class TestConservation:
         assert validate_conservation(vault_env, vault_env)
 
     def test_fault_injected_mint_fails(self, vault_env):
-        minted = vault_env.updated("bad", registry.implicit_account(1))
+        minted = vault_env.updated({"bad": registry.implicit_account(1)})
         assert not validate_conservation(vault_env, minted)
 
 
@@ -104,11 +104,11 @@ def _bundle_env():
     from chainsim.core import AddressV, Environment
 
     env = Environment()
-    env = env.updated("user", registry.implicit_account(50))
-    env = env.updated("r", registry.implicit_account(0))
-    env = env.updated("r2", registry.implicit_account(0))
+    env = env.updated({"user": registry.implicit_account(50)})
+    env = env.updated({"r": registry.implicit_account(0)})
+    env = env.updated({"r2": registry.implicit_account(0)})
     env = env.updated(
-        "fwd", registry.instantiate("forwarder", UNIT_VALUE, NatV(20), 20)
+        {"fwd": registry.instantiate("forwarder", UNIT_VALUE, NatV(20), 20)}
     )
     return env
 
@@ -186,7 +186,7 @@ class TestAtomicBundles:
         vault = registry.instantiate(
             "bank", PairV(NatV(0), AddressV("bad")), UNIT_VALUE, 20
         )
-        env = vault_env.updated("vault", vault)
+        env = vault_env.updated({"vault": vault})
         outcome, _, dfs_tree = run_transaction(
             env,
             SignedTransaction(
@@ -215,7 +215,7 @@ class TestAtomicBundles:
                 registry.ContractDef(key, {"default": UNIT}, UNIT, UNIT, body)
             )
         env = _bundle_env().updated(
-            "deep", registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)
+            {"deep": registry.instantiate(key, UNIT_VALUE, UNIT_VALUE, 0)}
         )
         cfg = SchedulerConfig(features=FeatureSet(bundles=True))
         tx = SignedTransaction("user", (Transfer("deep", 0, make_param("default")),))
@@ -259,7 +259,7 @@ class TestReplay:
 
         def add_account(ectx, op, env, features, pending=()):
             out = execute_operation(ectx, op, env, features, pending)
-            ghost = out.env_after.updated("ghost", registry.implicit_account(0))
+            ghost = out.env_after.updated({"ghost": registry.implicit_account(0)})
             return out._replace(env_after=ghost)
 
         tx = SignedTransaction("u1", (Transfer("u2", 3, make_param("default")),))
@@ -387,8 +387,8 @@ class TestJsonExact:
 
     def _env(self):
         env = Environment()
-        env = env.updated("alice", registry.implicit_account(100))
-        return env.updated("bob", registry.implicit_account(50))
+        env = env.updated({"alice": registry.implicit_account(100)})
+        return env.updated({"bob": registry.implicit_account(50)})
 
     def test_committed_transaction_with_every_node_kind(self):
         ops = (
