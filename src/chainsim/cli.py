@@ -125,13 +125,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         raise SetupError("--iterations must be at least 1")
-    if args.invariants:
+    if args.invariants is not None:
         invariants = tuple(part for part in args.invariants.split(",") if part)
-        for name in invariants:
-            if name not in INVARIANT_NAMES:
-                raise SetupError(
-                    f"unknown invariant {name!r} (choose from {', '.join(INVARIANT_NAMES)})"
-                )
+        unknown = [name for name in invariants if name not in INVARIANT_NAMES]
+        if unknown or not invariants:
+            what = f"unknown invariant {unknown[0]!r}" if unknown else "--invariants names none"
+            raise SetupError(f"{what} (choose from {', '.join(INVARIANT_NAMES)})")
     else:
         invariants = DEFAULT_INVARIANTS
     env, gen_cfg = default_universe(args.seed)

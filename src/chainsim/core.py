@@ -427,6 +427,10 @@ def _inhabits(v: object, t: TypeTag) -> bool:
 
 
 def _escape(s: str) -> str:
+    """`s` as the body of a string literal. An identifier, as every
+    entrypoint name is, holds none of the escaped characters."""
+    if s.isidentifier():
+        return s
     out = s.replace("\\", "\\\\").replace('"', '\\"')
     return out.replace("\n", "\\n").replace("\t", "\\t")
 
@@ -555,8 +559,9 @@ class Environment:
     it, and a `top` dict of the writes made since `base` was built; `top`
     wins. Neither dict is mutated once an environment holds it. `updated`
     copies only `top`, and folds it into a fresh base once
-    `len(top) ** 2 > len(base)`, so an update over N accounts costs
-    amortised O(sqrt N) instead of a copy of all N.
+    `len(top) ** 2 > 16 * len(base)`, so an update over N accounts costs
+    amortised O(sqrt N) instead of a copy of all N. The factor 16 is measured
+    (README): 4 is as fast, but its folds rank just above the `block` p99.
 
     `Environment(accounts)` takes ownership of `accounts` without copying it.
     An address is checked once, when it first enters through `updated`.
@@ -593,15 +598,16 @@ class Environment:
     def updated(self, writes: Mapping[str, Contract]) -> "Environment":
         """This environment with each address of `writes` holding its
         contract, in one update: `env.updated({sender: debited, dest:
-        credited})`. Every new address is checked before anything is
-        written, and `writes` is copied, so the caller may reuse it."""
+        credited})`. Each new address, if `top` grew, is checked before an
+        environment holds it; `writes` is copied, so the caller may reuse it."""
         base = self._base
         old = self._top
-        for addr in writes:
-            if addr not in old and addr not in base:
-                check_address(addr)
         top = {**old, **writes}
-        if len(top) ** 2 > len(base):
+        if len(top) != len(old):
+            for addr in writes:
+                if addr not in old and addr not in base:
+                    check_address(addr)
+        if len(top) ** 2 > 16 * len(base):
             base = {**base, **top}
             top = {}
         env = object.__new__(Environment)
@@ -655,8 +661,11 @@ class Transfer(Operation):
     param: Value
 
     def __new__(cls, dest: str, amount: int, param: Value) -> "Transfer":
-        check_address(dest)
-        check_amount(amount)
+        # Only arguments other than an exact address and int need the calls.
+        if not (type(dest) is str and dest.isascii() and dest.isidentifier()):
+            check_address(dest)
+        if not (type(amount) is int and 0 <= amount <= MAX_MUTEZ):
+            check_amount(amount)
         if not isinstance(param, Value):
             raise ValueError(f"transfer parameter is not a value: {param!r}")
         return _new_tuple(cls, (dest, amount, param))

@@ -116,20 +116,18 @@ def _execute_transfer(
     features: FeatureSet,
     pending: QueueSnapshot,
 ) -> ExecOutcome:
-    for wrapper in ectx.restrictions:
-        if not wrapper.permits(op.dest):
+    sender, source, restrictions, owner, level = ectx
+    dest, amount, param = op.dest, op.amount, op.param
+    for wrapper in restrictions:
+        if not wrapper.permits(dest):
             raise ExecError(
-                RESTRICTION_VIOLATION, f"@{op.dest} is outside the allowed universe"
+                RESTRICTION_VIOLATION, f"@{dest} is outside the allowed universe"
             )
-    owner = ectx.end_interactions_owner
-    if owner is not None and not (ectx.sender == owner and op.dest == owner):
+    if owner is not None and not (sender == owner and dest == owner):
         raise ExecError(
             END_INTERACTIONS_VIOLATION,
             f"end-of-interactions mode permits only @{owner} self-calls",
         )
-    sender = ectx.sender
-    dest = op.dest
-    amount = op.amount
     sender_c = env.get(sender)
     if sender_c is None:
         raise ExecError(UNKNOWN_ADDRESS, f"sender @{sender} is not on chain")
@@ -147,7 +145,11 @@ def _execute_transfer(
         raise ExecError(
             UNKNOWN_CODE_KEY, f"@{dest} references code {dest_c.code_key!r}"
         ) from None
-    _check_call(dest, defn, op.param)
+    # The usual call, a declared name with an argument of exactly its tag,
+    # needs no `_check_call`, which judges every other one.
+    entry = param.left if type(param) is PairV else None
+    if not (type(entry) is StringV and defn.entrypoints.get(entry.s) is param.right._tag):
+        _check_call(dest, defn, param)
 
     # Funds move now, at execution time; the emission that produced this op
     # moved nothing. The callee body observes its balance with the incoming
@@ -169,16 +171,17 @@ def _execute_transfer(
     cctx = _new_tuple(
         CallContext,
         (
-            env2, pending, dest, ectx.sender, ectx.source, amount,
-            credited.balance, ectx.level, credited.config, features,
+            env2, pending, dest, sender, source, amount,
+            credited.balance, level, credited.config, features,
         ),
     )
     try:
-        result = defn.body(cctx, op.param, credited.storage)
+        result = defn.body(cctx, param, credited.storage)
         # Values and operations are tuples underneath, but never a result.
-        if not (isinstance(result, tuple) and len(result) == 2) or (
-            type(result) is not tuple and isinstance(result, (Value, Operation))
-        ):
+        if (
+            type(result) is not tuple
+            and (not isinstance(result, tuple) or isinstance(result, (Value, Operation)))
+        ) or len(result) != 2:
             raise ExecError(
                 CONTRACT_CRASH,
                 f"@{dest} returned {type(result).__name__}, not (operations, storage)",

@@ -272,12 +272,12 @@ def run_transaction(
     if failure is None:
         if record:
             snapshots.append(render_stack(()))
-        result: Outcome = Commit(env)
-        tree = TransactionTree(tuple(nodes), "commit", None, ts, tuple(snapshots))
+        result: Outcome = _new_tuple(Commit, (env,))
+        fields = (tuple(nodes), "commit", None, ts, tuple(snapshots))
     else:
-        result = Revert(*failure)
-        tree = TransactionTree(tuple(nodes), "revert", result.reason, ts, tuple(snapshots))
-    return result, ts + 1, tree
+        result = _new_tuple(Revert, failure)
+        fields = (tuple(nodes), "revert", result.reason, ts, tuple(snapshots))
+    return result, ts + 1, _new_tuple(TransactionTree, fields)
 
 
 def run_block(

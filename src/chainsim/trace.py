@@ -40,24 +40,23 @@ class TraceNode(NamedTuple):
 
     @property
     def deltas(self) -> tuple[tuple[str, int], ...]:
-        """Balance moves of an executed node, computed from its operation
-        rather than from the environment it produced: none for a zero amount
-        or a self-move, else the debit and the credit ordered by address."""
-        if self.status != STATUS_EXECUTED:
-            return ()
+        """Balance moves of an executed node, computed by `_deltas` from its
+        operation rather than from the environment it produced."""
         op = self.op
-        if isinstance(op, Transfer):
-            dest = op.dest
-        elif isinstance(op, CreateContract):
-            dest = op.addr
-        else:
+        if not isinstance(op, (Transfer, CreateContract)):
             return ()
-        amount, sender = op.amount, self.sender
-        if not amount or sender == dest:
-            return ()
-        if sender < dest:
-            return ((sender, -amount), (dest, amount))
-        return ((dest, amount), (sender, -amount))
+        dest = op.dest if isinstance(op, Transfer) else op.addr
+        return tuple(_deltas(self.status, self.sender, dest, op.amount).items())
+
+
+def _deltas(status: str, sender: str, dest: str, amount: int) -> dict[str, int]:
+    """The one deltas rule: an executed nonzero move from `sender` to another
+    `dest` gives the debit and the credit, ordered by address; else none."""
+    if status != STATUS_EXECUTED or not amount or sender == dest:
+        return {}
+    if sender < dest:
+        return {sender: -amount, dest: amount}
+    return {dest: amount, sender: -amount}
 
 
 class TransactionTree(NamedTuple):
@@ -77,22 +76,27 @@ class TransactionTree(NamedTuple):
 
 
 def node_to_json(node: TraceNode) -> dict:
-    op = node.op
+    """A node as one dict, from one unpacking of it; `deltas` comes from
+    `_deltas`, the rule `TraceNode.deltas` reads too."""
+    node_id, parent, sender, op, status, commits = node
     kind = OP_KINDS[type(op)]
-    commits = {addr: render_value(value) for addr, value in node.commits}
+    if len(commits) == 1:
+        rendered = {commits[0][0]: render_value(commits[0][1])}
+    else:
+        rendered = {addr: render_value(value) for addr, value in commits}
     if kind == "transfer":
         dest, param = op.dest, op.param
     elif kind == "create":
         dest, param = op.addr, op.storage
     else:
         return {
-            "id": node.id, "parent": node.parent, "seq": node.id, "sender": node.sender,
-            "kind": kind, "status": node.status, "deltas": dict(node.deltas), "commits": commits,
+            "id": node_id, "parent": parent, "seq": node_id, "sender": sender,
+            "kind": kind, "status": status, "deltas": {}, "commits": rendered,
         }
     return {
-        "id": node.id, "parent": node.parent, "seq": node.id, "sender": node.sender,
+        "id": node_id, "parent": parent, "seq": node_id, "sender": sender,
         "kind": kind, "dest": dest, "amount": op.amount, "param": render_value(param),
-        "status": node.status, "deltas": dict(node.deltas), "commits": commits,
+        "status": status, "deltas": _deltas(status, sender, dest, op.amount), "commits": rendered,
     }
 
 

@@ -281,6 +281,14 @@ class TestFuzz:
         proc = run_cli("fuzz", "--iterations", "1", "--invariants", "nope")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("value", ["", ",", ",,"])
+    def test_invariants_naming_none_is_usage_error(self, capsys, value):
+        # An empty selection would check nothing and exit 0.
+        assert cli.main(["fuzz", "--iterations", "1", "--invariants", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --invariants names none (choose from ")
+        assert all(name in err for name in harness.INVARIANT_NAMES)
+
     def test_unwritable_out_is_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "r.json"
         proc = run_cli("fuzz", "--iterations", "3", "--out", str(out))

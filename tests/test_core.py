@@ -580,6 +580,20 @@ class TestOperations:
         for value in (UNIT_VALUE, NatV(5), make_param("f", ListV(()))):
             assert Transfer("ok", 1, value).param == value
 
+    def test_transfer_checks_unusual_arguments_as_before(self):
+        # Only an exact ASCII identifier and an exact in-range int skip
+        # `check_address` and `check_amount`; the rest get their answers.
+        sub = Transfer(_Text("ok"), 1, UNIT_VALUE)
+        assert type(sub.dest) is _Text and sub.dest == "ok"
+        with pytest.raises(ValueError, match=r"^invalid address token: 'a-b'$"):
+            Transfer(_Text("a-b"), 1, UNIT_VALUE)
+        with pytest.raises(ValueError, match=r"^invalid address token: 'é'$"):
+            Transfer("é", 1, UNIT_VALUE)
+        for bad in (True, 2**64):
+            with pytest.raises(AmountError, match=r"^amount out of range"):
+                Transfer("ok", bad, UNIT_VALUE)
+        assert Transfer("ok", MAX_MUTEZ, UNIT_VALUE).amount == MAX_MUTEZ
+
     def test_create_validates_fields(self):
         with pytest.raises(ValueError):
             CreateContract("bad addr", 1, UNIT_VALUE, "receiver", UNIT_VALUE)
@@ -618,6 +632,14 @@ class TestRendering:
     )
     def test_literals(self, value, expected):
         assert render_value(value) == expected
+
+    @pytest.mark.parametrize("text", ["\\", '"', "\n", "\t", "é", "", "name", 'a\\b"c\nd\te'])
+    def test_a_string_renders_as_a_literal_that_parses_back(self, text):
+        literal = render_value(StringV(text))
+        s = parse_scenario(
+            f'scenario "x"\ncontract @v code receiver config {literal} storage unit balance 0'
+        )
+        assert s.decls[0].config == StringV(text)
 
     # One value of each leaf class; the string needs every escape.
     LEAVES = (

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import pickle
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -14,6 +16,7 @@ from chainsim.core import (
     Environment,
     ExecutionContext,
     IntV,
+    ListV,
     NatV,
     PairV,
     PendingOp,
@@ -43,7 +46,15 @@ from chainsim.executor import (
 from chainsim.core import MAX_MUTEZ, UNIT, EndInteractions
 from chainsim import registry
 from chainsim.features import FEATURE_NAMES, FeatureSet
-from chainsim.scheduler import Revert, SchedulerConfig, SignedTransaction, run_transaction
+from chainsim.scenario import build_environment, parse_scenario
+from chainsim.scheduler import (
+    Commit,
+    Revert,
+    SchedulerConfig,
+    SignedTransaction,
+    Strategy,
+    run_transaction,
+)
 from chainsim.trace import STATUS_FAILED, TraceNode, tree_to_json
 from conftest import contextual
 
@@ -138,8 +149,13 @@ class TestTransfer:
                 "@vault does not declare entrypoint 'frobnicate'",
             ),
             ("owner", make_param("foo"), "@owner does not declare entrypoint 'foo'"),
+            (
+                "vault",
+                make_param("withdraw", IntV(5)),
+                "argument does not fit @vault's 'withdraw' entrypoint",
+            ),
         ],
-        ids=["deposit_nat", "withdraw_unit", "undeclared", "account_foo"],
+        ids=["deposit_nat", "withdraw_unit", "undeclared", "account_foo", "withdraw_int"],
     )
     def test_undeclared_or_ill_typed_call_is_type_mismatch(
         self, vault_env, dest, param, detail
@@ -322,6 +338,12 @@ class TestTransfer:
                 CONTRACT_CRASH,
                 "@crash returned tuple, not (operations, storage)",
             ),
+            # a value is a 2-tuple underneath, but no result
+            (
+                lambda ctx, p, st: UNIT_VALUE,
+                CONTRACT_CRASH,
+                "@crash returned UnitV, not (operations, storage)",
+            ),
             (
                 lambda ctx, p, st: ([5], st),
                 CONTRACT_CRASH,
@@ -370,7 +392,8 @@ class TestTransfer:
             ),
         ],
         ids=[
-            "index_error", "ops_not_iterable", "none", "triple", "emits_int", "emits_none",
+            "index_error", "ops_not_iterable", "none", "triple", "unit_value", "emits_int",
+            "emits_none",
             "wrapped_str", "view_off", "reads_env", "reads_queue", "builds_ill_formed_pair",
             "emits_non_identifier_address",
         ],
@@ -785,6 +808,95 @@ class TestStorageWrite:
         # storage object, written next.
         assert calls == [("fwd",), ("fwd",)]
         assert simple_env.get("fwd").balance == 30
+
+
+class _Result(NamedTuple):
+    ops: list
+    storage: object
+
+
+class TestAdmission:
+    """A call whose argument has exactly its entrypoint's tag, and a result
+    that is exactly a pair, are admitted without the general checks; every
+    other call and result gets the answer those checks give."""
+
+    def _payer_env(self, simple_env):
+        payer = registry.instantiate("payer", UNIT_VALUE, UNIT_VALUE, 0)
+        return simple_env.updated({"payer": payer})
+
+    def test_empty_list_argument_is_admitted(self, simple_env):
+        # `[]` is a `list unit`, not the declared `list address`, yet it
+        # inhabits every list type.
+        param = make_param("pay", ListV(()), NatV(1))
+        assert param.right._tag is not registry.resolve("payer").entrypoints["pay"]
+        out = execute_operation(
+            _ectx("alice"), Transfer("payer", 0, param), self._payer_env(simple_env), FEATURES
+        )
+        assert out.emitted == ()
+
+    def test_wrong_list_items_are_type_mismatch(self, simple_env):
+        op = Transfer("payer", 0, make_param("pay", ListV((NatV(1),)), NatV(1)))
+        env = self._payer_env(simple_env)
+        err = _expect_error(TYPE_MISMATCH, execute_operation, _ectx("alice"), op, env, FEATURES)
+        assert err.detail == "argument does not fit @payer's 'pay' entrypoint"
+
+    def test_a_named_pair_result_is_accepted(self, simple_env):
+        _register_storage_body(
+            "returns_named_pair_for_test", UNIT, lambda ctx, p, st: _Result([], st)
+        )
+        named = registry.instantiate("returns_named_pair_for_test", UNIT_VALUE, UNIT_VALUE, 0)
+        env = simple_env.updated({"named": named})
+        out = execute_operation(
+            _ectx("alice"), Transfer("named", 2, make_param("default")), env, FEATURES
+        )
+        assert out.emitted == () and out.env_after.get("named").balance == 2
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+def test_bodies_and_writes_pass_the_layer_call_sites(monkeypatch, strategy):
+    """The benchmark's traced run counts body calls by wrapping
+    `registry.resolve`, as here, and environment writes by wrapping
+    `Environment.updated`. Over a `payer.pay` fan-out, each executor call
+    runs one body and each executed transfer writes once, since no callee
+    returns a new storage object; an executor that reached either around
+    its call site would count short."""
+    receivers = ("r0", "r1", "r2")
+    dests = ", ".join(f"@{receivers[k % 3]}" for k in range(7))
+    scenario = parse_scenario(
+        'scenario "fanout"\naccount @user balance 0\n'
+        "contract @payer code payer config unit storage unit balance 14\n"
+        + "".join(f"account @{r} balance 0\n" for r in receivers)
+        + f"transaction from @user {{ transfer 0 to @payer call pay([{dests}], 2) }}\n"
+    )
+    env = build_environment(scenario)
+    body_calls = []
+    plain_resolve = registry.resolve
+
+    def resolve(code_key):
+        defn = plain_resolve(code_key)
+
+        def body(*args):
+            body_calls.append(code_key)
+            return defn.body(*args)
+
+        return dataclasses.replace(defn, body=body)
+
+    monkeypatch.setattr(registry, "resolve", resolve)
+    writes = _count_updates(monkeypatch)
+    executor_calls = []
+
+    def execute(*args):
+        executor_calls.append(args[1])
+        return execute_operation(*args)
+
+    cfg = SchedulerConfig(strategy=strategy)
+    outcome, _, tree = run_transaction(env, scenario.transactions[0], cfg, 0, execute)
+    assert isinstance(outcome, Commit)
+    transfers = [n for n in tree.nodes if n.status == "executed" and n.kind == "transfer"]
+    assert len(transfers) == 8
+    assert len(body_calls) == len(executor_calls) == len(transfers)
+    assert body_calls == ["payer"] + ["receiver"] * 7
+    assert len(writes) == len(transfers)
 
 
 class TestReportedEffects:

@@ -15,17 +15,20 @@ from chainsim.core import (
     UNIT,
     UNIT_VALUE,
     make_param,
+    render_value,
 )
 from chainsim.features import FEATURE_NAMES, FeatureSet
 from chainsim import registry
 from chainsim.executor import execute_operation
-from chainsim.harness import check_transaction
+from chainsim.harness import check_transaction, default_universe, gen_transaction
+from chainsim.scenario import build_environment, parse_scenario, scenario_config
 from chainsim.scheduler import (
     Commit,
     Revert,
     SchedulerConfig,
     SignedTransaction,
     Strategy,
+    run_block,
     run_transaction,
 )
 from chainsim.trace import (
@@ -37,6 +40,7 @@ from chainsim.trace import (
     validate_no_double_spend,
     validate_replay,
 )
+from conftest import SCENARIO_DIR
 
 BFS = SchedulerConfig(strategy=Strategy.BFS)
 DFS = SchedulerConfig(strategy=Strategy.DFS)
@@ -368,6 +372,58 @@ class TestJson:
         assert "breaking invariant" in payload["reason"]
         statuses = [n["status"] for n in payload["nodes"]]
         assert statuses.count("failed") == 1
+
+
+def _reference_node(node):
+    """A node exported from `TraceNode.kind`, `TraceNode.deltas` and
+    `render_value`, field by field, as `node_to_json` once built it."""
+    op = node.op
+    kind = node.kind
+    commits = {addr: render_value(value) for addr, value in node.commits}
+    head = {"id": node.id, "parent": node.parent, "seq": node.id, "sender": node.sender}
+    tail = {"status": node.status, "deltas": dict(node.deltas), "commits": commits}
+    if kind == "transfer":
+        dest, param = op.dest, op.param
+    elif kind == "create":
+        dest, param = op.addr, op.storage
+    else:
+        return {**head, "kind": kind, **tail}
+    moved = {"dest": dest, "amount": op.amount, "param": render_value(param)}
+    return {**head, "kind": kind, **moved, **tail}
+
+
+def _reference_tree(tree):
+    out = {"outcome": tree.outcome}
+    if tree.reason is not None:
+        out["reason"] = tree.reason
+    out["ts"] = tree.ts
+    out["nodes"] = [_reference_node(n) for n in tree.nodes]
+    return out
+
+
+def _assert_exported_as_reference(trees):
+    for tree in trees:
+        # Text equality: the same keys in the same order, the same values.
+        assert json.dumps(tree_to_json(tree)) == json.dumps(_reference_tree(tree))
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.msc")), ids=lambda p: p.stem)
+def test_shipped_scenario_trees_export_as_the_reference(path, strategy):
+    s = parse_scenario(path.read_text(encoding="utf-8"))
+    cfg = scenario_config(s, strategy=strategy)
+    _, _, trees = run_block(build_environment(s), s.transactions, cfg, 0)
+    _assert_exported_as_reference(trees)
+
+
+def test_generated_trees_export_as_the_reference():
+    # The transactions `chainsim fuzz` runs, under its scheduler settings.
+    env, gen_cfg = default_universe(7)
+    txs = [gen_transaction(seed, gen_cfg) for seed in range(500)]
+    trees = [run_transaction(env, tx, SchedulerConfig(), ts)[2] for ts, tx in enumerate(txs)]
+    assert {"transfer", "create"} <= {n.kind for t in trees for n in t.nodes}
+    assert {t.outcome for t in trees} == {"commit", "revert"}
+    _assert_exported_as_reference(trees)
 
 
 def _node(id, parent, sender, kind, status="executed", deltas=None, commits=None, **op):
