@@ -506,6 +506,10 @@ def make_param(entrypoint: str, *args: Value) -> Value:
     return PairV(StringV(entrypoint), nest_values(args))
 
 
+# The parameter of a bare transfer; values are immutable, so transfers share it.
+DEFAULT_PARAM = make_param("default")
+
+
 # ---------------------------------------------------------------------------
 # Contracts and environments
 # ---------------------------------------------------------------------------
@@ -619,13 +623,14 @@ class Environment:
         """The addresses whose contract object differs from `earlier`'s,
         counting one present on only one side. Neither dict is mutated once
         held, so when both environments hold the same base only addresses in
-        either top can differ; otherwise every address is compared."""
-        if self._base is earlier._base:
-            candidates = self._top.keys() | earlier._top.keys()
-            return {addr for addr in candidates if self.get(addr) is not earlier.get(addr)}
-        mine = {**self._base, **self._top} if self._top else self._base
-        theirs = {**earlier._base, **earlier._top} if earlier._top else earlier._base
-        return {addr for addr in mine.keys() | theirs.keys() if mine.get(addr) is not theirs.get(addr)}
+        either top can differ; otherwise both are whole tops over no base."""
+        base, mine, theirs = self._base, self._top, earlier._top
+        if base is not earlier._base:
+            base, mine, theirs = {}, {**base, **mine}, {**earlier._base, **theirs}
+        return {
+            a for a in mine.keys() | theirs.keys()
+            if mine.get(a, base.get(a)) is not theirs.get(a, base.get(a))
+        }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Environment):

@@ -19,6 +19,7 @@ from .core import (
     AddressV,
     Contract,
     CreateContract,
+    DEFAULT_PARAM,
     Environment,
     NatV,
     Operation,
@@ -61,52 +62,50 @@ class GenConfig:
 # ---------------------------------------------------------------------------
 
 
-def _gen_param(rng: random.Random, code_key: str, cfg: GenConfig) -> Value:
-    addrs = [a for a, _ in cfg.universe]
-    small = lambda: rng.randint(0, cfg.amount_bound)  # noqa: E731
+_DEPOSIT = make_param("deposit")
+
+
+def _gen_param(rng: random.Random, code_key: str, universe: tuple, bound: int) -> Value:
+    """A parameter that fits `code_key`. `bound` is the amount bound plus one:
+    `randrange(bound)` is the draw `randint(0, amount_bound)` makes."""
     if code_key in ("bank", "fixed_bank"):
         which = rng.randrange(3)
         if which == 0:
-            return make_param("deposit")
+            return _DEPOSIT
         if which == 1:
-            return make_param("withdraw", NatV(small()))
-        return make_param("default")
+            return make_param("withdraw", NatV(rng.randrange(bound)))
+        return DEFAULT_PARAM
     if code_key == "good_client":
-        return make_param("askMoney", NatV(small()))
+        return make_param("askMoney", NatV(rng.randrange(bound)))
     if code_key == "bad":
-        return make_param("rob", NatV(rng.randint(1, 3)), NatV(small()))
-    if code_key == "forwarder":
-        if rng.random() < 0.7:
-            return make_param("invoke", AddressV(rng.choice(addrs)), NatV(small()))
-        return make_param("default")
-    return make_param("default")
+        return make_param("rob", NatV(rng.randrange(1, 4)), NatV(rng.randrange(bound)))
+    if code_key == "forwarder" and rng.random() < 0.7:
+        return make_param("invoke", AddressV(rng.choice(universe)[0]), NatV(rng.randrange(bound)))
+    return DEFAULT_PARAM
 
 
 def gen_transaction(seed: int, cfg: GenConfig) -> SignedTransaction:
     """Generate one well-formed transaction over the universe. Same seed and
     config always produce the identical transaction."""
-    if not cfg.universe:
+    universe, code_keys, bound = cfg.universe, cfg.code_keys, cfg.amount_bound + 1
+    if not universe:
         raise ValueError("generation universe is empty")
+    if cfg.max_ops_per_tx < 0:
+        raise ValueError(f"max_ops_per_tx is negative: {cfg.max_ops_per_tx}")
+    if bound < 1:
+        raise ValueError(f"amount_bound is negative: {cfg.amount_bound}")
     rng = random.Random(seed)
-    addrs = [a for a, _ in cfg.universe]
-    author = rng.choice(addrs)
+    # `choice(seq)` draws the same index as `randrange(len(seq))`.
+    author = rng.choice(universe)[0]
     ops: list[Operation] = []
-    for _ in range(rng.randint(0, cfg.max_ops_per_tx)):
-        if cfg.code_keys and rng.random() < 0.1:
-            ops.append(
-                CreateContract(
-                    addr=f"spawn{rng.randrange(1_000_000_000)}",
-                    amount=rng.randint(0, cfg.amount_bound),
-                    storage=UNIT_VALUE,
-                    code_key=rng.choice(list(cfg.code_keys)),
-                    config=UNIT_VALUE,
-                )
-            )
+    for _ in range(rng.randrange(cfg.max_ops_per_tx + 1)):
+        if code_keys and rng.random() < 0.1:
+            addr, amount = f"spawn{rng.randrange(1_000_000_000)}", rng.randrange(bound)
+            ops.append(CreateContract(addr, amount, UNIT_VALUE, rng.choice(code_keys), UNIT_VALUE))
         else:
-            dest, code_key = cfg.universe[rng.randrange(len(cfg.universe))]
-            ops.append(
-                Transfer(dest, rng.randint(0, cfg.amount_bound), _gen_param(rng, code_key, cfg))
-            )
+            dest, code_key = rng.choice(universe)
+            amount = rng.randrange(bound)
+            ops.append(Transfer(dest, amount, _gen_param(rng, code_key, universe, bound)))
     return SignedTransaction(author, tuple(ops))
 
 
@@ -150,6 +149,9 @@ DEFAULT_INVARIANTS = (
     "revert_totality",
     "transfer_correctness",
 )
+
+# Frozen, so every run without a scheduler configuration shares it.
+_DEFAULT_SCHEDULER = SchedulerConfig()
 
 
 class FuzzViolation(NamedTuple):
@@ -270,15 +272,18 @@ def fuzz(
     parseable reproduction scenario."""
     if n < 1:
         raise ValueError("fuzz needs at least one iteration")
-    for name in invariants:
+    names = () if isinstance(invariants, str) else tuple(invariants)
+    if not names:
+        raise ValueError(f"fuzz needs a tuple of invariant names to check, not {invariants!r}")
+    for name in names:
         if name not in INVARIANT_NAMES:
             raise ValueError(f"unknown invariant: {name!r}")
-    sched_cfg = sched_cfg or SchedulerConfig()
+    sched_cfg = sched_cfg or _DEFAULT_SCHEDULER
     violations: list[FuzzViolation] = []
     for i in range(n):
         it_seed = cfg.seed + i
         tx = gen_transaction(it_seed, cfg)
-        for inv in check_transaction(env0, tx, sched_cfg, tuple(invariants), execute):
+        for inv in check_transaction(env0, tx, sched_cfg, names, execute):
             shrunk = _shrink(env0, tx, sched_cfg, inv, execute)
             violations.append(
                 FuzzViolation(it_seed, inv, reproduction_scenario(env0, shrunk, sched_cfg))

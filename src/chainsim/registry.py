@@ -23,6 +23,7 @@ from .core import (
     CallContext,
     Contract,
     CreateContract,
+    DEFAULT_PARAM,
     MutezV,
     NatV,
     Operation,
@@ -112,10 +113,10 @@ def instantiate(
 
 # Invocation parameters follow one convention: (entrypoint name, args), with
 # multi-argument entrypoints taking right-nested pairs. "default" is the bare
-# transfer entrypoint. The executor has checked the parameter and `instantiate`
-# the config, so bodies read both without re-checking.
+# transfer entrypoint (`DEFAULT_PARAM`). The executor has checked the
+# parameter and `instantiate` the config, so bodies read both without
+# re-checking.
 
-_RECEIVE = make_param("default")
 _DEPOSITS = {"deposit": UNIT, "default": UNIT}
 
 
@@ -125,7 +126,7 @@ def _bank_body(ctx: CallContext, param: Value, storage: Value):
         if ctx.sender != owner:
             raise ContractFail("not owner")
         if ctx.self_balance - ret > threshold:
-            return [Transfer(owner, ret, _RECEIVE)], storage
+            return [Transfer(owner, ret, DEFAULT_PARAM)], storage
         raise ContractFail("breaking invariant")
     return [], storage
 
@@ -138,7 +139,7 @@ def _fixed_bank_body(ctx: CallContext, param: Value, storage: Value):
             raise ContractFail("not owner")
         # Deduct funds already promised by earlier (still pending) payouts.
         if ctx.self_balance - compromised - ret > threshold:
-            payout = Transfer(owner, ret, _RECEIVE)
+            payout = Transfer(owner, ret, DEFAULT_PARAM)
             settle = Transfer(ctx.self_addr, 0, make_param("settle", NatV(ret)))
             return [payout, settle], MutezV(compromised + ret)
         raise ContractFail("breaking invariant")
@@ -179,14 +180,14 @@ def _forwarder_body(ctx: CallContext, param: Value, storage: Value):
         new_accounted = accounted + ctx.amount - m
         if new_accounted < 0:
             raise ContractFail("insufficient accounted balance")
-        return [Transfer(dest, m, _RECEIVE)], NatV(new_accounted)
+        return [Transfer(dest, m, DEFAULT_PARAM)], NatV(new_accounted)
     return [], NatV(check_amount(accounted + ctx.amount))
 
 
 def _payer_body(ctx: CallContext, param: Value, storage: Value):
     if param.left.s == "pay":
         dests, m = param.right.left.items, param.right.right.n
-        return [Transfer(d.addr, m, _RECEIVE) for d in dests], storage
+        return [Transfer(d.addr, m, DEFAULT_PARAM) for d in dests], storage
     return [], storage
 
 
@@ -239,10 +240,10 @@ def _demonic_body(ctx: CallContext, param: Value, storage: Value):
     pick = h % _DEMONIC_TOTAL
     if pick < _EMIT_TRANSFERS:
         count, amount = 1 + (h >> 8) % 2, (h >> 16) % 3
-        return [Transfer(ctx.sender, amount, _RECEIVE)] * count, storage
+        return [Transfer(ctx.sender, amount, DEFAULT_PARAM)] * count, storage
     pick -= _EMIT_TRANSFERS
     if pick < _CALL_BACK:
-        return [Transfer(ctx.sender, 0, _RECEIVE)], storage
+        return [Transfer(ctx.sender, 0, DEFAULT_PARAM)], storage
     pick -= _CALL_BACK
     if pick < _CREATE_CONTRACT:
         spawn = CreateContract(f"spawn{h % 1_000_000_000}", 0, UNIT_VALUE, "receiver", UNIT_VALUE)

@@ -22,6 +22,7 @@ from .core import (
     ContextBundle,
     Contract,
     CreateContract,
+    DEFAULT_PARAM,
     EndInteractions,
     Environment,
     IDENTIFIER,
@@ -391,11 +392,6 @@ def _parse_contract(ts: _Stream) -> tuple[str, str, Value, Value, int]:
     return addr, code_key, config, storage, _parse_nat(ts, "a balance (nat)")
 
 
-# The parameter of every transfer written without `call`. Values are
-# immutable, so the transfers share it.
-_DEFAULT_PARAM = make_param("default")
-
-
 def _parse_op(ts: _Stream) -> Operation:
     word = ts.text if ts.kind == "ident" else ""
     if word == "transfer":
@@ -403,7 +399,7 @@ def _parse_op(ts: _Stream) -> Operation:
         amount = _parse_nat(ts, "an amount (nat)")
         ts.expect_ident("to")
         dest = ts.address()
-        param = _DEFAULT_PARAM
+        param = DEFAULT_PARAM
         if ts.at_ident("call"):
             ts.advance()
             name = ts.expect_kind("ident", "an entrypoint name")

@@ -9,6 +9,7 @@ equal execution order, and parents always precede children.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -125,13 +126,38 @@ class ValidationReport(NamedTuple):
 def _balance_diff(env_before: Environment, env_after: Environment) -> dict[str, int]:
     diff: dict[str, int] = {}
     for addr in env_after.changed_since(env_before):
-        before = env_before.get(addr)
-        after = env_after.get(addr)
-        b = before.balance if before is not None else 0
-        a = after.balance if after is not None else 0
-        if a != b:
-            diff[addr] = a - b
+        before, after = env_before.get(addr), env_after.get(addr)
+        moved = (0 if after is None else after.balance) - (0 if before is None else before.balance)
+        if moved:
+            diff[addr] = moved
     return diff
+
+
+def _report(invariant: str, found: list[tuple[str, str]]) -> ValidationReport:
+    """The verdict on `found`'s (address, line) pairs: its lines sorted by
+    address, each address's in the order they were found (a stable sort)."""
+    if not found:
+        return ValidationReport(invariant, True)
+    found.sort(key=itemgetter(0))
+    return ValidationReport(invariant, False, tuple(line for _, line in found))
+
+
+def _trace_effects(tree: TransactionTree) -> tuple[dict[str, int], dict[str, Value]]:
+    """One walk reading each node's fields once: per address, the sum of its
+    `_deltas` (0 for one only committed to: a zero-endowment creation) and the
+    last storage committed to it."""
+    moved: dict[str, int] = {}
+    storages: dict[str, Value] = {}
+    for _, _, sender, op, status, commits in tree.nodes:
+        kind = type(op)
+        if kind is Transfer or kind is CreateContract:
+            dest = op.dest if kind is Transfer else op.addr
+            for addr, delta in _deltas(status, sender, dest, op.amount).items():
+                moved[addr] = moved.get(addr, 0) + delta
+        for addr, value in commits:
+            moved.setdefault(addr, 0)
+            storages[addr] = value
+    return moved, storages
 
 
 def validate_no_double_spend(
@@ -141,20 +167,14 @@ def validate_no_double_spend(
     per address, the environment delta equals the sum of node deltas."""
     if not tree.committed:
         raise ValueError("no-double-spend applies to committed transactions")
-    claimed: dict[str, int] = {}
-    for node in tree.nodes:
-        for addr, delta in node.deltas:
-            claimed[addr] = claimed.get(addr, 0) + delta
+    claimed = _trace_effects(tree)[0]
     actual = _balance_diff(env_before, env_after)
-    violations = []
-    for addr in sorted(set(claimed) | set(actual)):
-        c = claimed.get(addr, 0)
-        a = actual.get(addr, 0)
+    found = []
+    for addr in claimed.keys() | actual.keys():
+        c, a = claimed.get(addr, 0), actual.get(addr, 0)
         if c != a:
-            violations.append(
-                f"@{addr}: environment moved {a} but trace accounts for {c}"
-            )
-    return ValidationReport("no_double_spend", not violations, tuple(violations))
+            found.append((addr, f"@{addr}: environment moved {a} but trace accounts for {c}"))
+    return _report("no_double_spend", found)
 
 
 def validate_atomic_bundles(
@@ -237,28 +257,20 @@ def validate_replay(
     the same contract before and after."""
     if not tree.committed:
         raise ValueError("replay applies to committed transactions")
-    moved: dict[str, int] = {}
-    storages: dict[str, Value] = {}
-    for node in tree.nodes:
-        for addr, delta in node.deltas:
-            moved[addr] = moved.get(addr, 0) + delta
-        for addr, value in node.commits:
-            # A commit on an unseen address is a zero-endowment creation.
-            moved.setdefault(addr, 0)
-            storages[addr] = value
-    violations = []
-    for addr in sorted(moved.keys() | env_after.changed_since(env_before)):
+    moved, storages = _trace_effects(tree)
+    found = []
+    for addr in moved.keys() | env_after.changed_since(env_before):
         before = env_before.get(addr)
         after = env_after.get(addr)
         if after is None:
-            violations.append(f"@{addr}: replay creates an address the chain lacks")
+            found.append((addr, f"@{addr}: replay creates an address the chain lacks"))
             continue
         balance = None if before is None else before.balance
         if addr in moved:
             balance = (balance or 0) + moved[addr]
         if balance != after.balance:
-            violations.append(f"@{addr}: replayed balance {balance} != {after.balance}")
+            found.append((addr, f"@{addr}: replayed balance {balance} != {after.balance}"))
         storage = storages.get(addr, after.storage if before is None else before.storage)
         if storage != after.storage:
-            violations.append(f"@{addr}: replayed storage differs")
-    return ValidationReport("trace_replay", not violations, tuple(violations))
+            found.append((addr, f"@{addr}: replayed storage differs"))
+    return _report("trace_replay", found)

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -44,7 +47,12 @@ from chainsim.scheduler import (
     Strategy,
     run_transaction,
 )
-from chainsim.trace import validate_atomic_bundles
+from chainsim.trace import (
+    validate_atomic_bundles,
+    validate_conservation,
+    validate_no_double_spend,
+    validate_replay,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +119,30 @@ class TestGenTransaction:
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
             gen_transaction(0, GenConfig(seed=0, universe=()))
+
+    @pytest.mark.parametrize("field", ["max_ops_per_tx", "amount_bound"])
+    def test_a_negative_bound_is_refused_by_name(self, universe, field):
+        env, cfg = universe
+        with pytest.raises(ValueError, match=f"^{field} is negative: -1$"):
+            gen_transaction(0, dataclasses.replace(cfg, **{field: -1}))
+
+    def test_a_zero_amount_bound_draws_zero_amounts(self, universe):
+        env, cfg = universe
+        zero = dataclasses.replace(cfg, amount_bound=0)
+        amounts = [op.amount for seed in range(50) for op in gen_transaction(seed, zero).ops]
+        assert amounts and set(amounts) == {0}
+
+    def test_the_stream_is_pinned(self):
+        # Any change to how transactions are drawn must keep this stream, on
+        # every CPython the suite runs on. The second range is the seeds of
+        # perfbench's fuzz workload, 1_000_003 * run_seed + i, at run seed 1.
+        env, cfg = default_universe(7)
+        digest = hashlib.sha256()
+        for seed in [*range(2000), *(1_000_003 + i for i in range(1000))]:
+            digest.update(repr(gen_transaction(seed, cfg)).encode())
+        assert digest.hexdigest() == (
+            "11485e1ac7fb903bce798700eb1bb16f53b6017598420e0d9301d264ce0e3d11"
+        )
 
 
 def _demonic(salt: str, sender: str = "caller", amount: int = 1):
@@ -198,6 +230,35 @@ def _skip_debit(ectx, op, env, features, pending=()):
         forged = out.env_after.updated({ectx.sender: sender_c.moved(sender_c.balance + op.amount)})
         return out._replace(env_after=forged)
     return out
+
+
+def _misroute_credit(ectx, op, env, features, pending=()):
+    """Fault injection: hands a transfer's credit to a third account, so
+    funds are conserved but land where the trace does not say."""
+    out = execute_operation(ectx, op, env, features, pending)
+    if isinstance(op, Transfer) and op.amount > 0 and ectx.sender != op.dest:
+        other = next(a for a in ("alice", "bob", "vault") if a not in (ectx.sender, op.dest))
+        dest_c, other_c = out.env_after.get(op.dest), out.env_after.get(other)
+        forged = out.env_after.updated(
+            {
+                op.dest: dest_c.moved(dest_c.balance - op.amount),
+                other: other_c.moved(other_c.balance + op.amount),
+            }
+        )
+        return out._replace(env_after=forged)
+    return out
+
+
+def _drop_storage_commit(ectx, op, env, features, pending=()):
+    """Fault injection: records each storage commit but keeps the storage an
+    existing account held before."""
+    out = execute_operation(ectx, op, env, features, pending)
+    after = out.env_after
+    for addr, _ in out.commits:
+        before = env.get(addr)
+        if before is not None:
+            after = after.updated({addr: after.get(addr).with_storage(before.storage)})
+    return out._replace(env_after=after)
 
 
 _PAY = Transfer("bob", 1, make_param("default"))
@@ -382,3 +443,64 @@ class TestFuzz:
             fuzz(env, cfg, 0)
         with pytest.raises(ValueError):
             fuzz(env, cfg, 1, invariants=("who_knows",))
+
+    @pytest.mark.parametrize("invariants", [(), [], "conservation"], ids=repr)
+    def test_refuses_to_check_nothing(self, universe, invariants):
+        # A bare string is not a selection of names: it would be read one
+        # character at a time.
+        env, cfg = universe
+        with pytest.raises(ValueError, match="^fuzz needs a tuple of invariant names to check"):
+            fuzz(env, cfg, 3, invariants=invariants)
+
+
+# Each fault's 300-iteration report on `default_universe(7)`: the SHA-256 of
+# its JSON text and the violations per invariant. A changed validator must
+# still fire on the same seeds, and shrink each to the same reproduction.
+_FAULT_REPORTS = {
+    _skip_debit: (
+        "4a12b0797aeb61224aa4244c8db9208b6ecc4e8092579b69cb4ba7798c729b17",
+        {"conservation": 115, "no_double_spend": 115, "transfer_correctness": 115},
+    ),
+    _misroute_credit: (
+        "467b9e0daff2142d3ab71e724691d58871a80c070b82abc78abda12e524523c4",
+        {"no_double_spend": 102, "transfer_correctness": 102},
+    ),
+    _drop_storage_commit: (
+        "2c95de9f948a9a04a67bd848977559baab71d4044d750d500b47c804feb23d99",
+        {"transfer_correctness": 35},
+    ),
+}
+
+# The same faults' validator reports, one per committed iteration of those
+# 300 (verdict, kind and every violation line, in order), hashed in turn.
+_FAULT_VALIDATIONS = {
+    _skip_debit: "f051d975dceba01bd88c9035481839f7299a479b8b51dc18b1c25452e4afba3f",
+    _misroute_credit: "e1e7b1d0d72add64203b9ad0b65b7754646ac2c804ddd51deb365085d6f66f64",
+    _drop_storage_commit: "0d62028be220317a1b08a767f345a313bdee923bae282bbc23a98d640542083c",
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_REPORTS), ids=lambda f: f.__name__)
+class TestFaultReportsArePinned:
+    def test_fuzz_report(self, fault):
+        env, cfg = default_universe(7)
+        report = fuzz(env, cfg, 300, execute=fault)
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        digest, counts = _FAULT_REPORTS[fault]
+        assert Counter(v.invariant for v in report.violations) == counts
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_validator_reports(self, fault):
+        env, cfg = default_universe(7)
+        digest = hashlib.sha256()
+        for seed in range(cfg.seed, cfg.seed + 300):
+            tx = gen_transaction(seed, cfg)
+            outcome, _, tree = run_transaction(env, tx, SchedulerConfig(), 0, fault)
+            if isinstance(outcome, Commit):
+                reports = (
+                    validate_conservation(env, outcome.env),
+                    validate_no_double_spend(tree, env, outcome.env),
+                    validate_replay(tree, env, outcome.env),
+                )
+                digest.update(repr(reports).encode())
+        assert digest.hexdigest() == _FAULT_VALIDATIONS[fault]

@@ -7,6 +7,7 @@ from chainsim.core import (
     AtomicBundle,
     ContextBundle,
     CreateContract,
+    DEFAULT_PARAM,
     EndInteractions,
     Environment,
     NatV,
@@ -301,6 +302,27 @@ class TestReplay:
         assert isinstance(outcome, Commit)
         assert validate_replay(tree, env, outcome.env).violations == (
             "@u1: replayed storage differs",
+        )
+
+    @pytest.mark.parametrize(
+        "low, high", [("alice", "bob"), ("a1", "a2"), ("m", "mm"), ("carol", "zed"), ("q0", "q9")]
+    )
+    def test_violations_on_two_addresses_are_listed_by_address(self, low, high):
+        # The trace says `high` paid `low` 5 and gave it a new storage; the
+        # chain moved 3 and kept the storage. Several pairs, since a set of
+        # two addresses iterates in sorted order about half the time.
+        before = Environment({low: registry.implicit_account(10), high: registry.implicit_account(10)})
+        after = before.updated({low: registry.implicit_account(13), high: registry.implicit_account(7)})
+        node = TraceNode(0, None, high, Transfer(low, 5, DEFAULT_PARAM), commits=((low, NatV(1)),))
+        tree = TransactionTree((node,), "commit", None, 0)
+        assert validate_no_double_spend(tree, before, after).violations == (
+            f"@{low}: environment moved 3 but trace accounts for 5",
+            f"@{high}: environment moved -3 but trace accounts for -5",
+        )
+        assert validate_replay(tree, before, after).violations == (
+            f"@{low}: replayed balance 15 != 13",
+            f"@{low}: replayed storage differs",
+            f"@{high}: replayed balance 5 != 7",
         )
 
     def test_wrapper_nodes_carry_no_deltas(self):
