@@ -502,7 +502,13 @@ def nest_values(values: tuple[Value, ...] | list[Value]) -> Value:
 
 
 def make_param(entrypoint: str, *args: Value) -> Value:
-    """Uniform invocation parameter: (entrypoint name, right-nested args)."""
+    """Uniform invocation parameter: (entrypoint name, right-nested args).
+    Contract bodies build one per emission, and most take one argument or
+    none, so those pairs are built directly."""
+    if len(args) == 1:
+        return PairV(StringV(entrypoint), args[0])
+    if not args:
+        return PairV(StringV(entrypoint), UNIT_VALUE)
     return PairV(StringV(entrypoint), nest_values(args))
 
 
@@ -555,46 +561,57 @@ class Contract(_Record):
         )
 
 
+# `top` is promoted into `middle` once it holds more entries than this.
+_TOP_MAX = 16
+
+
 class Environment:
     """Partial map address -> contract. Updates share structure; old
     snapshots stay valid.
 
-    An environment is a `base` dict, shared by every environment derived from
-    it, and a `top` dict of the writes made since `base` was built; `top`
-    wins. Neither dict is mutated once an environment holds it. `updated`
-    copies only `top`, and folds it into a fresh base once
-    `len(top) ** 2 > 16 * len(base)`, so an update over N accounts costs
-    amortised O(sqrt N) instead of a copy of all N. The factor 16 is measured
-    (README): 4 is as fast, but its folds rank just above the `block` p99.
+    An environment has three layers, and none is mutated once an environment
+    holds it; a read takes the first layer that has the address. `base` is
+    shared by every environment derived from it. `middle` holds older writes
+    and folds into a fresh base once `len(middle) ** 2 > 16 * len(base)`, so
+    an update over N accounts costs amortised O(sqrt N) instead of a copy of
+    all N. `top` holds the newest writes and is promoted into `middle` once
+    it holds more than `_TOP_MAX` entries, so `updated` copies at most that
+    many entries besides its writes: 8.5 on average in a `block` pass at
+    10,000 accounts, against 194 with `top` folded straight into the base.
+    Both constants are measured (README): a base factor of 4 folds often
+    enough to set the `block` p99, and a top of 8 or 32 runs level with 16.
 
     `Environment(accounts)` takes ownership of `accounts` without copying it.
     An address is checked once, when it first enters through `updated`.
     """
 
-    __slots__ = ("_base", "_top")
+    __slots__ = ("_base", "_middle", "_top")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, accounts: Optional[dict[str, Contract]] = None) -> None:
         self._base: dict[str, Contract] = {} if accounts is None else accounts
+        self._middle: dict[str, Contract] = {}
         self._top: dict[str, Contract] = {}
 
     @property
     def accounts(self) -> dict[str, Contract]:
         """Every account as one dict, which callers never mutate.
 
-        The first read of a layered environment folds `top` into a fresh base
-        that this environment keeps, so later reads return that same dict."""
-        if self._top:
-            self._base = {**self._base, **self._top}
+        The first read of a layered environment folds every layer into a
+        fresh base that this environment keeps, so later reads return that
+        same dict."""
+        if self._top or self._middle:
+            self._base = {**self._base, **self._middle, **self._top}
+            self._middle = {}
             self._top = {}
         return self._base
 
     def get(self, addr: str) -> Optional[Contract]:
-        contract = self._top.get(addr)
-        return self._base.get(addr) if contract is None else contract
+        # A contract is a non-empty tuple, so only a missing one is falsy.
+        return self._top.get(addr) or self._middle.get(addr) or self._base.get(addr)
 
     def __contains__(self, addr: str) -> bool:
-        return addr in self._top or addr in self._base
+        return addr in self._top or addr in self._middle or addr in self._base
 
     def addresses(self) -> tuple[str, ...]:
         return tuple(sorted(self.accounts))
@@ -604,32 +621,44 @@ class Environment:
         contract, in one update: `env.updated({sender: debited, dest:
         credited})`. Each new address, if `top` grew, is checked before an
         environment holds it; `writes` is copied, so the caller may reuse it."""
-        base = self._base
-        old = self._top
+        base, middle, old = self._base, self._middle, self._top
         top = {**old, **writes}
         if len(top) != len(old):
             for addr in writes:
-                if addr not in old and addr not in base:
+                if addr not in old and addr not in middle and addr not in base:
                     check_address(addr)
-        if len(top) ** 2 > 16 * len(base):
-            base = {**base, **top}
+        if len(top) > _TOP_MAX:
+            middle = {**middle, **top}
             top = {}
+            if len(middle) ** 2 > 16 * len(base):
+                base = {**base, **middle}
+                middle = {}
         env = object.__new__(Environment)
         env._base = base
+        env._middle = middle
         env._top = top
         return env
 
     def changed_since(self, earlier: "Environment") -> set[str]:
         """The addresses whose contract object differs from `earlier`'s,
-        counting one present on only one side. Neither dict is mutated once
-        held, so when both environments hold the same base only addresses in
-        either top can differ; otherwise both are whole tops over no base."""
-        base, mine, theirs = self._base, self._top, earlier._top
+        counting one present on only one side. No layer is mutated once held,
+        so only addresses in a layer the two environments do not share can
+        differ: their tops when they share `middle` and `base`, else their
+        middles too, else everything over no base."""
+        base, middle = self._base, self._middle
+        mine, theirs = self._top, earlier._top
         if base is not earlier._base:
-            base, mine, theirs = {}, {**base, **mine}, {**earlier._base, **theirs}
+            mine = {**base, **middle, **mine}
+            theirs = {**earlier._base, **earlier._middle, **theirs}
+            base = middle = {}
+        elif middle is not earlier._middle:
+            mine = {**middle, **mine}
+            theirs = {**earlier._middle, **theirs}
+            middle = {}
         return {
             a for a in mine.keys() | theirs.keys()
-            if mine.get(a, base.get(a)) is not theirs.get(a, base.get(a))
+            if (mine.get(a) or middle.get(a) or base.get(a))
+            is not (theirs.get(a) or middle.get(a) or base.get(a))
         }
 
     def __eq__(self, other: object) -> bool:

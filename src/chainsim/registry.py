@@ -321,6 +321,10 @@ for _defn in STANDARD_DEFS:
     register(_defn)
 
 
+# Every implicit account is this contract holding its own balance.
+_IMPLICIT_TEMPLATE = instantiate("receiver", UNIT_VALUE, UNIT_VALUE, 0)
+
+
 def implicit_account(balance: int) -> Contract:
     """Externally owned account: a receiver that takes transfers, emits nothing."""
-    return instantiate("receiver", UNIT_VALUE, UNIT_VALUE, balance)
+    return _IMPLICIT_TEMPLATE.moved(check_amount(balance))

@@ -2,8 +2,9 @@
 
 A tree records every operation a transaction touched: executed ops, expanded
 wrappers, and at most one failing op. Each node holds the operation it
-records; its kind and balance deltas are derived from that operation, and its
-destination, amount and rendered parameter only when it is exported. Node ids
+records, and its kind is derived from that operation. Its destination,
+amount, rendered parameter and balance deltas are derived only when it is
+exported, and its deltas also when a validator sums them (`_deltas`). Node ids
 equal execution order, and parents always precede children.
 """
 
@@ -39,16 +40,6 @@ class TraceNode(NamedTuple):
     def kind(self) -> str:
         return OP_KINDS[type(self.op)]
 
-    @property
-    def deltas(self) -> tuple[tuple[str, int], ...]:
-        """Balance moves of an executed node, computed by `_deltas` from its
-        operation rather than from the environment it produced."""
-        op = self.op
-        if not isinstance(op, (Transfer, CreateContract)):
-            return ()
-        dest = op.dest if isinstance(op, Transfer) else op.addr
-        return tuple(_deltas(self.status, self.sender, dest, op.amount).items())
-
 
 def _deltas(status: str, sender: str, dest: str, amount: int) -> dict[str, int]:
     """The one deltas rule: an executed nonzero move from `sender` to another
@@ -78,7 +69,7 @@ class TransactionTree(NamedTuple):
 
 def node_to_json(node: TraceNode) -> dict:
     """A node as one dict, from one unpacking of it; `deltas` comes from
-    `_deltas`, the rule `TraceNode.deltas` reads too."""
+    `_deltas`, the rule the validators read too."""
     node_id, parent, sender, op, status, commits = node
     kind = OP_KINDS[type(op)]
     if len(commits) == 1:

@@ -127,6 +127,21 @@ def test_every_value_inhabits_its_inferred_type(v):
     assert value_typecheck(v, value_type(v))
 
 
+@given(st.text(max_size=12), st.lists(_values, max_size=3))
+def test_make_param_is_the_name_paired_with_the_nested_arguments(name, args):
+    param = make_param(name, *args)
+    nested = PairV(StringV(name), nest_values(args))
+    assert param == nested
+    assert hash(param) == hash(nested)
+    assert render_value(param) == render_value(nested)
+
+
+@pytest.mark.parametrize("args", [(5,), (NatV(1), 5)], ids=["one", "two"])
+def test_make_param_refuses_an_argument_that_is_not_a_value(args):
+    with pytest.raises(TypeError, match="not a value: 5"):
+        make_param("f", *args)
+
+
 def test_value_constructors_enforce_invariants():
     with pytest.raises(ValueError):
         NatV(-1)
@@ -327,29 +342,35 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("size", [0, 20])
     def test_the_callers_mapping_is_copied(self, size):
-        # An empty environment folds the write into its base; twenty
-        # accounts keep it in the top layer.
-        env = Environment({f"a{i}": registry.implicit_account(i) for i in range(size)})
-        one, two = registry.implicit_account(1), registry.implicit_account(2)
-        writes = {"a0": one}
-        env2 = env.updated(writes)
-        writes["a0"] = two
-        writes["other"] = two
-        assert env2.get("a0") is one and "other" not in env2
-        assert env2.accounts == {**env.accounts, "a0": one}
+        # With no earlier writes the write stays in `top`. After sixteen it
+        # promotes `top` into `middle`, which twenty accounts keep and an
+        # empty base folds in at once.
+        for earlier in (0, core._TOP_MAX):
+            env = Environment({f"a{i}": registry.implicit_account(i) for i in range(size)})
+            env = env.updated({f"w{i}": registry.implicit_account(i) for i in range(earlier)})
+            one, two = registry.implicit_account(1), registry.implicit_account(2)
+            writes = {"a0": one}
+            env2 = env.updated(writes)
+            writes["a0"] = two
+            writes["other"] = two
+            assert env2.get("a0") is one and "other" not in env2
+            assert env2.accounts == {**env.accounts, "a0": one}
 
     def test_present_address_is_not_checked_again(self, monkeypatch):
         env = Environment({f"a{i}": registry.implicit_account(i) for i in range(100)})
         env = env.updated({"new": registry.implicit_account(0)})
+        env = env.updated({f"m{i}": registry.implicit_account(0) for i in range(16)})
+        env = env.updated({"top": registry.implicit_account(0)})
+        # "a0" sits in the shared base, "new" in `middle` and "top" in `top`.
+        assert "new" in env._middle and "top" in env._top
 
         def refuse(token):
             raise AssertionError(f"{token!r} checked again")
 
         monkeypatch.setattr(core, "check_address", refuse)
-        # "a0" sits in the shared base and "new" in the writes above it.
-        for addr in ("a0", "new", "a0", "new"):
+        for addr in ("a0", "new", "top", "a0", "new", "top"):
             env = env.updated({addr: registry.implicit_account(7)})
-        assert env.get("a0").balance == env.get("new").balance == 7
+        assert env.get("a0").balance == env.get("new").balance == env.get("top").balance == 7
         eight, nine = registry.implicit_account(8), registry.implicit_account(9)
         env = env.updated({"new": eight, "a0": nine})
         assert (env.get("new").balance, env.get("a0").balance) == (8, 9)
@@ -397,31 +418,50 @@ def test_one_update_equals_the_writes_in_order(start, w1, w2):
         assert twice.get(addr) is once.get(addr) is one_by_one.get(addr) is expected
 
 
+def _crossed(old, new):
+    """Which thresholds one update crossed, read from the private layers:
+    whether `top` was promoted into a new `middle`, and whether `middle` was
+    folded into a new `base`."""
+    return new._middle is not old._middle, new._base is not old._base
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(0, 120),
+    st.permutations(_MODEL_ADDRS),
     st.lists(
-        st.tuples(st.integers(0, 10**6), st.sampled_from(_MODEL_ADDRS), st.integers(0, 1000)),
-        min_size=100,
-        max_size=300,
+        st.tuples(st.integers(0, 10**6), st.integers(0, 1000)), min_size=100, max_size=300
     ),
 )
-def test_layered_environment_matches_a_dict_model(start, script):
-    """Updates that cross many compactions, some applied to an older snapshot
-    (a branch, as revert and fuzz take), read exactly as a plain dict."""
+def test_layered_environment_matches_a_dict_model(start, order, script):
+    """Updates that cross many promotions and folds, some applied to an
+    older snapshot (a branch, as revert and fuzz take), read exactly as a
+    plain dict."""
     model = {a: registry.implicit_account(k) for k, a in enumerate(_MODEL_ADDRS[:start])}
     history = [(Environment(dict(model)), model)]
-    for branch, addr, balance in script:
-        # Mostly extend the newest snapshot; every fourth step branches, and
-        # every third writes a second address in the same update.
-        env, model = history[-1 if branch % 4 else branch % len(history)]
+    crossings = []
+    for step, (branch, balance) in enumerate(script):
+        # Step k writes the k-th address of a shuffled order. The first 60
+        # steps extend the newest snapshot, so their distinct writes promote
+        # `top` at least every 17 steps and, over at most 120 accounts, fold
+        # `middle` into the base by the 60th; later every fourth step
+        # branches, and every third writes a second address in the same
+        # update.
+        addr = order[step % len(order)]
+        branches = step >= 60 and not branch % 4
+        env, model = history[branch % len(history) if branches else -1]
         model = {**model, addr: registry.implicit_account(balance)}
         if branch % 3:
-            history.append((env.updated({addr: model[addr]}), model))
-            continue
-        other = _MODEL_ADDRS[branch % len(_MODEL_ADDRS)]
-        model = {**model, other: registry.implicit_account(branch)}
-        history.append((env.updated({addr: model[addr], other: model[other]}), model))
+            new = env.updated({addr: model[addr]})
+        else:
+            other = _MODEL_ADDRS[branch % len(_MODEL_ADDRS)]
+            model = {**model, other: registry.implicit_account(branch)}
+            new = env.updated({addr: model[addr], other: model[other]})
+        crossings.append(_crossed(env, new))
+        assert len(new._top) <= core._TOP_MAX
+        history.append((new, model))
+    promotions, folds = map(sum, zip(*crossings))
+    assert promotions >= 2 and folds >= 1
     for env, model in history:
         for addr in _MODEL_ADDRS + ["absent"]:
             assert env.get(addr) is model.get(addr)
@@ -436,6 +476,7 @@ def test_layered_environment_matches_a_dict_model(start, script):
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(0, 30),
+    st.permutations(_MODEL_ADDRS[:40]),
     st.lists(
         st.tuples(
             st.sampled_from(["update", "keep", "branch", "read"]),
@@ -445,13 +486,23 @@ def test_layered_environment_matches_a_dict_model(start, script):
         max_size=120,
     ),
 )
-def test_changed_since_matches_a_brute_force_diff(start, script):
-    """Across updates (some folding top into base), branches from older
-    snapshots, rewrites of an address with its own contract, and `.accounts`
-    reads that fold in place, `changed_since` is the set of addresses whose
-    contract object differs."""
+def test_changed_since_matches_a_brute_force_diff(start, prelude, script):
+    """Across updates (some promoting top into middle, some folding middle
+    into base), branches from older snapshots, rewrites of an address with
+    its own contract, and `.accounts` reads that fold in place,
+    `changed_since` is the set of addresses whose contract object differs."""
     history = [Environment({a: registry.implicit_account(1) for a in _MODEL_ADDRS[:start]})]
     env = history[0]
+    crossings = []
+    # Forty distinct writes open every script: at most 30 accounts fold once
+    # `middle` holds 22, so they promote `top` twice and fold once.
+    for k, addr in enumerate(prelude):
+        new = env.updated({addr: registry.implicit_account(k % 7)})
+        crossings.append(_crossed(env, new))
+        env = new
+        history.append(env)
+    promotions, folds = map(sum, zip(*crossings))
+    assert promotions >= 2 and folds >= 1
     for action, n, addr in script:
         if action == "update":
             env = env.updated({addr: registry.implicit_account(n % 7)})
@@ -468,6 +519,54 @@ def test_changed_since_matches_a_brute_force_diff(start, script):
     for later, earlier, changed in answers:
         names = later.accounts.keys() | earlier.accounts.keys()
         assert changed == {a for a in names if later.get(a) is not earlier.get(a)}
+
+
+def test_every_layer_over_ten_thousand_accounts_reads_as_a_dict():
+    """A 10,000-account ledger written ten addresses per update promotes
+    `top` into `middle` every second update and folds `middle` into the base
+    once it passes 400 entries. A branch from an older snapshot and an
+    `accounts` read (which folds the newest snapshot in place) come before
+    the fold. Every snapshot reads as its dict model, and `changed_since`
+    matches a brute-force diff."""
+    rng = random.Random(29)
+    accounts = {f"u{i}": registry.implicit_account(i % 97) for i in range(10_000)}
+    history = [(Environment(accounts), dict(accounts))]
+    crossings = []
+    for step in range(75):
+        env, model = history[10 if step == 20 else -1]
+        if step == 30:
+            assert env.accounts == model
+        # About one address in six is new, and is checked as it enters.
+        writes = {
+            f"u{rng.randrange(12_000)}": registry.implicit_account(rng.randrange(100))
+            for _ in range(10)
+        }
+        new = env.updated(writes)
+        crossings.append(_crossed(env, new))
+        assert len(new._top) <= core._TOP_MAX
+        history.append((new, {**model, **writes}))
+    promotions, folds = map(sum, zip(*crossings))
+    assert promotions >= 2 and folds >= 1
+    written = {addr for _, model in history for addr in model.keys() - accounts.keys()}
+    probes = sorted(written) + [f"u{i}" for i in range(0, 12_000, 37)] + ["absent"]
+    # Every answer before any brute force, which reads `.accounts` and folds.
+    answers = [
+        (i, j, history[i][0].changed_since(history[j][0]))
+        for i in range(len(history))
+        for j in {0, i // 2, max(i - 1, 0)}
+    ]
+    for env, model in history:
+        for addr in probes:
+            assert env.get(addr) is model.get(addr)
+            assert (addr in env) == (addr in model)
+    for i, j, changed in answers:
+        later, earlier = history[i][1], history[j][1]
+        names = later.keys() | earlier.keys()
+        assert changed == {a for a in names if later.get(a) is not earlier.get(a)}
+    for env, model in history:
+        assert env == Environment(dict(model))
+        assert env.accounts == model
+        assert env.total_balance() == sum(c.balance for c in model.values())
 
 
 class TestContract:

@@ -1,9 +1,12 @@
 import pytest
 
 from chainsim.core import (
+    MAX_MUTEZ,
     AddressV,
+    AmountError,
     BoolV,
     CallContext,
+    Contract,
     Environment,
     ExecError,
     ExecutionContext,
@@ -90,9 +93,16 @@ class TestRegistration:
         assert c == core.Contract(UNIT_VALUE, 15, "receiver", UNIT_VALUE, True)
 
     def test_receiver_implicit_account(self):
-        c = registry.implicit_account(0)
-        assert c.balance == 0
-        assert c.code_key == "receiver"
+        for balance in (0, 1, 15, MAX_MUTEZ):
+            c = registry.implicit_account(balance)
+            assert c == registry.instantiate("receiver", UNIT_VALUE, UNIT_VALUE, balance)
+            assert type(c) is Contract
+            assert (c.balance, c.code_key, c.contextual) == (balance, "receiver", False)
+
+    @pytest.mark.parametrize("balance", [-1, MAX_MUTEZ + 1, True, 1.0, "1"])
+    def test_implicit_account_refuses_an_out_of_range_balance(self, balance):
+        with pytest.raises(AmountError, match="amount out of range"):
+            registry.implicit_account(balance)
 
 
 class TestBankBody:

@@ -515,9 +515,10 @@ class TestSetupErrors:
         assert build_environment(parse_scenario(VAULT)) == vault_env
 
     def test_out_of_range_account_balance(self):
-        s = Scenario("x", (AccountDecl("a", MAX_MUTEZ + 1),), (), ())
-        with pytest.raises(SetupError, match="@a"):
-            build_environment(s)
+        for balance in (MAX_MUTEZ + 1, -1):
+            s = Scenario("x", (AccountDecl("a", balance),), (), ())
+            with pytest.raises(SetupError, match=r"^@a: amount out of range"):
+                build_environment(s)
 
     def test_unknown_code_key(self):
         text = 'scenario "x"\ncontract @v code warp config unit storage unit balance 0'

@@ -35,6 +35,7 @@ from chainsim.scheduler import (
 from chainsim.trace import (
     TraceNode,
     TransactionTree,
+    node_to_json,
     tree_to_json,
     validate_atomic_bundles,
     validate_conservation,
@@ -67,7 +68,8 @@ class TestNoDoubleSpend:
         assert report.ok, report.violations
         # exactly three payout debits move the 15 units
         debit_nodes = [
-            n for n in tree.nodes if any(d < 0 for _, d in n.deltas) and n.sender == "vault"
+            n for n in tree.nodes
+            if any(d < 0 for d in node_to_json(n)["deltas"].values()) and n.sender == "vault"
         ]
         assert len(debit_nodes) == 3
 
@@ -331,7 +333,9 @@ class TestReplay:
         tx = _bundle_tx([Transfer("r", 1, make_param("default"))])
         _, _, tree = run_transaction(env, tx, cfg, 0)
         wrappers = [n for n in tree.nodes if n.kind == "atomic"]
-        assert wrappers and all(n.deltas == () and n.commits == () for n in wrappers)
+        assert wrappers and all(
+            node_to_json(n)["deltas"] == {} and n.commits == () for n in wrappers
+        )
 
 
 def _summed_moves(node):
@@ -368,9 +372,10 @@ def test_deltas_equal_summed_moves(op, status):
     # Senders on both sides of the destination and equal to it.
     for sender in ("a", "m", "z"):
         node = TraceNode(0, None, sender, op, status)
-        assert node.deltas == _summed_moves(node)
-        assert type(node.deltas) is tuple
-        assert all(type(move) is tuple for move in node.deltas)
+        deltas = node_to_json(node)["deltas"]
+        assert type(deltas) is dict
+        # The same moves in the same (address) order.
+        assert tuple(deltas.items()) == _summed_moves(node)
 
 
 class TestJson:
@@ -397,13 +402,14 @@ class TestJson:
 
 
 def _reference_node(node):
-    """A node exported from `TraceNode.kind`, `TraceNode.deltas` and
-    `render_value`, field by field, as `node_to_json` once built it."""
+    """A node exported from `TraceNode.kind`, the summed moves of
+    `_summed_moves` and `render_value`, field by field, as `node_to_json` once
+    built it."""
     op = node.op
     kind = node.kind
     commits = {addr: render_value(value) for addr, value in node.commits}
     head = {"id": node.id, "parent": node.parent, "seq": node.id, "sender": node.sender}
-    tail = {"status": node.status, "deltas": dict(node.deltas), "commits": commits}
+    tail = {"status": node.status, "deltas": dict(_summed_moves(node)), "commits": commits}
     if kind == "transfer":
         dest, param = op.dest, op.param
     elif kind == "create":
