@@ -1,4 +1,4 @@
-"""Command-line front door: run scenarios, compare strategies, fuzz.
+"""Command-line front door: run scenarios, compare BFS with DFS, fuzz.
 
 Exit codes: 0 success, 1 expectation/divergence/violation, 2 usage,
 parse, setup or file error (`main` maps them all), 3 internal error.
@@ -89,12 +89,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    names = [part for part in args.strategies.split(",") if part]
-    if len(names) < 2:
-        raise SetupError("compare needs at least two strategies")
-    strategies = [_parse_strategy(name) for name in names]
     scenario = load_scenario(args.file)
-    outcomes = [(s, run_scenario(scenario, strategy=s)) for s in strategies]
+    outcomes = [(s, run_scenario(scenario, strategy=s)) for s in Strategy]
     for strategy, outcome in outcomes:
         tx_summaries = []
         for tree in outcome.trees:
@@ -104,7 +100,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 tx_summaries.append(f"revert ({tree.reason})")
         print(f"strategy {strategy.value}: {'; '.join(tx_summaries) or 'no transactions'}")
         env = outcome.env_after
-        for addr in env.addresses():
+        for addr in sorted(env.accounts):
             contract = env.get(addr)
             print(
                 f"  @{addr} balance={contract.balance}"
@@ -163,11 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(fn=cmd_run)
 
-    compare = sub.add_parser("compare", help="run one scenario under several strategies")
+    compare = sub.add_parser("compare", help="run one scenario under bfs and under dfs")
     compare.add_argument("file")
-    compare.add_argument(
-        "--strategies", default="bfs,dfs", help="comma separated list (default bfs,dfs)"
-    )
     compare.set_defaults(fn=cmd_compare)
 
     fz = sub.add_parser("fuzz", help="fuzz the default universe against invariants")

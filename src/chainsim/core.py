@@ -613,9 +613,6 @@ class Environment:
     def __contains__(self, addr: str) -> bool:
         return addr in self._top or addr in self._middle or addr in self._base
 
-    def addresses(self) -> tuple[str, ...]:
-        return tuple(sorted(self.accounts))
-
     def updated(self, writes: Mapping[str, Contract]) -> "Environment":
         """This environment with each address of `writes` holding its
         contract, in one update: `env.updated({sender: debited, dest:

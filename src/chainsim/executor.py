@@ -62,12 +62,12 @@ CONTRACT_CRASH = "contract_crash"
 
 
 class ExecOutcome(NamedTuple):
-    """Successful execution: who emitted, what was emitted (verbatim, in body
-    order; ordering is the scheduler's job), the updated environment, the
+    """Successful execution: what was emitted (verbatim, in body order;
+    ordering is the scheduler's job), the updated environment, the
     `(address, storage)` pairs the trace records as committed, and whether
-    the emissions run in a fresh queue frame (a contextual callee's)."""
+    the emissions run in a fresh queue frame (a contextual callee's). Only a
+    transfer's callee emits, so its emissions are sent by the destination."""
 
-    emitter: str
     emitted: tuple[Operation, ...]
     env_after: Environment
     commits: tuple[tuple[str, Value], ...]
@@ -213,7 +213,7 @@ def _execute_transfer(
     if credited.contextual and not features.contexts:
         raise ExecError(FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
     return _new_tuple(
-        ExecOutcome, (dest, emitted, env2, ((dest, new_storage),), credited.contextual)
+        ExecOutcome, (emitted, env2, ((dest, new_storage),), credited.contextual)
     )
 
 
@@ -238,7 +238,7 @@ def _execute_create(
         raise ExecError(UNKNOWN_CODE_KEY, f"no code registered as {op.code_key!r}") from None
     debited = sender_c.moved(sender_c.balance - op.amount)
     env2 = env.updated({ectx.sender: debited, op.addr: contract})
-    return ExecOutcome(ectx.sender, (), env2, ((op.addr, op.storage),), False)
+    return ExecOutcome((), env2, ((op.addr, op.storage),), False)
 
 
 def _execute_end_interactions(
@@ -254,7 +254,7 @@ def _execute_end_interactions(
             END_INTERACTIONS_VIOLATION,
             f"mode already owned by @{owner}",
         )
-    return ExecOutcome(ectx.sender, (), env, (), False)
+    return ExecOutcome((), env, (), False)
 
 
 def execute_operation(

@@ -1,9 +1,10 @@
 """Scenario text format: parser, printer, and runner.
 
 A scenario declares accounts/contracts plus scheduler settings, submits
-transactions, and states expectations over the final chain. The format is
-whitespace-insensitive with `#` line comments; see the repository scenarios/
-directory for committed fixtures.
+transactions, and states expectations over the final chain, each of which
+prints its own `expect` line and judges a run itself. The format is UTF-8
+text, whitespace-insensitive with `#` line comments; see the repository
+scenarios/ directory for committed fixtures.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import NoReturn, Optional, Union
 from . import registry
 from .core import (
     AddressV,
+    AmountError,
     AtomicBundle,
     BoolV,
     ContextBundle,
@@ -102,23 +104,64 @@ class ExpectBalance:
     relation: str  # "=" | "<" | ">"
     value: int
 
+    def describe(self) -> str:
+        return f"balance @{self.addr} {self.relation} {self.value}"
+
+    def judge(self, env: Environment, trees: tuple[TransactionTree, ...]) -> tuple[bool, str]:
+        contract = env.get(self.addr)
+        if contract is None:
+            return False, "address absent"
+        balance = contract.balance
+        ok = {"=": balance == self.value, "<": balance < self.value, ">": balance > self.value}
+        return ok[self.relation], f"balance is {balance}"
+
 
 @dataclass(frozen=True)
 class ExpectStorage:
     addr: str
     value: Value
 
+    def describe(self) -> str:
+        return f"storage @{self.addr} = {render_value(self.value)}"
+
+    def judge(self, env: Environment, trees: tuple[TransactionTree, ...]) -> tuple[bool, str]:
+        contract = env.get(self.addr)
+        if contract is None:
+            return False, "address absent"
+        return contract.storage == self.value, f"storage is {render_value(contract.storage)}"
+
 
 @dataclass(frozen=True)
 class ExpectOutcome:
     outcome: str  # "commit" | "revert"
+
+    def describe(self) -> str:
+        return self.outcome
+
+    def judge(self, env: Environment, trees: tuple[TransactionTree, ...]) -> tuple[bool, str]:
+        reverted = [t.reason for t in trees if not t.committed]
+        ok = not reverted if self.outcome == "commit" else bool(reverted)
+        return ok, f"reverted: {'; '.join(reverted)}" if reverted else "all committed"
 
 
 @dataclass(frozen=True)
 class ExpectTotal:
     value: int
 
+    def describe(self) -> str:
+        return f"total = {self.value}"
 
+    def judge(self, env: Environment, trees: tuple[TransactionTree, ...]) -> tuple[bool, str]:
+        # Balances summing past MAX_MUTEZ miss any total the grammar can state.
+        try:
+            total = env.total_balance()
+        except AmountError:
+            return False, f"total is out of range (above {MAX_MUTEZ})"
+        return total == self.value, f"total is {total}"
+
+
+# Each expectation gives its `expect` line (`describe`) and its verdict on the
+# environment and trees a run left (`judge`, which returns `(ok, actual)`).
 Expectation = Union[ExpectBalance, ExpectStorage, ExpectOutcome, ExpectTotal]
 
 
@@ -560,21 +603,8 @@ def print_scenario(s: Scenario) -> str:
         lines.append(f"transaction from @{tx.author} {{")
         lines.extend(render_op(op, 1) for op in tx.ops)
         lines.append("}")
-    for e in s.expectations:
-        lines.append("expect " + describe_expectation(e))
+    lines.extend("expect " + e.describe() for e in s.expectations)
     return "\n".join(lines) + "\n"
-
-
-def describe_expectation(e: Expectation) -> str:
-    if isinstance(e, ExpectBalance):
-        return f"balance @{e.addr} {e.relation} {e.value}"
-    if isinstance(e, ExpectStorage):
-        return f"storage @{e.addr} = {render_value(e.value)}"
-    if isinstance(e, ExpectOutcome):
-        return e.outcome
-    if isinstance(e, ExpectTotal):
-        return f"total = {e.value}"
-    raise TypeError(f"unknown expectation: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +687,7 @@ class ExpectationResult:
 
     @property
     def label(self) -> str:
-        return describe_expectation(self.expectation)
+        return self.expectation.describe()
 
 
 @dataclass(frozen=True)
@@ -674,40 +704,6 @@ class ScenarioOutcome:
         return all(r.ok for r in self.results)
 
 
-def _evaluate(
-    e: Expectation, env: Environment, trees: tuple[TransactionTree, ...]
-) -> ExpectationResult:
-    if isinstance(e, ExpectBalance):
-        contract = env.get(e.addr)
-        if contract is None:
-            return ExpectationResult(e, False, "address absent")
-        ok = {
-            "=": contract.balance == e.value,
-            "<": contract.balance < e.value,
-            ">": contract.balance > e.value,
-        }[e.relation]
-        return ExpectationResult(e, ok, f"balance is {contract.balance}")
-    if isinstance(e, ExpectStorage):
-        contract = env.get(e.addr)
-        if contract is None:
-            return ExpectationResult(e, False, "address absent")
-        ok = contract.storage == e.value
-        return ExpectationResult(e, ok, f"storage is {render_value(contract.storage)}")
-    if isinstance(e, ExpectOutcome):
-        committed = [t.committed for t in trees]
-        if e.outcome == "commit":
-            ok = all(committed)
-        else:
-            ok = any(not c for c in committed)
-        reverted = [t.reason for t in trees if not t.committed]
-        actual = "all committed" if all(committed) else f"reverted: {'; '.join(reverted)}"
-        return ExpectationResult(e, ok, actual)
-    if isinstance(e, ExpectTotal):
-        total = env.total_balance()
-        return ExpectationResult(e, total == e.value, f"total is {total}")
-    raise TypeError(f"unknown expectation: {e!r}")
-
-
 def run_scenario(s: Scenario, **overrides) -> ScenarioOutcome:
     """Materialize the scenario, run its transactions under its settings with
     `overrides` applied (see scenario_config), judge expectations."""
@@ -715,17 +711,29 @@ def run_scenario(s: Scenario, **overrides) -> ScenarioOutcome:
     env_before = build_environment(s)
     cfg = scenario_config(s, **overrides)
     env_after, ts, trees = run_block(env_before, s.transactions, cfg, 0)
-    results = tuple(_evaluate(e, env_after, tuple(trees)) for e in s.expectations)
+    trees = tuple(trees)
+    results = tuple(ExpectationResult(e, *e.judge(env_after, trees)) for e in s.expectations)
     return ScenarioOutcome(
         scenario=s,
         env_before=env_before,
         env_after=env_after,
         ts=ts,
-        trees=tuple(trees),
+        trees=trees,
         results=results,
     )
 
 
+# What a byte that is not UTF-8 reads as under the "surrogateescape" handler.
+_UNDECODED = re.compile(r"[\udc80-\udcff]")
+
+
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Parse the UTF-8 file at `path`. A byte that is not UTF-8 is a parse
+    error at its line and column, counted in characters."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = _UNDECODED.search(text)
+    if bad:
+        found = f"byte 0x{ord(bad[0]) - 0xDC00:02x}"
+        raise ScenarioParseError(*_position(text, bad.start()), "UTF-8 text", found)
+    return parse_scenario(text)

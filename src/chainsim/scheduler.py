@@ -4,10 +4,11 @@ A transaction seeds one queue frame with its submitted operations. The
 scheduler repeatedly takes the next pending operation of the head frame:
 wrappers (atomic/context/restriction) expand without consuming fuel;
 executable operations go to the executor, which decides whether they may run
-and reports what they changed. Their emissions are inserted per strategy (BFS
-appends to the current frame's tail, DFS prepends) or, for contextual calls as
-for a context's members, open a fresh frame that replaces drained ones. Any
-failure reverts the whole transaction while the timestamp still advances.
+and reports what they changed. What a transfer's callee emits is sent by that
+callee and inserted per strategy (BFS appends to the current frame's tail,
+DFS prepends) or, for contextual calls as for a context's members, opens a
+fresh frame that replaces drained ones. Any failure reverts the whole
+transaction while the timestamp still advances.
 
 `run_transaction` is the only driver: one pass of its loop is one step, and
 the transaction's state (queue frames, fuel, end-of-interactions owner, trace
@@ -163,8 +164,9 @@ def run_transaction(
     as execute(ectx, op, env, features, pending); `pending` is a view of the
     live queue, valid only during that call. It must raise `ExecError` when
     the operation may not run, and otherwise return the `ExecOutcome` that
-    is taken as is: its `commits` become the trace node's, and `opens_frame`
-    puts the emissions in a fresh frame. The loop itself checks only the
+    is taken as is: its `commits` become the trace node's, its emissions (a
+    transfer's only) are queued as sent by the transfer's destination, and
+    `opens_frame` puts them in a fresh frame. The loop itself checks only the
     wrappers it expands and the fuel, so a hook that wraps
     `execute_operation` and returns normally matches one executed node.
     """
@@ -247,7 +249,7 @@ def run_transaction(
                     end_owner = sender
                 members, opens_frame, at_front = outcome.emitted, outcome.opens_frame, not bfs
                 if members:
-                    ectx = context(outcome.emitter, ectx.restrictions)
+                    ectx = context(op.dest, ectx.restrictions)
         nodes.append(_new_tuple(TraceNode, (node_id, parent, sender, op, status, commits)))
         if failure is not None:
             break

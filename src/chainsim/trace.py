@@ -2,7 +2,7 @@
 
 A tree records every operation a transaction touched: executed ops, expanded
 wrappers, and at most one failing op. Each node holds the operation it
-records, and its kind is derived from that operation. Its destination,
+records. Its kind (`OP_KINDS` of the operation's class), destination,
 amount, rendered parameter and balance deltas are derived only when it is
 exported, and its deltas also when a validator sums them (`_deltas`). Node ids
 equal execution order, and parents always precede children.
@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 
 from .core import (
     OP_KINDS,
+    AtomicBundle,
     CreateContract,
     Environment,
     Operation,
@@ -35,10 +36,6 @@ class TraceNode(NamedTuple):
     op: Operation
     status: str = STATUS_EXECUTED
     commits: tuple[tuple[str, Value], ...] = ()
-
-    @property
-    def kind(self) -> str:
-        return OP_KINDS[type(self.op)]
 
 
 def _deltas(status: str, sender: str, dest: str, amount: int) -> dict[str, int]:
@@ -216,7 +213,7 @@ def validate_atomic_bundles(
     groups = [
         (node.id, f"bundle node {node.id}: members at")
         for node in tree.nodes
-        if node.kind == "atomic"
+        if type(node.op) is AtomicBundle
     ]
     if emission_groups:
         groups.append((None, "emission group of root:"))

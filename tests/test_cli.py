@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
@@ -9,9 +11,10 @@ import pytest
 from chainsim import cli, harness
 from chainsim.core import Transfer, make_param
 from chainsim.features import FEATURE_NAMES
-from chainsim.scenario import MAX_NESTING
+from chainsim.scenario import MAX_NESTING, print_scenario
 from chainsim.scheduler import SchedulerConfig, SignedTransaction
 from conftest import GOLDEN_DIR, SCENARIO_DIR, scenario_path
+from scenario_gen import random_scenario
 
 
 def run_cli(*args, cwd=None):
@@ -258,10 +261,80 @@ class TestCompare:
         assert "IDENTICAL" in proc.stdout
 
     def test_single_strategy_is_usage_error(self):
+        # compare always runs BFS, then DFS; it has no option to choose them.
         proc = run_cli(
             "compare", str(scenario_path("vault_deposit.msc")), "--strategies", "bfs"
         )
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error: unrecognized arguments: --strategies bfs" in proc.stderr
+
+
+# A two-byte character before the byte that is not UTF-8, so the column
+# counts characters: `expect ` is 7, `é` the 8th, and 0xff the 9th.
+NOT_UTF8 = b'scenario "x"\naccount @a balance 1\nexpect \xc3\xa9\xff total = 1\n'
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_byte_that_is_not_utf8_is_a_positioned_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin.msc"
+    path.write_bytes(NOT_UTF8)
+    assert cli.main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}:3:9: expected UTF-8 text, found byte 0xff\n"
+
+
+def test_total_past_the_largest_amount_fails_the_expectation(tmp_path, capsys):
+    path = tmp_path / "total.msc"
+    path.write_text(
+        'scenario "x"\n'
+        f"account @a balance {2**64 - 1}\naccount @b balance {2**64 - 1}\n"
+        "expect total = 0\n"
+    )
+    assert cli.main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"total = 0: FAIL (total is out of range (above {2**64 - 1}))\n"
+    assert err == ""
+
+
+def _mangled(rng: random.Random, data: bytes) -> bytes:
+    """`data` with one to three random bytes flipped, inserted or deleted."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(out) + 1)
+        how = rng.randrange(3)
+        if how == 1 or at == len(out):
+            out.insert(at, rng.randrange(256))
+        elif how == 0:
+            out[at] = rng.randrange(256)
+        else:
+            del out[at]
+    return bytes(out)
+
+
+def test_generated_and_mangled_files_never_exit_internal(tmp_path, capsys):
+    """Every file gets a defined answer: 0 or 1 from a run, or 2 for a
+    file that does not parse or set up. Exit 3 is an internal error."""
+    rng = random.Random(30)
+    fixtures = [path.read_bytes() for path in sorted(SCENARIO_DIR.glob("*.msc"))]
+    files = [
+        print_scenario(random_scenario(random.Random(seed))).encode() for seed in range(500)
+    ]
+    files += [_mangled(rng, rng.choice(fixtures)) for _ in range(2_000)]
+    # Every standalone number of a fixture at the edges of the amount range,
+    # all at one value or each at its own.
+    edges = [b"0", b"1", str(2**63).encode(), str(2**64 - 2).encode(), str(2**64 - 1).encode()]
+    number = re.compile(rb"(?<![\w@])\d+")
+    for data in fixtures:
+        files += [number.sub(edge, data) for edge in edges]
+        files += [number.sub(lambda _: rng.choice(edges), data) for _ in range(20)]
+    path = tmp_path / "input.msc"
+    for k, data in enumerate(files):
+        path.write_bytes(data)
+        code = cli.main(["compare" if k % 10 == 0 else "run", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "internal error" not in err, (data, err)
 
 
 class TestFuzz:

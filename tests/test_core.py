@@ -468,7 +468,6 @@ def test_layered_environment_matches_a_dict_model(start, order, script):
             assert (addr in env) == (addr in model)
         assert env == Environment(dict(model))
         assert env.accounts == model
-        assert env.addresses() == tuple(sorted(model))
         assert env.total_balance() == sum(c.balance for c in model.values())
         assert Environment(dict(env.accounts)) == env
 

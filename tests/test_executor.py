@@ -78,8 +78,8 @@ class TestTransfer:
         # The vault pays its owner 5; the owner's receive entrypoint runs.
         op = Transfer("bad", 5, make_param("default"))
         out = execute_operation(_ectx("vault"), op, vault_env, FEATURES)
-        assert out.emitter == "bad"
         assert out.emitted == ()
+        assert out.commits == (("bad", UNIT_VALUE),) and out.opens_frame is False
         assert out.env_after.get("vault").balance == 10
         assert out.env_after.get("bad").balance == 5
         # input environment untouched
@@ -435,8 +435,8 @@ class TestCreate:
 
     def test_installs_with_endowment(self, simple_env):
         out = execute_operation(_ectx("alice"), self._op(), simple_env, FEATURES)
-        assert out.emitter == "alice"
         assert out.emitted == ()
+        assert out.commits == (("fresh", UNIT_VALUE),) and out.opens_frame is False
         created = out.env_after.get("fresh")
         assert created.balance == 5
         assert created.code_key == "receiver"
@@ -723,7 +723,7 @@ def test_a_copied_call_context_reads_the_same_chain(simple_env):
         ExecutionContext("alice", "alice"),
         PendingOp(_PAY_BOB, "alice"),
         CallContext("bob", "alice", "alice", 1, 51, 0, UNIT_VALUE, FEATURES),
-        ExecOutcome("bob", (), Environment(), (), False),
+        ExecOutcome((), Environment(), (), False),
         TraceNode(0, None, "alice", _PAY_BOB),
     ],
     ids=lambda r: type(r).__name__,
@@ -732,6 +732,12 @@ def test_per_step_records_are_immutable(record):
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+def test_an_outcome_does_not_name_its_emitter():
+    # Only a transfer's callee emits, and the scheduler queues what it
+    # emits as sent by the transfer's destination.
+    assert ExecOutcome._fields == ("emitted", "env_after", "commits", "opens_frame")
 
 
 def _register_storage_body(key, storage_type, body):
@@ -892,7 +898,7 @@ def test_bodies_and_writes_pass_the_layer_call_sites(monkeypatch, strategy):
     cfg = SchedulerConfig(strategy=strategy)
     outcome, _, tree = run_transaction(env, scenario.transactions[0], cfg, 0, execute)
     assert isinstance(outcome, Commit)
-    transfers = [n for n in tree.nodes if n.status == "executed" and n.kind == "transfer"]
+    transfers = [n for n in tree.nodes if n.status == "executed" and type(n.op) is Transfer]
     assert len(transfers) == 8
     assert len(body_calls) == len(executor_calls) == len(transfers)
     assert body_calls == ["payer"] + ["receiver"] * 7

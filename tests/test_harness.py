@@ -373,9 +373,9 @@ class TestSiblingContiguity:
         tx = SignedTransaction("alice", (AtomicBundle((_GUARDED_INVOKE, _PAY)),))
         outcome, _, tree = run_transaction(_contiguity_env(), tx, cfg, 0)
         assert isinstance(outcome, Commit)
-        assert [(n.id, n.parent, n.kind) for n in tree.nodes] == [
-            (0, None, "atomic"), (1, 0, "restricted"), (2, 1, "transfer"),
-            (3, 2, "transfer"), (4, 0, "transfer"),
+        assert [(n.id, n.parent, type(n.op)) for n in tree.nodes] == [
+            (0, None, AtomicBundle), (1, 0, Restricted), (2, 1, Transfer),
+            (3, 2, Transfer), (4, 0, Transfer),
         ]
         report = validate_atomic_bundles(tree)
         assert report.violations == ("bundle node 0: members at seqs [1, 2, 4] interleave",)
