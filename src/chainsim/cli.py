@@ -179,7 +179,8 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0) if exc.code != 2 else EXIT_USAGE
+        # argparse exits 0 for --help and 2 (EXIT_USAGE) for a usage error.
+        return int(exc.code or 0)
     try:
         return args.fn(args)
     except ScenarioParseError as err:

@@ -38,6 +38,7 @@ from .scheduler import (
     run_transaction,
 )
 from .trace import (
+    commit_findings,
     validate_atomic_bundles,
     validate_conservation,
     validate_no_double_spend,
@@ -150,6 +151,10 @@ DEFAULT_INVARIANTS = (
     "transfer_correctness",
 )
 
+# `check_transaction` reads `commit_findings` itself. These validators stay
+# names of this module because perfbench's traced runs wrap them here.
+_TRACED_VALIDATORS = (validate_conservation, validate_no_double_spend, validate_replay)
+
 # Frozen, so every run without a scheduler configuration shares it.
 _DEFAULT_SCHEDULER = SchedulerConfig()
 
@@ -191,17 +196,14 @@ def check_transaction(
     outcome, _, tree = run_transaction(env0, tx, sched_cfg, 0, execute)
     failed: list[str] = []
     if isinstance(outcome, Commit):
-        if "conservation" in invariants and not validate_conservation(env0, outcome.env):
+        # One walk and one ledger diff decide all three; each verdict is the
+        # `ok` of its public validator.
+        net, double_spends, replays = commit_findings(tree.nodes, env0, outcome.env)
+        if net and "conservation" in invariants:
             failed.append("conservation")
-        if (
-            "no_double_spend" in invariants
-            and not validate_no_double_spend(tree, env0, outcome.env).ok
-        ):
+        if double_spends and "no_double_spend" in invariants:
             failed.append("no_double_spend")
-        if (
-            "transfer_correctness" in invariants
-            and not validate_replay(tree, env0, outcome.env).ok
-        ):
+        if replays and "transfer_correctness" in invariants:
             failed.append("transfer_correctness")
     else:
         if snapshot is not None and not _unchanged(env0, snapshot):

@@ -111,16 +111,6 @@ class ValidationReport(NamedTuple):
     violations: tuple[str, ...] = ()
 
 
-def _balance_diff(env_before: Environment, env_after: Environment) -> dict[str, int]:
-    diff: dict[str, int] = {}
-    for addr in env_after.changed_since(env_before):
-        before, after = env_before.get(addr), env_after.get(addr)
-        moved = (0 if after is None else after.balance) - (0 if before is None else before.balance)
-        if moved:
-            diff[addr] = moved
-    return diff
-
-
 def _report(invariant: str, found: list[tuple[str, str]]) -> ValidationReport:
     """The verdict on `found`'s (address, line) pairs: its lines sorted by
     address, each address's in the order they were found (a stable sort)."""
@@ -130,13 +120,21 @@ def _report(invariant: str, found: list[tuple[str, str]]) -> ValidationReport:
     return ValidationReport(invariant, False, tuple(line for _, line in found))
 
 
-def _trace_effects(tree: TransactionTree) -> tuple[dict[str, int], dict[str, Value]]:
-    """One walk reading each node's fields once: per address, the sum of its
-    `_deltas` (0 for one only committed to: a zero-endowment creation) and the
-    last storage committed to it."""
+def commit_findings(
+    nodes: tuple[TraceNode, ...], env_before: Environment, env_after: Environment
+) -> tuple[int, list[tuple[str, str]], list[tuple[str, str]]]:
+    """What the three commit invariants read, from one walk of `nodes` and
+    one `changed_since`: the net balance change, and the (address, line)
+    findings of no-double-spend and of replay, as `_report` takes them.
+
+    The walk reads each node's fields once: per address, the sum of its
+    `_deltas` (0 for one only committed to: a zero-endowment creation) and
+    the last storage committed to it. Only the addresses the trace names or
+    the environments differ on are compared: every other one holds the same
+    contract before and after, so it moves nothing."""
     moved: dict[str, int] = {}
     storages: dict[str, Value] = {}
-    for _, _, sender, op, status, commits in tree.nodes:
+    for _, _, sender, op, status, commits in nodes:
         kind = type(op)
         if kind is Transfer or kind is CreateContract:
             dest = op.dest if kind is Transfer else op.addr
@@ -145,7 +143,29 @@ def _trace_effects(tree: TransactionTree) -> tuple[dict[str, int], dict[str, Val
         for addr, value in commits:
             moved.setdefault(addr, 0)
             storages[addr] = value
-    return moved, storages
+    net = 0
+    double_spends: list[tuple[str, str]] = []
+    replays: list[tuple[str, str]] = []
+    for addr in moved.keys() | env_after.changed_since(env_before):
+        before, after = env_before.get(addr), env_after.get(addr)
+        held = None if before is None else before.balance
+        diff = (0 if after is None else after.balance) - (held or 0)
+        net += diff
+        claimed = moved.get(addr)
+        if diff != (claimed or 0):
+            double_spends.append(
+                (addr, f"@{addr}: environment moved {diff} but trace accounts for {claimed or 0}")
+            )
+        if after is None:
+            replays.append((addr, f"@{addr}: replay creates an address the chain lacks"))
+            continue
+        balance = held if claimed is None else (held or 0) + claimed
+        if balance != after.balance:
+            replays.append((addr, f"@{addr}: replayed balance {balance} != {after.balance}"))
+        storage = storages.get(addr, after.storage if before is None else before.storage)
+        if storage != after.storage:
+            replays.append((addr, f"@{addr}: replayed storage differs"))
+    return net, double_spends, replays
 
 
 def validate_no_double_spend(
@@ -155,14 +175,7 @@ def validate_no_double_spend(
     per address, the environment delta equals the sum of node deltas."""
     if not tree.committed:
         raise ValueError("no-double-spend applies to committed transactions")
-    claimed = _trace_effects(tree)[0]
-    actual = _balance_diff(env_before, env_after)
-    found = []
-    for addr in claimed.keys() | actual.keys():
-        c, a = claimed.get(addr, 0), actual.get(addr, 0)
-        if c != a:
-            found.append((addr, f"@{addr}: environment moved {a} but trace accounts for {c}"))
-    return _report("no_double_spend", found)
+    return _report("no_double_spend", commit_findings(tree.nodes, env_before, env_after)[1])
 
 
 def validate_atomic_bundles(
@@ -232,7 +245,7 @@ def validate_atomic_bundles(
 
 def validate_conservation(env_before: Environment, env_after: Environment) -> bool:
     """No mint, no burn: combined funds are constant."""
-    return sum(_balance_diff(env_before, env_after).values()) == 0
+    return commit_findings((), env_before, env_after)[0] == 0
 
 
 def validate_replay(
@@ -240,25 +253,7 @@ def validate_replay(
 ) -> ValidationReport:
     """Replaying recorded deltas and storage commits over env_before must
     reproduce every balance and storage of env_after (code is checked by the
-    executor's immutability rules, not here). Only the addresses the trace
-    names or the environments differ on are compared: every other one holds
-    the same contract before and after."""
+    executor's immutability rules, not here)."""
     if not tree.committed:
         raise ValueError("replay applies to committed transactions")
-    moved, storages = _trace_effects(tree)
-    found = []
-    for addr in moved.keys() | env_after.changed_since(env_before):
-        before = env_before.get(addr)
-        after = env_after.get(addr)
-        if after is None:
-            found.append((addr, f"@{addr}: replay creates an address the chain lacks"))
-            continue
-        balance = None if before is None else before.balance
-        if addr in moved:
-            balance = (balance or 0) + moved[addr]
-        if balance != after.balance:
-            found.append((addr, f"@{addr}: replayed balance {balance} != {after.balance}"))
-        storage = storages.get(addr, after.storage if before is None else before.storage)
-        if storage != after.storage:
-            found.append((addr, f"@{addr}: replayed storage differs"))
-    return _report("trace_replay", found)
+    return _report("trace_replay", commit_findings(tree.nodes, env_before, env_after)[2])

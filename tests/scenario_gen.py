@@ -92,18 +92,27 @@ def random_value(rng: random.Random, depth: int = 0) -> Value:
     return ListV(tuple(items))
 
 
-def random_op(rng: random.Random, addrs: list, depth: int = 0):
+def random_op(rng: random.Random, addrs: list, codes: dict, depth: int = 0):
+    """A random operation over `addrs`. `codes` maps each declared contract's
+    address to its `ContractDef`, so a call to one names an entrypoint it
+    declares, with an argument of its type, and can reach its body; a call to
+    any other address names an undeclared entrypoint with random arguments."""
     kinds = ["transfer", "transfer", "transfer", "create", "end"]
     if depth < 2:
         kinds += ["atomic", "context", "restrict"]
     kind = rng.choice(kinds)
     if kind == "transfer":
+        dest = rng.choice(addrs)
         param = make_param("default")
         if rng.random() < 0.6:
-            args = tuple(random_value(rng) for _ in range(rng.randrange(0, 3)))
-            param = make_param(rng.choice(["ping", "run", "f_1"]), *args)
-        amount = rng.randrange(0, 50)
-        return Transfer(rng.choice(addrs), amount, param)
+            defn = codes.get(dest)
+            if defn is None:
+                args = tuple(random_value(rng) for _ in range(rng.randrange(0, 3)))
+                param = make_param(rng.choice(["ping", "run", "f_1"]), *args)
+            else:
+                name = rng.choice(sorted(defn.entrypoints))
+                param = make_param(name, random_value_of(rng, defn.entrypoints[name]))
+        return Transfer(dest, rng.randrange(0, 50), param)
     if kind == "create":
         return CreateContract(
             addr=random_addr(rng),
@@ -114,7 +123,7 @@ def random_op(rng: random.Random, addrs: list, depth: int = 0):
         )
     if kind == "end":
         return EndInteractions()
-    inner = tuple(random_op(rng, addrs, depth + 1) for _ in range(rng.randrange(0, 3)))
+    inner = tuple(random_op(rng, addrs, codes, depth + 1) for _ in range(rng.randrange(0, 3)))
     if kind == "atomic":
         return AtomicBundle(inner)
     if kind == "context":
@@ -127,12 +136,15 @@ def random_op(rng: random.Random, addrs: list, depth: int = 0):
 def random_scenario(rng: random.Random) -> Scenario:
     addrs = [random_addr(rng) for _ in range(rng.randrange(2, 5))]
     decls = []
+    codes = {}
     for addr in addrs:
         if rng.random() < 0.5:
             decls.append(AccountDecl(addr, rng.randrange(0, 500)))
         else:
             # Config and storage fit the code, so the scenario can be built.
-            defn = registry.resolve(rng.choice(["receiver", "bank", "bad", "forwarder"]))
+            defn = codes[addr] = registry.resolve(
+                rng.choice(["receiver", "bank", "bad", "forwarder"])
+            )
             decls.append(
                 ContractDecl(
                     addr,
@@ -155,7 +167,7 @@ def random_scenario(rng: random.Random) -> Scenario:
     txs = tuple(
         SignedTransaction(
             rng.choice(addrs),
-            tuple(random_op(rng, addrs) for _ in range(rng.randrange(0, 4))),
+            tuple(random_op(rng, addrs, codes) for _ in range(rng.randrange(0, 4))),
         )
         for _ in range(rng.randrange(0, 3))
     )

@@ -356,6 +356,23 @@ class TestEnvironment:
             assert env2.get("a0") is one and "other" not in env2
             assert env2.accounts == {**env.accounts, "a0": one}
 
+    def test_repr_does_not_show_the_layers(self):
+        # Seventeen new addresses promote `top` into a `middle` that twenty
+        # accounts keep; one more write starts a new `top`.
+        accounts = {f"a{i}": registry.implicit_account(i) for i in range(20)}
+        layered = Environment(dict(accounts))
+        for i in range(core._TOP_MAX + 1):
+            accounts[f"w{i}"] = registry.implicit_account(100 + i)
+            layered = layered.updated({f"w{i}": accounts[f"w{i}"]})
+        accounts["a3"] = registry.implicit_account(99)
+        layered = layered.updated({"a3": accounts["a3"]})
+        assert layered._base and layered._middle and layered._top
+        flat = Environment(accounts)
+        text = repr(layered)
+        assert text == repr(flat) == repr(layered)
+        assert text.startswith("Environment(accounts={'a0': Contract(storage=UnitV(), balance=0, ")
+        assert text.count("Contract(") == 37
+
     def test_present_address_is_not_checked_again(self, monkeypatch):
         env = Environment({f"a{i}": registry.implicit_account(i) for i in range(100)})
         env = env.updated({"new": registry.implicit_account(0)})

@@ -938,6 +938,18 @@ class TestReportedEffects:
         err = _expect_error(FEATURE_DISABLED, execute_operation, _ectx("bad"), op, env, FEATURES)
         assert err.detail == "contexts feature disabled (contextual callee)"
 
+    def test_contextual_callee_needs_contexts_even_when_it_emits_nothing(self, simple_env):
+        # Calling a contextual callee exercises the feature whether or not
+        # the call emits; a receiver emits nothing.
+        callee = registry.instantiate("receiver", UNIT_VALUE, UNIT_VALUE, 0, contextual=True)
+        env = simple_env.updated({"ctx": callee})
+        tx = SignedTransaction("alice", (Transfer("ctx", 1, make_param("default")),))
+        off, _, _ = run_transaction(env, tx, SchedulerConfig(features=FEATURES), 0)
+        assert off == Revert(FEATURE_DISABLED, "contexts feature disabled (contextual callee)")
+        on, _, tree = run_transaction(env, tx, SchedulerConfig(features=FeatureSet(contexts=True)), 0)
+        assert isinstance(on, Commit) and on.env.get("ctx").balance == 1
+        assert len(tree.nodes) == 1
+
     def test_body_failure_precedes_the_contexts_check(self, vault_env):
         env = vault_env.updated({"vault": contextual(vault_env.get("vault"))})
         op = Transfer("vault", 0, make_param("withdraw", NatV(5)))

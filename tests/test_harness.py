@@ -504,3 +504,138 @@ class TestFaultReportsArePinned:
                 )
                 digest.update(repr(reports).encode())
         assert digest.hexdigest() == _FAULT_VALIDATIONS[fault]
+
+
+# Each commit invariant of `check_transaction` and the public validator whose
+# `ok` is its verdict.
+_COMMIT_VALIDATORS = {
+    "conservation": lambda tree, before, after: validate_conservation(before, after),
+    "no_double_spend": lambda tree, before, after: validate_no_double_spend(tree, before, after).ok,
+    "transfer_correctness": lambda tree, before, after: validate_replay(tree, before, after).ok,
+}
+
+
+def _validator_failures(env, tx, execute=execute_operation):
+    """The commit invariants the public validators find `tx` breaking, in
+    `check_transaction`'s order, once `check_transaction` has given the same
+    verdicts, one invariant at a time and all three at once; None for a
+    revert."""
+    cfg = SchedulerConfig()
+    outcome, _, tree = run_transaction(env, tx, cfg, 0, execute)
+    if not isinstance(outcome, Commit):
+        return None
+    failed = [
+        inv for inv, valid in _COMMIT_VALIDATORS.items() if not valid(tree, env, outcome.env)
+    ]
+    for inv in _COMMIT_VALIDATORS:
+        expected = [inv] if inv in failed else []
+        assert check_transaction(env, tx, cfg, (inv,), execute) == expected, (inv, tx)
+    assert check_transaction(env, tx, cfg, tuple(_COMMIT_VALIDATORS), execute) == failed
+    return failed
+
+
+def _lose_creates(ectx, op, env, features, pending=()):
+    """Fault injection: records a create but keeps the chain as it was."""
+    out = execute_operation(ectx, op, env, features, pending)
+    return out._replace(env_after=env) if isinstance(op, CreateContract) else out
+
+
+def _mint_on_self_transfer(ectx, op, env, features, pending=()):
+    """Fault injection: a transfer to its own sender credits it twice."""
+    out = execute_operation(ectx, op, env, features, pending)
+    if isinstance(op, Transfer) and ectx.sender == op.dest:
+        own = out.env_after.get(op.dest)
+        return out._replace(env_after=out.env_after.updated({op.dest: own.moved(own.balance + op.amount)}))
+    return out
+
+
+def _drop_dest(ectx, op, env, features, pending=()):
+    """Fault injection: the callee is missing from the chain afterwards."""
+    out = execute_operation(ectx, op, env, features, pending)
+    kept = {addr: c for addr, c in out.env_after.accounts.items() if addr != op.dest}
+    return out._replace(env_after=Environment(kept))
+
+
+def _add_ghost(balance):
+    def add_ghost(ectx, op, env, features, pending=()):
+        """Fault injection: an account no node names appears."""
+        out = execute_operation(ectx, op, env, features, pending)
+        return out._replace(
+            env_after=out.env_after.updated({"ghost": registry.implicit_account(balance)})
+        )
+
+    return add_ghost
+
+
+def _misreport_storage(ectx, op, env, features, pending=()):
+    """Fault injection: the trace records a storage the chain never held."""
+    out = execute_operation(ectx, op, env, features, pending)
+    return out._replace(commits=tuple((addr, NatV(7)) for addr, _ in out.commits))
+
+
+_ALL_COMMIT_INVARIANTS = list(_COMMIT_VALIDATORS)
+_TO_BOB = Transfer("bob", 3, make_param("default"))
+
+# (transaction's operation, executor, the invariants it breaks) at `alice`,
+# holding 10, with `bob` and `zero` holding nothing.
+_EDGE_COMMITS = {
+    "zero_endowment_create": (
+        CreateContract("fresh", 0, UNIT_VALUE, "receiver", UNIT_VALUE), execute_operation, [],
+    ),
+    "zero_endowment_create_lost": (
+        CreateContract("fresh", 0, UNIT_VALUE, "receiver", UNIT_VALUE),
+        _lose_creates,
+        ["transfer_correctness"],
+    ),
+    "endowed_create_lost": (
+        CreateContract("fresh", 2, UNIT_VALUE, "receiver", UNIT_VALUE),
+        _lose_creates,
+        ["no_double_spend", "transfer_correctness"],
+    ),
+    "self_transfer": (Transfer("alice", 4, make_param("default")), execute_operation, []),
+    "self_transfer_minting": (
+        Transfer("alice", 4, make_param("default")), _mint_on_self_transfer, _ALL_COMMIT_INVARIANTS,
+    ),
+    "empty_callee_missing_after": (
+        Transfer("zero", 0, make_param("default")), _drop_dest, ["transfer_correctness"],
+    ),
+    "paid_callee_missing_after": (_TO_BOB, _drop_dest, _ALL_COMMIT_INVARIANTS),
+    "unnamed_empty_account": (_TO_BOB, _add_ghost(0), ["transfer_correctness"]),
+    "unnamed_funded_account": (_TO_BOB, _add_ghost(2), _ALL_COMMIT_INVARIANTS),
+    "misreported_storage": (_TO_BOB, _misreport_storage, ["transfer_correctness"]),
+}
+
+
+class TestCommitVerdictsMatchTheValidators:
+    """`check_transaction` decides the three commit invariants from one
+    shared pass; each verdict must be its public validator's."""
+
+    def test_generated_commits(self):
+        env, cfg = default_universe(7)
+        commits, seed = 0, cfg.seed
+        while commits < 2000:
+            failed = _validator_failures(env, gen_transaction(seed, cfg))
+            if failed is not None:
+                assert failed == [], seed
+                commits += 1
+            seed += 1
+
+    @pytest.mark.parametrize("fault", list(_FAULT_REPORTS), ids=lambda f: f.__name__)
+    def test_fault_hooks_fail_as_pinned(self, fault):
+        env, cfg = default_universe(7)
+        counts = Counter()
+        for seed in range(cfg.seed, cfg.seed + 300):
+            counts.update(_validator_failures(env, gen_transaction(seed, cfg), fault) or ())
+        assert counts == _FAULT_REPORTS[fault][1]
+
+    @pytest.mark.parametrize("case", list(_EDGE_COMMITS))
+    def test_edge_commits(self, case):
+        op, execute, expected = _EDGE_COMMITS[case]
+        env = Environment(
+            {
+                "alice": registry.implicit_account(10),
+                "bob": registry.implicit_account(0),
+                "zero": registry.implicit_account(0),
+            }
+        )
+        assert _validator_failures(env, SignedTransaction("alice", (op,)), execute) == expected
