@@ -79,7 +79,6 @@ from .trace import (
     tree_to_json,
     validate_atomic_bundles,
     validate_conservation,
-    validate_no_double_spend,
     validate_replay,
 )
 

@@ -138,7 +138,6 @@ def default_universe(seed: int) -> tuple[Environment, GenConfig]:
 
 INVARIANT_NAMES = (
     "conservation",
-    "no_double_spend",
     "revert_totality",
     "transfer_correctness",
     "sibling_contiguity",
@@ -146,7 +145,6 @@ INVARIANT_NAMES = (
 
 DEFAULT_INVARIANTS = (
     "conservation",
-    "no_double_spend",
     "revert_totality",
     "transfer_correctness",
 )
@@ -196,13 +194,11 @@ def check_transaction(
     outcome, _, tree = run_transaction(env0, tx, sched_cfg, 0, execute)
     failed: list[str] = []
     if isinstance(outcome, Commit):
-        # One walk and one ledger diff decide all three; each verdict is the
-        # `ok` of its public validator.
-        net, double_spends, replays = commit_findings(tree.nodes, env0, outcome.env)
+        # One walk and one ledger diff decide both; each verdict is the `ok`
+        # of its public validator.
+        net, replays = commit_findings(tree.nodes, env0, outcome.env)
         if net and "conservation" in invariants:
             failed.append("conservation")
-        if double_spends and "no_double_spend" in invariants:
-            failed.append("no_double_spend")
         if replays and "transfer_correctness" in invariants:
             failed.append("transfer_correctness")
     else:

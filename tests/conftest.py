@@ -1,4 +1,5 @@
 import pathlib
+import signal
 
 import pytest
 
@@ -7,6 +8,30 @@ from chainsim import registry
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+# Seconds a test may run before it fails with `TimeoutError`: far above the
+# slowest test (about 3 s), so only a hang reaches it, and the suite reports
+# the hung test instead of running until CI's job limit stops it.
+TEST_TIME_LIMIT_S = 60
+
+
+def _time_limit_reached(signum, frame):
+    raise TimeoutError(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    handler = signal.signal(signal.SIGALRM, _time_limit_reached)
+    timer = signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def scenario_path(name: str) -> pathlib.Path:

@@ -96,7 +96,8 @@ def random_op(rng: random.Random, addrs: list, codes: dict, depth: int = 0):
     """A random operation over `addrs`. `codes` maps each declared contract's
     address to its `ContractDef`, so a call to one names an entrypoint it
     declares, with an argument of its type, and can reach its body; a call to
-    any other address names an undeclared entrypoint with random arguments."""
+    any other address names an undeclared entrypoint with random arguments.
+    A create's config and storage fit its code, as a declaration's do."""
     kinds = ["transfer", "transfer", "transfer", "create", "end"]
     if depth < 2:
         kinds += ["atomic", "context", "restrict"]
@@ -114,11 +115,13 @@ def random_op(rng: random.Random, addrs: list, codes: dict, depth: int = 0):
                 param = make_param(name, random_value_of(rng, defn.entrypoints[name]))
         return Transfer(dest, rng.randrange(0, 50), param)
     if kind == "create":
+        addr = random_addr(rng)
+        defn = registry.resolve(rng.choice(["receiver", "bank", "forwarder"]))
         return CreateContract(
-            addr=random_addr(rng),
-            code_key=rng.choice(["receiver", "bank", "forwarder"]),
-            config=random_value(rng),
-            storage=random_value(rng),
+            addr=addr,
+            code_key=defn.code_key,
+            config=random_value_of(rng, defn.config_type),
+            storage=random_value_of(rng, defn.storage_type),
             amount=rng.randrange(0, 50),
         )
     if kind == "end":

@@ -350,9 +350,16 @@ class TestFuzz:
         proc = run_cli("fuzz", "--iterations", "0")
         assert proc.returncode == 2
 
-    def test_unknown_invariant_usage_error(self):
-        proc = run_cli("fuzz", "--iterations", "1", "--invariants", "nope")
+    # `no_double_spend` is unknown: its rule is the balance half of
+    # transfer_correctness.
+    @pytest.mark.parametrize("name", ["nope", "no_double_spend"])
+    def test_unknown_invariant_usage_error(self, name):
+        proc = run_cli("fuzz", "--iterations", "1", "--invariants", name)
         assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: unknown invariant {name!r} (choose from conservation, "
+            "revert_totality, transfer_correctness, sibling_contiguity)\n"
+        )
 
     @pytest.mark.parametrize("value", ["", ",", ",,"])
     def test_invariants_naming_none_is_usage_error(self, capsys, value):

@@ -48,9 +48,9 @@ from chainsim.scheduler import (
     run_transaction,
 )
 from chainsim.trace import (
+    node_to_json,
     validate_atomic_bundles,
     validate_conservation,
-    validate_no_double_spend,
     validate_replay,
 )
 
@@ -397,7 +397,7 @@ class TestFuzz:
         report = fuzz(env, cfg, 60, execute=_skip_debit)
         assert not report.ok
         kinds = {v.invariant for v in report.violations}
-        assert "no_double_spend" in kinds
+        assert "transfer_correctness" in kinds
 
     def test_failing_seed_reproduces_alone(self, universe):
         env, cfg = universe
@@ -458,12 +458,12 @@ class TestFuzz:
 # still fire on the same seeds, and shrink each to the same reproduction.
 _FAULT_REPORTS = {
     _skip_debit: (
-        "4a12b0797aeb61224aa4244c8db9208b6ecc4e8092579b69cb4ba7798c729b17",
-        {"conservation": 115, "no_double_spend": 115, "transfer_correctness": 115},
+        "1ff94acfe33e0a66bee70ca6a9d62b91c00df6a095a1f46efc5b0897321f1381",
+        {"conservation": 115, "transfer_correctness": 115},
     ),
     _misroute_credit: (
-        "467b9e0daff2142d3ab71e724691d58871a80c070b82abc78abda12e524523c4",
-        {"no_double_spend": 102, "transfer_correctness": 102},
+        "029b93286883f9034ffb4b76cf14544d487694f2f90989d579f99ce27e3ecca6",
+        {"transfer_correctness": 102},
     ),
     _drop_storage_commit: (
         "2c95de9f948a9a04a67bd848977559baab71d4044d750d500b47c804feb23d99",
@@ -474,9 +474,9 @@ _FAULT_REPORTS = {
 # The same faults' validator reports, one per committed iteration of those
 # 300 (verdict, kind and every violation line, in order), hashed in turn.
 _FAULT_VALIDATIONS = {
-    _skip_debit: "f051d975dceba01bd88c9035481839f7299a479b8b51dc18b1c25452e4afba3f",
-    _misroute_credit: "e1e7b1d0d72add64203b9ad0b65b7754646ac2c804ddd51deb365085d6f66f64",
-    _drop_storage_commit: "0d62028be220317a1b08a767f345a313bdee923bae282bbc23a98d640542083c",
+    _skip_debit: "a28c65358ffdd716926f033e18294239c2ae2c104c45a3a76d5b9e6589df94dd",
+    _misroute_credit: "c47fbc0e6c53aa43d45b92540efb6d923149cb87a06b8edc642e872bd7ec4a1e",
+    _drop_storage_commit: "2362e8141db92879b3f271c8273081b57e21ac054a06cc5e4ff52afdfb75161f",
 }
 
 
@@ -499,7 +499,6 @@ class TestFaultReportsArePinned:
             if isinstance(outcome, Commit):
                 reports = (
                     validate_conservation(env, outcome.env),
-                    validate_no_double_spend(tree, env, outcome.env),
                     validate_replay(tree, env, outcome.env),
                 )
                 digest.update(repr(reports).encode())
@@ -510,7 +509,6 @@ class TestFaultReportsArePinned:
 # `ok` is its verdict.
 _COMMIT_VALIDATORS = {
     "conservation": lambda tree, before, after: validate_conservation(before, after),
-    "no_double_spend": lambda tree, before, after: validate_no_double_spend(tree, before, after).ok,
     "transfer_correctness": lambda tree, before, after: validate_replay(tree, before, after).ok,
 }
 
@@ -518,7 +516,7 @@ _COMMIT_VALIDATORS = {
 def _validator_failures(env, tx, execute=execute_operation):
     """The commit invariants the public validators find `tx` breaking, in
     `check_transaction`'s order, once `check_transaction` has given the same
-    verdicts, one invariant at a time and all three at once; None for a
+    verdicts, one invariant at a time and both at once; None for a
     revert."""
     cfg = SchedulerConfig()
     outcome, _, tree = run_transaction(env, tx, cfg, 0, execute)
@@ -576,8 +574,15 @@ def _misreport_storage(ectx, op, env, features, pending=()):
 _ALL_COMMIT_INVARIANTS = list(_COMMIT_VALIDATORS)
 _TO_BOB = Transfer("bob", 3, make_param("default"))
 
-# (transaction's operation, executor, the invariants it breaks) at `alice`,
-# holding 10, with `bob` and `zero` holding nothing.
+# (transaction's operation, executor, the invariants it breaks) from `alice`
+# in `_EDGE_ENV`.
+_EDGE_ENV = Environment(
+    {
+        "alice": registry.implicit_account(10),
+        "bob": registry.implicit_account(0),
+        "zero": registry.implicit_account(0),
+    }
+)
 _EDGE_COMMITS = {
     "zero_endowment_create": (
         CreateContract("fresh", 0, UNIT_VALUE, "receiver", UNIT_VALUE), execute_operation, [],
@@ -590,7 +595,7 @@ _EDGE_COMMITS = {
     "endowed_create_lost": (
         CreateContract("fresh", 2, UNIT_VALUE, "receiver", UNIT_VALUE),
         _lose_creates,
-        ["no_double_spend", "transfer_correctness"],
+        ["transfer_correctness"],
     ),
     "self_transfer": (Transfer("alice", 4, make_param("default")), execute_operation, []),
     "self_transfer_minting": (
@@ -607,7 +612,7 @@ _EDGE_COMMITS = {
 
 
 class TestCommitVerdictsMatchTheValidators:
-    """`check_transaction` decides the three commit invariants from one
+    """`check_transaction` decides the two commit invariants from one
     shared pass; each verdict must be its public validator's."""
 
     def test_generated_commits(self):
@@ -631,11 +636,51 @@ class TestCommitVerdictsMatchTheValidators:
     @pytest.mark.parametrize("case", list(_EDGE_COMMITS))
     def test_edge_commits(self, case):
         op, execute, expected = _EDGE_COMMITS[case]
-        env = Environment(
-            {
-                "alice": registry.implicit_account(10),
-                "bob": registry.implicit_account(0),
-                "zero": registry.implicit_account(0),
-            }
-        )
-        assert _validator_failures(env, SignedTransaction("alice", (op,)), execute) == expected
+        assert _validator_failures(_EDGE_ENV, SignedTransaction("alice", (op,)), execute) == expected
+
+
+def _double_spends(tree, before, after) -> list[str]:
+    """The no-double-spend rule: the addresses whose balance change differs
+    from the sum of the trace's deltas for them."""
+    claimed = Counter()
+    for node in tree.nodes:
+        claimed.update(node_to_json(node)["deltas"])
+
+    def balance(env, addr):
+        contract = env.get(addr)
+        return 0 if contract is None else contract.balance
+
+    addrs = claimed.keys() | before.accounts.keys() | after.accounts.keys()
+    return sorted(a for a in addrs if balance(after, a) - balance(before, a) != claimed[a])
+
+
+def _pinned_commits():
+    """(tree, before, after) of each commit of the pinned faults' 300
+    iterations and of the edge cases."""
+    env, cfg = default_universe(7)
+    runs = [
+        (env, gen_transaction(seed, cfg), fault)
+        for fault in _FAULT_REPORTS
+        for seed in range(cfg.seed, cfg.seed + 300)
+    ]
+    runs += [
+        (_EDGE_ENV, SignedTransaction("alice", (op,)), execute)
+        for op, execute, _ in _EDGE_COMMITS.values()
+    ]
+    for before, tx, execute in runs:
+        outcome, _, tree = run_transaction(before, tx, SchedulerConfig(), 0, execute)
+        if isinstance(outcome, Commit):
+            yield tree, before, outcome.env
+
+
+def test_replay_fails_at_every_address_a_double_spend_breaks():
+    # Replay's balance test is the no-double-spend rule, so replay needs no
+    # such invariant beside it: each address the rule flags gets a replay
+    # violation of its own.
+    flagged = 0
+    for tree, before, after in _pinned_commits():
+        lines = validate_replay(tree, before, after).violations
+        for addr in _double_spends(tree, before, after):
+            flagged += 1
+            assert any(line.startswith(f"@{addr}: ") for line in lines), (addr, lines)
+    assert flagged

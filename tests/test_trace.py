@@ -39,7 +39,6 @@ from chainsim.trace import (
     tree_to_json,
     validate_atomic_bundles,
     validate_conservation,
-    validate_no_double_spend,
     validate_replay,
 )
 from conftest import SCENARIO_DIR
@@ -59,35 +58,6 @@ def attack_run(vault_env):
     outcome, _, tree = run_transaction(vault_env, _rob_tx(), BFS, 0)
     assert isinstance(outcome, Commit)
     return vault_env, outcome.env, tree
-
-
-class TestNoDoubleSpend:
-    def test_attack_trace_accounts_for_every_unit(self, attack_run):
-        before, after, tree = attack_run
-        report = validate_no_double_spend(tree, before, after)
-        assert report.ok, report.violations
-        # exactly three payout debits move the 15 units
-        debit_nodes = [
-            n for n in tree.nodes
-            if any(d < 0 for d in node_to_json(n)["deltas"].values()) and n.sender == "vault"
-        ]
-        assert len(debit_nodes) == 3
-
-    def test_empty_trace_passes(self, simple_env):
-        tree = TransactionTree(nodes=(), outcome="commit", reason=None, ts=0)
-        assert validate_no_double_spend(tree, simple_env, simple_env).ok
-
-    def test_duplicated_node_fails(self, attack_run):
-        before, after, tree = attack_run
-        duplicated = tree.nodes + (tree.nodes[-1],)
-        forged = TransactionTree(duplicated, "commit", None, tree.ts)
-        report = validate_no_double_spend(forged, before, after)
-        assert not report.ok
-
-    def test_requires_commit(self, simple_env):
-        tree = TransactionTree(nodes=(), outcome="revert", reason="x", ts=0)
-        with pytest.raises(ValueError):
-            validate_no_double_spend(tree, simple_env, simple_env)
 
 
 class TestConservation:
@@ -236,7 +206,27 @@ class TestAtomicBundles:
 class TestReplay:
     def test_replay_reproduces_attack(self, attack_run):
         before, after, tree = attack_run
-        assert validate_replay(tree, before, after).ok
+        report = validate_replay(tree, before, after)
+        assert report.ok, report.violations
+        # exactly three payout debits move the 15 units
+        debit_nodes = [
+            n for n in tree.nodes
+            if any(d < 0 for d in node_to_json(n)["deltas"].values()) and n.sender == "vault"
+        ]
+        assert len(debit_nodes) == 3
+
+    def test_empty_trace_passes(self, simple_env):
+        tree = TransactionTree(nodes=(), outcome="commit", reason=None, ts=0)
+        assert validate_replay(tree, simple_env, simple_env).ok
+
+    def test_duplicated_node_fails(self, attack_run):
+        # The last node, the vault's third payout to @bad, counted twice.
+        before, after, tree = attack_run
+        forged = TransactionTree(tree.nodes + (tree.nodes[-1],), "commit", None, tree.ts)
+        assert validate_replay(forged, before, after).violations == (
+            "@bad: replayed balance 20 != 15",
+            "@vault: replayed balance -5 != 0",
+        )
 
     def test_a_reverted_tree_is_refused(self, vault_env):
         tx = SignedTransaction("owner", (Transfer("owner", 101, make_param("default")),))
@@ -257,7 +247,6 @@ class TestReplay:
 
         monkeypatch.setattr(Environment, "accounts", property(unread))
         assert validate_conservation(env, outcome.env)
-        assert validate_no_double_spend(tree, env, outcome.env).ok
         assert validate_replay(tree, env, outcome.env).ok
 
     @pytest.mark.parametrize("accounts", [3, 10_000])
@@ -270,7 +259,7 @@ class TestReplay:
             return out._replace(env_after=ghost)
 
         tx = SignedTransaction("u1", (Transfer("u2", 3, make_param("default")),))
-        invariants = ("conservation", "no_double_spend", "transfer_correctness")
+        invariants = ("conservation", "transfer_correctness")
         assert check_transaction(env, tx, BFS, invariants, add_account) == [
             "transfer_correctness"
         ]
@@ -317,10 +306,6 @@ class TestReplay:
         after = before.updated({low: registry.implicit_account(13), high: registry.implicit_account(7)})
         node = TraceNode(0, None, high, Transfer(low, 5, DEFAULT_PARAM), commits=((low, NatV(1)),))
         tree = TransactionTree((node,), "commit", None, 0)
-        assert validate_no_double_spend(tree, before, after).violations == (
-            f"@{low}: environment moved 3 but trace accounts for 5",
-            f"@{high}: environment moved -3 but trace accounts for -5",
-        )
         assert validate_replay(tree, before, after).violations == (
             f"@{low}: replayed balance 15 != 13",
             f"@{low}: replayed storage differs",
